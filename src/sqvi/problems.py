@@ -424,14 +424,7 @@ def make_regression_game(
     blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
     grams_tr = np.stack([blk.T @ blk for blk in blocks])
     at_tensor = np.stack([blk.T for blk in blocks])  # (players, feats, rows)
-    eig_vals = []
-    eig_vecs = []
-    for i in range(players):
-        w, v = np.linalg.eigh(grams_tr[i])
-        eig_vals.append(w)
-        eig_vecs.append(v)
-    eig_vals = np.stack(eig_vals)
-    eig_vecs = np.stack(eig_vecs)
+    eig_vals, eig_vecs = np.linalg.eigh(grams_tr)  # (players, feats), (players, feats, feats)
 
     x_interp, *_ = np.linalg.lstsq(a_tr, b_tr, rcond=None)
     block_norms = np.linalg.norm(x_interp.reshape(players, feats), axis=1)
@@ -494,33 +487,31 @@ def make_regression_game(
     curvature = float(np.max(eig_vals))
 
     def exact_reg_project(x, u):
-        # per-player ridge solve; ball constraint handled by a secular equation
-        cross = _block_residual_grads(x)
-        um = np.asarray(u, dtype=float).reshape(players, feats)
+        # Per-player ridge solve in the eigenbasis of A_i^T A_i, all players at
+        # once. A block whose unconstrained solution leaves the ball takes the
+        # multiplier theta >= 0 that solves the secular equation
+        # phi(theta) = 1/||y(theta)|| - 1/lam = 0, y(theta) = rhs / (denom + theta).
+        # phi is concave and increasing, so Newton's method from theta = 0
+        # rises monotonically to the root (More & Sorensen 1983).
         w = 1.0 / sigma
-        out = np.empty_like(um)
-        for i in range(players):
-            rhs = eig_vecs[i].T @ (um[i] - w * cross[i])
-            denom0 = 1.0 + w * eig_vals[i]
-            y_coef = rhs / denom0
-            if float(y_coef @ y_coef) <= lam * lam:
-                out[i] = eig_vecs[i] @ y_coef
-                continue
-            theta_lo, theta_hi = 0.0, 1.0
-            while float(np.sum((rhs / (denom0 + theta_hi)) ** 2)) > lam * lam:
-                theta_hi *= 2.0
-                if theta_hi > 1e18:
-                    raise ConstructionFailed("secular equation failed to bracket")
-            for _ in range(200):
-                mid = 0.5 * (theta_lo + theta_hi)
-                if float(np.sum((rhs / (denom0 + mid)) ** 2)) > lam * lam:
-                    theta_lo = mid
-                else:
-                    theta_hi = mid
-                if theta_hi - theta_lo <= 1e-15 * max(1.0, theta_hi):
-                    break
-            out[i] = eig_vecs[i] @ (rhs / (denom0 + 0.5 * (theta_lo + theta_hi)))
-        return out.reshape(-1)
+        um = np.asarray(u, dtype=float).reshape(players, feats)
+        rhs = np.einsum("pgf,pg->pf", eig_vecs, um - w * _block_residual_grads(x))
+        denom = 1.0 + w * eig_vals
+        active = np.sum((rhs / denom) ** 2, axis=1) > lam * lam
+        r2, d = rhs[active] ** 2, denom[active]
+        th = np.zeros((r2.shape[0], 1))
+        for _ in range(100):
+            norm2 = np.sum(r2 / (d + th) ** 2, axis=1, keepdims=True)
+            norm = np.sqrt(norm2)
+            slope = np.sum(r2 / (d + th) ** 3, axis=1, keepdims=True)
+            th = th + (norm - lam) / lam * norm2 / slope
+            if np.all(norm - lam <= 1e-14 * lam):
+                break
+        else:
+            raise ConstructionFailed("secular equation did not converge")
+        theta = np.zeros((players, 1))
+        theta[active] = th
+        return np.einsum("pfg,pg->pf", eig_vecs, rhs / (denom + theta)).reshape(-1)
 
     mapping = ArgminSet(
         feasible=feasible,
@@ -560,7 +551,7 @@ def make_regression_game(
         )
         for _ in range(gamma_triples)
     ]
-    audit = contractivity_audit(mapping, lambda x, u: exact_reg_project(x, u), triples, declared=np.inf)
+    audit = contractivity_audit(mapping, exact_reg_project, triples, declared=np.inf)
     gamma = 1.5 * audit.max_ratio + 1e-9
     mapping = replace(mapping, gamma=gamma)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import fit_linear_rate
-from .errors import ConfigError, InsufficientData, NotReached, UnknownKey
+from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
     IterationTrace,
@@ -21,6 +22,7 @@ from .solvers import (
     run_ieg_sqvi,
     run_ig_sqvi,
     schedule_from_name,
+    schedule_values,
 )
 
 log = logging.getLogger(__name__)
@@ -152,18 +154,18 @@ def _validate(cfg: RunConfig) -> ProblemInstance:
         problem = build_problem(cfg.problem, cfg.problem_params)
     except Exception as exc:
         raise ConfigError(f"problem construction failed: {exc}") from exc
-    sc = cfg.solver_config()
     try:
+        sc = cfg.solver_config()
         params = derive_params(problem, sc, extra_gradient=cfg.solver == "ieg")
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.schedule == "increasing":
-        if cfg.rho is None:
-            raise ConfigError("schedule 'increasing' requires rho")
-        if params.q is not None and cfg.rho <= 1.0 - params.q:
-            raise ConfigError(f"rho must exceed 1-q (rho={cfg.rho}, 1-q={1.0 - params.q:.6g})")
-    if cfg.schedule == "constant" and cfg.batch is None:
-        raise ConfigError("schedule 'constant' requires batch")
+    # the run evaluates the schedule at every k < T; any failure there is a
+    # config error, reported before the run starts
+    try:
+        for k in range(cfg.T):
+            schedule_values(sc.schedule, params.q, k)
+    except (InvalidSchedule, ArithmeticError) as exc:
+        raise ConfigError(f"schedule {cfg.schedule!r} fails at iteration {k}: {exc}") from exc
     for metric in cfg.metrics or ():
         if metric not in _METRIC_COLUMNS:
             raise ConfigError(f"unknown metric {metric!r}")
@@ -233,16 +235,21 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     that reproduces the run when fed back to ``parse_config``, and a summary
     with final metrics and fitted rates.
     """
+    tic = time.perf_counter()
     problem = _validate(cfg)
+    build_s = time.perf_counter() - tic
     out_dir = out_dir or cfg.out or os.path.join("runs", cfg.label or cfg.problem)
     os.makedirs(out_dir, exist_ok=True)
     metrics = cfg.metrics or default_metrics(problem)
     runner = run_ieg_sqvi if cfg.solver == "ieg" else run_ig_sqvi
     traces = []
     trace_paths = []
+    solve_s = []
     for rep in range(cfg.replicates):
         seed = cfg.seed if cfg.replicates == 1 else (cfg.seed, rep)
+        tic = time.perf_counter()
         trace = runner(problem, cfg.solver_config(seed=seed), metrics=metrics)
+        solve_s.append(time.perf_counter() - tic)
         traces.append(trace)
         path = os.path.join(out_dir, f"trace_rep{rep:02d}.csv")
         with open(path, "w", encoding="utf-8") as fh:
@@ -269,6 +276,8 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         fh.write("\n")
 
     summary = _summarize(cfg, metrics, traces)
+    if cfg.record_timing:  # timings vary run to run; by default the summary repeats exactly
+        summary["timing"] = {"build_s": build_s, "solve_s": solve_s}
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

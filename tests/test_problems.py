@@ -106,6 +106,73 @@ def test_game_exact_projection_matches_long_fista(game_problem, rng):
     assert np.linalg.norm(exact - iterative) <= 1e-6
 
 
+def _bisection_reg_project(game, x, u):
+    """Scalar reference for the game's regularized projection.
+
+    Per player: ridge solve in the eigenbasis of A_i^T A_i; a block outside
+    the ball bisects the secular equation ||y(theta)|| = radius for theta.
+    """
+    feats, lam, w = game.feature_dim, game.radius, 1.0 / game.regularization
+    base = game.train_matrix @ x - game.train_rhs
+    out = np.empty(game.players * feats)
+    for i in range(game.players):
+        blk = slice(i * feats, (i + 1) * feats)
+        a_i = game.train_matrix[:, blk]
+        eig_vals, eig_vecs = np.linalg.eigh(a_i.T @ a_i)
+        cross = a_i.T @ (base - a_i @ x[blk])
+        rhs = eig_vecs.T @ (u[blk] - w * cross)
+        denom = 1.0 + w * eig_vals
+        lo, hi = 0.0, 0.0
+        if np.sum((rhs / denom) ** 2) > lam * lam:
+            hi = 1.0
+            while np.sum((rhs / (denom + hi)) ** 2) > lam * lam:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if np.sum((rhs / (denom + mid)) ** 2) > lam * lam:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-15 * max(1.0, hi):
+                    break
+        out[blk] = eig_vecs @ (rhs / (denom + 0.5 * (lo + hi)))
+    return out
+
+
+def test_game_exact_projection_matches_scalar_bisection(game_problem):
+    game = game_problem.lower_level.game
+    players, feats, lam = game.players, game.feature_dim, game.radius
+    rng = np.random.default_rng(11)
+    x_fit = np.linalg.lstsq(game.train_matrix, game.train_rhs, rcond=None)[0]
+    # near the training fit the unconstrained blocks stay inside the ball;
+    # large pushes on every other block drive those onto its boundary
+    mixed = (x_fit + 0.01 * rng.standard_normal(x_fit.size)).reshape(players, feats)
+    mixed[::2] += 5.0 * rng.standard_normal(mixed[::2].shape)
+    probes = [(x_fit, mixed.reshape(-1))] + [
+        (game_problem.ambient.project(s * rng.standard_normal(x_fit.size)), s * rng.standard_normal(x_fit.size))
+        for s in (0.1, 0.3, 1.0, 10.0)
+    ]
+    saw_mixed = saw_active = False
+    for x, u in probes:
+        fast = game_problem.map.exact_reg_project(x, u)
+        ref = _bisection_reg_project(game, x, u)
+        assert np.linalg.norm(fast - ref) <= 1e-12
+        ref_norms = np.linalg.norm(ref.reshape(players, feats), axis=1)
+        norms = np.linalg.norm(fast.reshape(players, feats), axis=1)
+        active = ref_norms >= lam * (1.0 - 1e-9)
+        assert np.all(np.abs(norms[active] - lam) <= 1e-12 * lam)
+        assert np.all(norms[~active] < lam)
+        saw_mixed |= bool(np.any(~active) and np.any(active))
+        saw_active |= bool(np.all(active))
+    assert saw_mixed and saw_active
+
+
+def test_game_audit_values_pinned(game_problem):
+    # table1-synthetic at seed 1; the projection solver must not move these
+    assert game_problem.metadata["gamma_audit"] == pytest.approx(1.2566508583700173, rel=1e-10)
+    assert game_problem.metadata["qg_audit"] == pytest.approx(0.6319003842449055, rel=1e-10)
+
+
 def test_game_instance_audits(game_problem):
     audit = audit_instance(game_problem, probes=120)
     assert audit.monotone_min >= -1e-10

@@ -30,6 +30,31 @@ def test_rho_must_exceed_one_minus_q():
         parse_config(json.dumps(bad))
 
 
+def test_validate_rejects_schedules_the_run_cannot_evaluate():
+    # out-of-range coupled game: no q, so a deterministic schedule without rho
+    # has no inner budget at iteration 0
+    coupled = {
+        "problem": "coupled_sp",
+        "problem_params": {"coupling": {"a_u": [1.0], "a_w": [1.0], "c": -0.5}},
+        "solver": "ieg",
+        "eta": 0.5,
+        "alpha": 0.5,
+        "b": 0.5,
+        "schedule": "deterministic",
+        "T": 5,
+        "allow_out_of_range": True,
+    }
+    with pytest.raises(ConfigError, match="needs rho or q"):
+        parse_config(json.dumps(coupled))
+    # rho^(-2k) overflows a float for rho = 0.9 beyond k = 3368
+    long_run = dict(MINIMAL, schedule="increasing", rho=0.9, eta=0.64, alpha=0.9, b=2.0, T=4000)
+    with pytest.raises(ConfigError, match="iteration 3369"):
+        parse_config(json.dumps(long_run))
+    parse_config(json.dumps(dict(long_run, T=3369)))
+    with pytest.raises(ConfigError, match="batch size"):
+        parse_config(json.dumps(dict(MINIMAL, schedule="constant")))
+
+
 def test_unknown_key_strict_vs_lenient():
     cfg = dict(MINIMAL, tpyo=1)
     with pytest.raises(UnknownKey):
@@ -132,6 +157,14 @@ def test_wall_column_empty_by_default(tmp_path):
     art = run_experiment(cfg, out_dir=str(tmp_path / "w"))
     for line in open(art.trace_paths[0]).read().strip().split("\n")[1:]:
         assert line.endswith(",")
+    assert "timing" not in json.load(open(art.summary_path))
+
+
+def test_record_timing_writes_timing_to_summary(tmp_path):
+    cfg = parse_config(json.dumps(dict(MINIMAL, T=5, replicates=2, record_timing=True)))
+    art = run_experiment(cfg, out_dir=str(tmp_path / "t"))
+    timing = json.load(open(art.summary_path))["timing"]
+    assert timing["build_s"] >= 0.0 and len(timing["solve_s"]) == 2 and min(timing["solve_s"]) >= 0.0
 
 
 def test_floor_and_epsilon_reporting(tmp_path):
