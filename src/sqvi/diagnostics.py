@@ -5,13 +5,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, NonfiniteValue, NoReferenceSolution, WrongProblemKind
-from .maps import ArgminSet, FixedSet, TranslatedSet
+from .errors import InsufficientData, NoReferenceSolution, WrongProblemKind
 from .operators import evaluate_mean
 from .projection import inexact_project, reference_project
-from .sets import has_closed_form
 
-_VALUE_FLOOR = 1e-14  # below this, values are numerical noise and excluded from fits
+# values at or below either floor are rounding noise and excluded from fits
+_VALUE_FLOOR = 1e-14
+_RELATIVE_FLOOR = 1e-12  # times the largest value of the series
 
 
 def dist_to_solution(problem, x) -> float:
@@ -38,17 +38,11 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     if eta is None:
         eta = problem.suggested_eta
     target = x - eta * evaluate_mean(problem.operator, x)
-    mapping = problem.map
-    exact = (
-        isinstance(mapping, (FixedSet, TranslatedSet))
-        and has_closed_form(mapping.base_set)
-        or (isinstance(mapping, ArgminSet) and mapping.exact_reg_project is not None)
-    )
-    if exact:
-        proj = reference_project(mapping, x, target)
+    if problem.map.exact:
+        proj = reference_project(problem.map, x, target)
         return Residual(value=float(np.linalg.norm(x - proj)), error_bound=0.0)
     budget = budget or 2000
-    res = inexact_project(mapping, x, target, t=budget, ambient=problem.ambient)
+    res = inexact_project(problem.map, x, target, t=budget, ambient=problem.ambient)
     return Residual(value=float(np.linalg.norm(x - res.point)), error_bound=res.error_bound)
 
 
@@ -61,26 +55,6 @@ def lower_level_subopt(problem, x) -> float:
     return float(ll.value(x) - ll.min_value)
 
 
-class MetricSample(NamedTuple):
-    metric: str
-    iteration: int
-    value: float
-
-
-def trace_samples(trace, metric: str) -> list:
-    """Flattened (metric, k, value) records of one metric along a trace."""
-    out = []
-    for row in trace.rows:
-        val = row.metrics.get(metric)
-        if val is None:
-            continue
-        val = float(val)
-        if not np.isfinite(val) or val < 0:
-            raise NonfiniteValue(f"metric {metric!r} produced an invalid value {val} at k={row.k}")
-        out.append(MetricSample(metric=metric, iteration=row.k, value=val))
-    return out
-
-
 class RateFit(NamedTuple):
     slope: float
     r_squared: float
@@ -91,8 +65,9 @@ def fit_linear_rate(trace_or_series, metric: Optional[str] = None, window: Optio
     """Least-squares fit of log10(metric) against iteration index.
 
     Accepts an IterationTrace (with a metric id) or a plain value sequence.
-    The fit uses values above 1e-14 inside the inclusive window and needs at
-    least five of them. Returns the slope per iteration in log10 and the
+    The fit uses values above 1e-14 and above 1e-12 times the largest value
+    of the whole series inside the inclusive window, and needs at least five
+    of them. Returns the slope per iteration in log10 and the
     coefficient of determination.
     """
     if metric is not None and hasattr(trace_or_series, "metric_series"):
@@ -101,11 +76,13 @@ def fit_linear_rate(trace_or_series, metric: Optional[str] = None, window: Optio
     else:
         values = np.asarray(trace_or_series, dtype=float)
         ks = np.arange(values.shape[0], dtype=float)
+    largest = float(np.max(values, where=np.isfinite(values), initial=0.0))
+    floor = max(_VALUE_FLOOR, _RELATIVE_FLOOR * largest)
     if window is not None:
         lo, hi = window
         sel = (ks >= lo) & (ks <= hi)
         values, ks = values[sel], ks[sel]
-    mask = np.isfinite(values) & (values > _VALUE_FLOOR)
+    mask = np.isfinite(values) & (values > floor)
     values, ks = values[mask], ks[mask]
     if values.shape[0] < 5:
         raise InsufficientData(f"need >= 5 usable samples, got {values.shape[0]}")

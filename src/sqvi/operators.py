@@ -83,7 +83,6 @@ class BatchEval(NamedTuple):
 
     mean_estimate: Array
     batch_size: int
-    seed_record: tuple
 
 
 def _as_stream_key(stream) -> tuple:
@@ -132,7 +131,7 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> BatchEval:
         est = evaluate_mean(op, x)
     if est.shape != (op.dim,):
         raise DimensionMismatch(f"batch mean has shape {est.shape}")
-    return BatchEval(mean_estimate=est, batch_size=n, seed_record=key)
+    return BatchEval(mean_estimate=est, batch_size=n)
 
 
 def gaussian_operator(

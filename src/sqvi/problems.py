@@ -89,8 +89,6 @@ class ProblemInstance:
     metadata: dict = field(default_factory=dict)
 
     def manifest(self) -> dict:
-        from .projection import certificate_constant
-
         return {
             "name": self.name,
             "dim": int(self.operator.dim),
@@ -100,7 +98,7 @@ class ProblemInstance:
                 "gamma": self.constants.gamma,
                 "noise": self.constants.noise,
             },
-            "projection_certificate_constant": certificate_constant(self.map),
+            "projection_certificate_constant": self.map.certificate_constant,
             "suggested_eta": self.suggested_eta,
             "metadata": dict(self.metadata),
         }

@@ -1,12 +1,15 @@
-"""Exact and inexact projections with certified error bounds.
+"""Inner solvers and the projection entry points, with certified error bounds.
 
-Closed-form sets are projected exactly. Argmin-set maps are projected by
-running an accelerated proximal-gradient method (FISTA) on a Tikhonov
-regularized surrogate; inequality-constrained maps by an accelerated
-primal-dual scheme on the Lagrangian of the projection subproblem. Both
-iterative paths return a certificate: a bound on the distance from the
-returned point to the target projection that shrinks at least like 1/t in
-the inner budget t.
+The inner solvers are an accelerated proximal-gradient method (FISTA),
+which argmin-set maps run on a Tikhonov regularized surrogate, and an
+accelerated primal-dual scheme on the Lagrangian of the projection
+subproblem, which inequality-constrained maps run. Both return a
+certificate: a bound on the distance from the returned point to the target
+projection that shrinks at least like 1/t in the inner budget t.
+
+The entry points ``inexact_project`` and ``reference_project`` delegate to
+the map, which owns its projection, membership test and exactness (see
+:mod:`sqvi.maps`); this module does not import the maps.
 """
 from __future__ import annotations
 
@@ -16,15 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleSubproblem,
-    InvalidParameters,
-    NonfiniteValue,
-    UnsupportedSet,
-)
-from .maps import ArgminSet, FixedSet, NonlinearConvex, SetValuedMap, TranslatedSet, translated_projection
-from .sets import Array, Halfspaces, SimpleSet, has_closed_form, project_simple
+from .errors import DimensionMismatch, InfeasibleSubproblem, InvalidParameters, NonfiniteValue
+from .sets import Array, SimpleSet, project_simple
 
 
 @dataclass(frozen=True)
@@ -102,10 +98,6 @@ class ApdResult(NamedTuple):
     violation: float
 
 
-def _estimate_jacobian_norm(jac: Array) -> float:
-    return float(np.linalg.norm(jac, 2))
-
-
 def apd_solve(
     u: Array,
     constraint: Callable[[Array], Array],
@@ -133,7 +125,7 @@ def apd_solve(
     jac = np.atleast_2d(np.asarray(jacobian(y), dtype=float))
     if jac.shape != (m, u.shape[0]):
         raise DimensionMismatch(f"jacobian has shape {jac.shape}, expected ({m},{u.shape[0]})")
-    lj = jacobian_bound if jacobian_bound is not None else 2.0 * _estimate_jacobian_norm(jac) + 1e-6
+    lj = jacobian_bound if jacobian_bound is not None else 2.0 * float(np.linalg.norm(jac, 2)) + 1e-6
     lj = max(lj, 1e-9)
     tau = 1.0 / lj
     sigma = 1.0 / lj
@@ -188,7 +180,7 @@ def feasibility_witness(
     if ambient is not None:
         y = project_simple(ambient, y)
     jac = np.atleast_2d(np.asarray(jacobian(y), float))
-    lj = _estimate_jacobian_norm(jac) + 1e-9
+    lj = float(np.linalg.norm(jac, 2)) + 1e-9
     step = 1.0 / (2.0 * lj * lj + 1e-9)
     for _ in range(budget):
         g = np.atleast_1d(np.asarray(constraint(y), float))
@@ -208,152 +200,30 @@ def feasibility_witness(
     )
 
 
-def _argmin_reg_components(mapping: ArgminSet, x: Array, u: Array):
-    """Gradient/curvature of the regularized surrogate 0.5||y-u||^2 + obj/sigma."""
-    w = 1.0 / mapping.regularization
+def inexact_project(mapping, x, u, t: int, ambient: Optional[SimpleSet] = None) -> ProjectionResult:
+    """Approximate projection of u onto the map K(x) with an inner budget of t iterations.
 
-    def val(y):
-        return 0.5 * float((y - u) @ (y - u)) + w * float(mapping.objective(x, y))
-
-    inner_grad = mapping.grad_at(x) if mapping.grad_at is not None else (lambda y: mapping.grad(x, y))
-
-    def grd(y):
-        return (y - u) + w * np.asarray(inner_grad(y), dtype=float)
-
-    curvature = 1.0 + w * mapping.curvature
-    return val, grd, curvature
-
-
-def inexact_project(
-    mapping: SetValuedMap,
-    x,
-    u,
-    t: int,
-    method: str = "auto",
-    ambient: Optional[SimpleSet] = None,
-) -> ProjectionResult:
-    """Approximate projection of u onto K(x) with an inner budget of t iterations.
-
-    Fixed and translated maps with closed-form bases are projected exactly
-    (error bound 0). Argmin-set maps run FISTA on the regularized surrogate;
-    inequality-constrained maps run the accelerated primal-dual scheme. The
-    returned point is snapped onto ``ambient`` when one is supplied so that
-    solver iterates never leave the ambient set; the snap never increases
-    the certified error because the target projection lies in it.
+    The map runs its own solver path (see :mod:`sqvi.maps`): closed forms
+    report an error bound of 0, argmin-set maps run FISTA on the regularized
+    surrogate, inequality-constrained maps the accelerated primal-dual
+    scheme. The returned point is snapped onto ``ambient`` when one is
+    supplied so that solver iterates never leave the ambient set.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-
-    if isinstance(mapping, FixedSet):
-        if method not in ("auto", "closed_form", "apd"):
-            raise InvalidParameters(f"method {method!r} incompatible with a fixed set")
-        if has_closed_form(mapping.base_set) and method != "apd":
-            pt = mapping.base_set.project(u)
-            pt = _snap(pt, ambient)
-            return ProjectionResult(pt, 0.0, 0, 0.0)
-        if not isinstance(mapping.base_set, Halfspaces):
-            raise UnsupportedSet("iterative path for fixed sets requires halfspace systems")
-        hs = mapping.base_set
-        res = apd_solve(
-            u,
-            constraint=lambda y: hs.normals @ y - hs.offsets,
-            jacobian=lambda y: hs.normals,
-            t=t,
-            ambient=ambient,
-            jacobian_bound=_estimate_jacobian_norm(hs.normals),
-        )
-        return ProjectionResult(res.point, res.dist_bound, t, res.violation)
-
-    if isinstance(mapping, TranslatedSet):
-        if method not in ("auto", "closed_form"):
-            raise InvalidParameters(f"method {method!r} incompatible with a translated set")
-        pt = translated_projection(mapping, x, u)
-        pt = _snap(pt, ambient)
-        return ProjectionResult(pt, 0.0, 0, 0.0)
-
-    if isinstance(mapping, ArgminSet):
-        if method not in ("auto", "fista"):
-            raise InvalidParameters(f"method {method!r} incompatible with an argmin set")
-        val, grd, curvature = _argmin_reg_components(mapping, x, u)
-        y0 = mapping.feasible.project(u)
-        diam = mapping.feasible.diameter()
-        res = fista_solve(
-            value=val,
-            grad=grd,
-            curvature=curvature,
-            strong_convexity=1.0,
-            feasible=mapping.feasible,
-            y0=y0,
-            t=t,
-            dist0_bound=diam,
-        )
-        pt = _snap(res.point, ambient)
-        bound = min(res.dist_bound, diam) if np.isfinite(diam) else res.dist_bound
-        return ProjectionResult(pt, bound, t, 0.0)
-
-    if isinstance(mapping, NonlinearConvex):
-        if method not in ("auto", "apd"):
-            raise InvalidParameters(f"method {method!r} incompatible with a constrained set")
-        g_x = lambda y: mapping.constraint(x, y)
-        j_x = lambda y: mapping.jacobian(x, y)
-        res = apd_solve(
-            u, constraint=g_x, jacobian=j_x, t=t,
-            ambient=mapping.ambient,
-            jacobian_bound=mapping.jacobian_bound,
-            dist_constant=mapping.dist_constant,
-        )
-        # a grossly violated output on a generous budget suggests K(x) may be
-        # empty; confirm with a feasibility probe before giving up
-        if t >= 30 and res.violation > 0.05 * max(1.0, float(np.linalg.norm(u))):
-            feasibility_witness(g_x, j_x, mapping.ambient, res.point, budget=1000)
-        pt = _snap(res.point, ambient)
-        diam = mapping.ambient.diameter()
-        bound = min(res.dist_bound, diam) if np.isfinite(diam) else res.dist_bound
-        return ProjectionResult(pt, bound, t, res.violation)
-
-    raise TypeError(f"unknown map type {type(mapping)!r}")
+    return mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, ambient)
 
 
-def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
-    if ambient is None:
-        return point
-    return ambient.project(point)
+def reference_project(mapping, x, u, budget: int = 20000) -> Array:
+    """High-accuracy projection onto K(x): the map's closed form when it is
+    exact, else ``budget`` iterations of its solver path.
 
-
-def certificate_constant(mapping: SetValuedMap) -> Optional[float]:
-    """The constant C of the 1/t distance certificate, when derivable up front.
-
-    Exact paths have no certificate constant (their error is zero); for
-    inequality-constrained maps without a declared constant it is derived at
-    call time from the query point, so None is returned here.
-    """
-    if isinstance(mapping, ArgminSet):
-        diam = mapping.feasible.diameter()
-        if not np.isfinite(diam):
-            return None
-        return 2.0 * math.sqrt(1.0 + mapping.curvature / mapping.regularization) * diam
-    if isinstance(mapping, NonlinearConvex):
-        return mapping.dist_constant
-    return None
-
-
-def reference_project(mapping: SetValuedMap, x, u, budget: int = 20000) -> Array:
-    """High-accuracy projection onto K(x), exact where a closed form exists.
-
-    For argmin-set maps the target is the regularized surrogate's solution,
-    solved in closed form when the problem supplies one and by a long FISTA
-    run otherwise.
+    For argmin-set maps the target is the regularized surrogate's solution.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if isinstance(mapping, FixedSet) and has_closed_form(mapping.base_set):
-        return mapping.base_set.project(u)
-    if isinstance(mapping, TranslatedSet) and has_closed_form(mapping.base_set):
-        return translated_projection(mapping, x, u)
-    if isinstance(mapping, ArgminSet) and mapping.exact_reg_project is not None:
-        return np.asarray(mapping.exact_reg_project(x, u), dtype=float)
+    if mapping.exact:
+        return mapping.exact_project(x, u)
     return inexact_project(mapping, x, u, t=budget).point
 
 
@@ -366,7 +236,7 @@ class RateAudit(NamedTuple):
 
 
 def projection_rate_audit(
-    mapping: SetValuedMap,
+    mapping,
     x,
     u,
     budgets: Sequence[int],

@@ -6,7 +6,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .diagnostics import fit_linear_rate
 from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
+    DerivedParams,
     IterationTrace,
     SolverConfig,
     derive_params,
@@ -101,6 +102,12 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     :func:`run_experiment` (whose ``config`` entry is reused verbatim, which
     makes manifests rerunnable).
     """
+    return check_config(text, strict)[0]
+
+
+def check_config(text: str, strict: bool = False) -> Tuple[RunConfig, DerivedParams]:
+    """:func:`parse_config` plus the derived parameters its validation computed;
+    their ``violations`` list what ``allow_out_of_range`` let through."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -141,11 +148,10 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         cfg = RunConfig(**data)
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
-    _validate(cfg)
-    return cfg
+    return cfg, _validate(cfg)[1]
 
 
-def _validate(cfg: RunConfig) -> ProblemInstance:
+def _validate(cfg: RunConfig) -> Tuple[ProblemInstance, DerivedParams]:
     if cfg.T < 1:
         raise ConfigError("T must be >= 1")
     if cfg.replicates < 1:
@@ -169,7 +175,7 @@ def _validate(cfg: RunConfig) -> ProblemInstance:
     for metric in cfg.metrics or ():
         if metric not in _METRIC_COLUMNS:
             raise ConfigError(f"unknown metric {metric!r}")
-    return problem
+    return problem, params
 
 
 def default_metrics(problem: ProblemInstance) -> tuple:
@@ -236,8 +242,10 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     with final metrics and fitted rates.
     """
     tic = time.perf_counter()
-    problem = _validate(cfg)
+    problem, params = _validate(cfg)
     build_s = time.perf_counter() - tic
+    if params.violations:
+        log.warning("parameter validation bypassed: %s", "; ".join(params.violations))
     out_dir = out_dir or cfg.out or os.path.join("runs", cfg.label or cfg.problem)
     os.makedirs(out_dir, exist_ok=True)
     metrics = cfg.metrics or default_metrics(problem)
@@ -259,7 +267,6 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     with open(mean_path, "w", encoding="utf-8") as fh:
         fh.write(mean_csv(traces))
 
-    params = derive_params(problem, cfg.solver_config(), extra_gradient=cfg.solver == "ieg")
     manifest = {
         "version": __version__,
         "config": _config_dict(cfg),
@@ -268,6 +275,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
             "beta": params.beta,
             "q": params.q,
             "eta_interval": list(params.eta_interval) if params.eta_interval else None,
+            "violations": list(params.violations),
         },
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

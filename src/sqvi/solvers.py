@@ -9,7 +9,6 @@ tied to the contraction factor q of the distance recursion.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -27,8 +26,6 @@ from .errors import (
 )
 from .operators import evaluate_mean, sample_batch
 from .projection import inexact_project
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -91,28 +88,63 @@ def contraction_factor(alpha: float, beta: float, b: float = 0.0) -> float:
 # schedules
 
 
+def _inner_budget(k: int, contraction: float) -> int:
+    """t_k = ceil((k+1) ln^2(k+2) / contraction^k), floored at 1."""
+    return max(int(math.ceil((k + 1.0) * math.log(k + 2.0) ** 2 / contraction**k)), 1)
+
+
 @dataclass(frozen=True)
 class IncreasingSample:
-    """Geometrically growing batches N_k = ceil(rho^(-2k)) with matching inner budgets."""
+    """Geometrically growing batches N_k = ceil(rho^(-2k)) with matching inner
+    budgets t_k = ceil((k+1) ln^2(k+2) / rho^k), requiring rho > 1 - q."""
 
     rho: float
+    exact_mean = False
+
+    def values(self, q: Optional[float], k: int):
+        if q is not None and not (self.rho > 1.0 - q):
+            raise InvalidSchedule(f"rho must exceed 1-q (rho={self.rho}, 1-q={1.0 - q})")
+        if not (0.0 < self.rho < 1.0):
+            raise InvalidSchedule(f"rho must lie in (0,1), got {self.rho}")
+        return max(int(math.ceil(self.rho ** (-2 * k))), 1), _inner_budget(k, self.rho)
 
 
 @dataclass(frozen=True)
 class ConstantMinibatch:
-    """Fixed batch size; inner budgets grow like the inverse contraction power."""
+    """Fixed batch size; inner budgets t_k = ceil((k+1) ln^2(k+2) / (1-q)^k)."""
 
     batch: int
+    exact_mean = False
+
+    def values(self, q: Optional[float], k: int):
+        if self.batch < 1:
+            raise InvalidSchedule("constant mini-batch size must be >= 1")
+        if q is None or not (0.0 < q < 1.0):
+            raise InvalidSchedule("constant mini-batch schedule needs q in (0,1)")
+        return int(self.batch), _inner_budget(k, 1.0 - q)
 
 
 @dataclass(frozen=True)
 class Deterministic:
-    """Exact mean evaluations; inner budgets as in the increasing-sample schedule.
+    """Exact mean evaluations (N_k = 1); inner budgets as in the increasing-sample schedule.
 
     ``rho`` defaults to max(1 - q + 0.05, 0.9) at run time when omitted.
     """
 
     rho: Optional[float] = None
+    exact_mean = True
+
+    def values(self, q: Optional[float], k: int):
+        rho = self.rho
+        if rho is None:
+            if q is None:
+                raise InvalidSchedule("deterministic schedule needs rho or q")
+            rho = max(1.0 - q + 0.05, 0.9)
+            if rho >= 1.0:
+                rho = 1.0 - 0.5 * q  # midpoint of (1-q, 1) when q is small
+        if q is not None and not (rho > 1.0 - q):
+            raise InvalidSchedule(f"rho must exceed 1-q (rho={rho}, 1-q={1.0 - q})")
+        return 1, _inner_budget(k, rho)
 
 
 @dataclass(frozen=True)
@@ -124,6 +156,10 @@ class DampedInner:
     """
 
     decay: float = 1.0 - 1e-3
+    exact_mean = True
+
+    def values(self, q: Optional[float], k: int):
+        return 1, max(int(math.ceil(k * math.log(k + 1.0) ** 2 * self.decay**k)), 1)
 
 
 Schedule = Union[IncreasingSample, ConstantMinibatch, Deterministic, DampedInner]
@@ -136,52 +172,15 @@ _SCHEDULE_NAMES = {
 }
 
 
-def _poly_log(k: int) -> float:
-    return (k + 1.0) * math.log(k + 2.0) ** 2
-
-
 def schedule_values(schedule: Schedule, q: Optional[float], k: int):
     """Batch size and inner budget (N_k, t_k) prescribed for outer iteration k.
 
-    Increasing-sample: N_k = ceil(rho^(-2k)), t_k = ceil((k+1) ln^2(k+2) / rho^k),
-    requiring rho > 1 - q. Constant mini-batch: N_k fixed,
-    t_k = ceil((k+1) ln^2(k+2) / (1-q)^k). Deterministic: N_k = 1 with exact
-    mean evaluation and increasing-sample inner budgets.
+    Each schedule computes its own values; its ``exact_mean`` says whether
+    iterations evaluate the closed-form mean instead of drawing a batch.
     """
     if k < 0:
         raise InvalidSchedule("iteration index must be >= 0")
-    if isinstance(schedule, IncreasingSample):
-        rho = schedule.rho
-        if q is not None and not (rho > 1.0 - q):
-            raise InvalidSchedule(f"rho must exceed 1-q (rho={rho}, 1-q={1.0 - q})")
-        if not (0.0 < rho < 1.0):
-            raise InvalidSchedule(f"rho must lie in (0,1), got {rho}")
-        n_k = int(math.ceil(rho ** (-2 * k)))
-        t_k = int(math.ceil(_poly_log(k) / rho**k))
-        return max(n_k, 1), max(t_k, 1)
-    if isinstance(schedule, ConstantMinibatch):
-        if schedule.batch < 1:
-            raise InvalidSchedule("constant mini-batch size must be >= 1")
-        if q is None or not (0.0 < q < 1.0):
-            raise InvalidSchedule("constant mini-batch schedule needs q in (0,1)")
-        t_k = int(math.ceil(_poly_log(k) / (1.0 - q) ** k))
-        return int(schedule.batch), max(t_k, 1)
-    if isinstance(schedule, Deterministic):
-        rho = schedule.rho
-        if rho is None:
-            if q is None:
-                raise InvalidSchedule("deterministic schedule needs rho or q")
-            rho = max(1.0 - q + 0.05, 0.9)
-            if rho >= 1.0:
-                rho = 1.0 - 0.5 * q  # midpoint of (1-q, 1) when q is small
-        if q is not None and not (rho > 1.0 - q):
-            raise InvalidSchedule(f"rho must exceed 1-q (rho={rho}, 1-q={1.0 - q})")
-        t_k = int(math.ceil(_poly_log(k) / rho**k))
-        return 1, max(t_k, 1)
-    if isinstance(schedule, DampedInner):
-        t_k = int(math.ceil(k * math.log(k + 1.0) ** 2 * schedule.decay**k))
-        return 1, max(t_k, 1)
-    raise InvalidSchedule(f"unknown schedule {schedule!r}")
+    return schedule.values(q, k)
 
 
 def schedule_from_name(name: str, rho=None, batch=None, decay=None) -> Schedule:
@@ -211,8 +210,9 @@ class SolverConfig:
     """Run parameters for the two solvers.
 
     ``b`` is the extra-gradient retraction weight (ignored by the gradient
-    solver). ``allow_out_of_range`` downgrades parameter-validation failures
-    to warnings, which the tuned experiment presets rely on.
+    solver). ``allow_out_of_range`` turns parameter-validation failures into
+    the ``violations`` of the derived parameters, which the tuned experiment
+    presets rely on.
     """
 
     eta: float
@@ -221,10 +221,8 @@ class SolverConfig:
     schedule: Schedule = Deterministic()
     max_outer: int = 100
     seed: Union[int, tuple] = 0
-    inner_method: str = "auto"
     metric_floor: Optional[tuple] = None  # (metric id, value)
     record_timing: bool = False
-    residual_budget_scale: int = 10
     allow_out_of_range: bool = False
 
     def seed_key(self) -> tuple:
@@ -237,13 +235,15 @@ class DerivedParams(NamedTuple):
     beta: float
     q: Optional[float]
     eta_interval: Optional[tuple]
+    violations: tuple  # preconditions of the theory that fail; empty when certified
 
 
 def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> DerivedParams:
     """Expansion factor, contraction factor, and admissible step interval.
 
     Raises on invalid parameters unless the config opts out, in which case
-    the issues are logged and a best-effort q (possibly None) is returned.
+    the issues are returned as ``violations`` with a best-effort q (possibly
+    None).
     """
     c = problem.constants
     beta = derive_beta(c.lipschitz, c.qg_mu, c.gamma, config.eta)
@@ -263,13 +263,9 @@ def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> Derive
         q = contraction_factor(config.alpha, beta, config.b if extra_gradient else 0.0)
     except InvalidParameters as exc:
         problems.append(str(exc))
-    if problems:
-        msg = "; ".join(problems)
-        if config.allow_out_of_range:
-            log.warning("parameter validation bypassed: %s", msg)
-        else:
-            raise InvalidParameters(msg)
-    return DerivedParams(beta=beta, q=q, eta_interval=interval)
+    if problems and not config.allow_out_of_range:
+        raise InvalidParameters("; ".join(problems))
+    return DerivedParams(beta=beta, q=q, eta_interval=interval, violations=tuple(problems))
 
 
 @dataclass(frozen=True)
@@ -350,12 +346,24 @@ def oracle_complexity_report(trace: IterationTrace, epsilon: float, metric: str 
 # run loops
 
 
-def _batch_value(problem, config, x, n_k, k, phase, deterministic):
-    if deterministic:
-        return evaluate_mean(problem.operator, x), 1
-    key = config.seed_key() + (k, phase)
-    batch = sample_batch(problem.operator, x, n_k, key)
-    return batch.mean_estimate, n_k
+# the residual metric projects with ten times the step's inner budget, so its
+# certified projection error is a tenth of the step's
+_RESIDUAL_BUDGET_SCALE = 10
+
+
+def _projected_step(problem, config, x, n_k, t_k, k, phase):
+    """Project the batch-operator step at x onto K(x) with budget t_k.
+
+    Returns the projected point, the inner iterations run and the operator
+    draws spent (an exact mean evaluation counts as one draw).
+    """
+    if config.schedule.exact_mean:
+        fhat, drawn = evaluate_mean(problem.operator, x), 1
+    else:
+        key = config.seed_key() + (k, phase)
+        fhat, drawn = sample_batch(problem.operator, x, n_k, key).mean_estimate, n_k
+    res = inexact_project(problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient)
+    return res.point, res.inner_iterations, drawn
 
 
 def _eval_metrics(problem, x, metrics, config, t_k=None):
@@ -366,7 +374,7 @@ def _eval_metrics(problem, x, metrics, config, t_k=None):
         if name == "dist":
             out[name] = diagnostics.dist_to_solution(problem, x)
         elif name == "residual":
-            budget = None if t_k is None else config.residual_budget_scale * t_k
+            budget = None if t_k is None else _RESIDUAL_BUDGET_SCALE * t_k
             out[name] = diagnostics.natural_residual(problem, x, eta=config.eta, budget=budget).value
         elif name == "lower_subopt":
             out[name] = diagnostics.lower_level_subopt(problem, x)
@@ -377,8 +385,7 @@ def _eval_metrics(problem, x, metrics, config, t_k=None):
 
 def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> IterationTrace:
     params = derive_params(problem, config, extra_gradient)
-    deterministic = isinstance(config.schedule, (Deterministic, DampedInner))
-    if deterministic and problem.operator.mean_eval is None:
+    if config.schedule.exact_mean and problem.operator.mean_eval is None:
         raise InvalidParameters("deterministic schedules need a closed-form mean field")
     metrics = tuple(metrics)
     if config.metric_floor is not None and config.metric_floor[0] not in metrics:
@@ -399,25 +406,15 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     for k in range(config.max_outer):
         tic = time.perf_counter()
         n_k, t_k = schedule_values(config.schedule, params.q, k)
-        fhat, drawn = _batch_value(problem, config, x, n_k, k, 0, deterministic)
-        first = inexact_project(
-            problem.map, x, x - config.eta * fhat, t_k,
-            method=config.inner_method, ambient=problem.ambient,
-        )
-        cum_inner += first.inner_iterations
+        point, inner, drawn = _projected_step(problem, config, x, n_k, t_k, k, 0)
+        cum_inner += inner
         cum_samples += drawn
         if extra_gradient:
-            u = (1.0 - config.b) * x + config.b * first.point
-            fhat2, drawn2 = _batch_value(problem, config, u, n_k, k, 1, deterministic)
-            second = inexact_project(
-                problem.map, u, u - config.eta * fhat2, t_k,
-                method=config.inner_method, ambient=problem.ambient,
-            )
-            cum_inner += second.inner_iterations
-            cum_samples += drawn2
-            x_new = (1.0 - config.alpha) * x + config.alpha * second.point
-        else:
-            x_new = (1.0 - config.alpha) * x + config.alpha * first.point
+            u = (1.0 - config.b) * x + config.b * point
+            point, inner, drawn = _projected_step(problem, config, u, n_k, t_k, k, 1)
+            cum_inner += inner
+            cum_samples += drawn
+        x_new = (1.0 - config.alpha) * x + config.alpha * point
         if not np.all(np.isfinite(x_new)):
             raise NonfiniteIterate(f"iterate became nonfinite at iteration {k}", trace)
         x = x_new
@@ -442,25 +439,11 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
         "beta": params.beta,
         "q": params.q,
         "eta_interval": params.eta_interval,
+        "violations": list(params.violations),
         "final_metrics": dict(trace.rows[-1].metrics) if trace.rows else dict(trace.initial_metrics),
         "final_point": x.tolist(),
-        "fitted": _fit_summary(trace, metrics),
     }
     return trace
-
-
-def _fit_summary(trace, metrics):
-    from . import diagnostics
-    from .errors import InsufficientData
-
-    fits = {}
-    for name in metrics:
-        try:
-            fit = diagnostics.fit_linear_rate(trace, name)
-            fits[name] = {"slope_log10": fit.slope, "r_squared": fit.r_squared}
-        except InsufficientData:
-            fits[name] = None
-    return fits
 
 
 def run_ieg_sqvi(problem, config: SolverConfig, metrics: Sequence[str] = ("dist",)) -> IterationTrace:

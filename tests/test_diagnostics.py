@@ -104,7 +104,6 @@ def test_fit_linear_rate_insufficient():
 
 
 def test_residual_and_distance_vanish_together(box_problem):
-    from sqvi.diagnostics import trace_samples
     from sqvi.solvers import Deterministic, SolverConfig, run_ieg_sqvi
 
     cfg = SolverConfig(
@@ -115,5 +114,5 @@ def test_residual_and_distance_vanish_together(box_problem):
     final_dist = trace.rows[-1].metrics["dist"]
     final_res = trace.rows[-1].metrics["residual"]
     assert final_dist <= 1e-6 and final_res <= 1e-6
-    samples = trace_samples(trace, "residual")
-    assert len(samples) == 40 and all(s.value >= 0 for s in samples)
+    samples = trace.metric_series("residual")
+    assert len(samples) == 40 and all(s >= 0 for s in samples)

@@ -11,7 +11,8 @@ from sqvi.maps import (
     member,
     translated_projection,
 )
-from sqvi.projection import reference_project
+from sqvi.problems import build_problem
+from sqvi.projection import inexact_project, reference_project
 from sqvi.sets import Ball, Box, Halfspaces
 
 unit_ball = Ball(np.zeros(2), 1.0)
@@ -126,3 +127,72 @@ def test_reference_project_closed_forms():
     np.testing.assert_allclose(
         reference_project(m, np.zeros(2), np.array([3.0, 4.0])), [0.6, 0.8]
     )
+
+
+# ---------------------------------------------------------------------------
+# the map protocol: project, exact, exact_project, contains, certificate_constant
+
+
+def _lower_argmin(closed_form):
+    # lower objective 0.5*(y-2)^2 over [0,1]; the surrogate
+    # 0.5*(y-u)^2 + 0.5*(y-2)^2/sigma solves to clip((u + 2/sigma)/(1 + 1/sigma), 0, 1)
+    sigma = 1e-2
+    exact = lambda x, u: np.clip((u + 2.0 / sigma) / (1.0 + 1.0 / sigma), 0.0, 1.0)
+    return ArgminSet(
+        feasible=Box([0.0], [1.0]),
+        objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
+        grad=lambda x, y: y - 2.0,
+        curvature=1.0,
+        regularization=sigma,
+        exact_reg_project=exact if closed_form else None,
+    )
+
+
+PROTOCOL_CASES = {
+    # name: (map factory, exact, solver path is a closed form)
+    "fixed-ball": (lambda: FixedSet(unit_ball), True, True),
+    "fixed-halfspaces": (lambda: FixedSet(Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])), False, False),
+    "translated-ball": (half_shift_ball, True, True),
+    "nonlinear-convex": (
+        lambda: NonlinearConvex(
+            ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),
+            constraint=lambda x, y: np.array([float(y @ y) - 1.0]),
+            jacobian=lambda x, y: 2.0 * y[None, :],
+        ),
+        False,
+        False,
+    ),
+    "argmin": (lambda: _lower_argmin(closed_form=False), False, False),
+    # the closed-form surrogate makes references exact; the solver still runs FISTA
+    "argmin-closed-form": (lambda: _lower_argmin(closed_form=True), True, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOL_CASES))
+def test_map_protocol_contract(name):
+    make_map, exact, closed_form = PROTOCOL_CASES[name]
+    m = make_map()
+    x, u = np.full(m.dim, 0.3), np.full(m.dim, 2.0)
+    assert m.exact is exact
+    ref = reference_project(m, x, u, budget=4000)
+    first = inexact_project(m, x, u, t=1)
+    if closed_form:
+        assert first.error_bound == 0.0 and first.inner_iterations == 0
+        np.testing.assert_array_equal(first.point, ref)
+    else:
+        assert first.error_bound > 0.0 and first.inner_iterations == 1
+        long_run = inexact_project(m, x, u, t=4000)
+        if exact:
+            np.testing.assert_allclose(long_run.point, ref, atol=long_run.error_bound)
+        else:
+            np.testing.assert_array_equal(long_run.point, ref)
+    assert member(m, x, ref, tol=1e-6)
+
+
+def test_manifest_certificate_constant(game_problem):
+    # table1-synthetic at seed 1: 2 sqrt(1 + curvature/regularization) * diameter
+    const = game_problem.manifest()["projection_certificate_constant"]
+    assert abs(const - 445.7484998186648) <= 1e-12 * 445.7484998186648
+    assert build_problem("translated_box").manifest()["projection_certificate_constant"] is None
+    coupled = build_problem("coupled_sp", {"coupling": {"a_u": [1.0], "a_w": [1.0], "c": -0.5}})
+    assert coupled.manifest()["projection_certificate_constant"] is None

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -214,3 +215,34 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert cli_main(["validate", str(bad)]) == 1
     assert cli_main(["derive", "--L", "1", "--mu", "1", "--gamma", "0.1"]) == 0
+
+
+def test_fitted_rate_ignores_rounding_noise(tmp_path):
+    # dist falls 10x per iteration to 1.5e-12 at k=11, then sits at the
+    # rounding level 2.8e-14; the fit must see the rate, not the plateau
+    cfg = parse_config(json.dumps(dict(MINIMAL, eta=0.64, alpha=0.9, b=2.0, T=30)))
+    fit = run_experiment(cfg, out_dir=str(tmp_path / "r")).summary["fitted_rates"]["dist"]
+    assert abs(fit["slope_log10"] + 1.0) <= 0.05
+    assert fit["r_squared"] >= 0.99
+
+
+def test_bypassed_validation_logged_once_and_recorded(tmp_path, caplog, capsys):
+    preset = json.dumps({"preset": "table1-synthetic", "T": 2, "replicates": 3})
+    with caplog.at_level(logging.WARNING, logger="sqvi"):
+        art = run_experiment(parse_config(preset), out_dir=str(tmp_path / "game"))
+    bypassed = [r for r in caplog.records if "validation bypassed" in r.getMessage()]
+    assert len(bypassed) == 1
+    with open(art.manifest_path, encoding="utf-8") as fh:
+        violations = json.load(fh)["derived"]["violations"]
+    assert violations and any("no admissible step size" in v for v in violations)
+
+    box = run_experiment(parse_config(json.dumps(dict(MINIMAL, T=3))), out_dir=str(tmp_path / "box"))
+    with open(box.manifest_path, encoding="utf-8") as fh:
+        assert json.load(fh)["derived"]["violations"] == []
+
+    cfg_path = tmp_path / "preset.json"
+    cfg_path.write_text(preset)
+    capsys.readouterr()
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    assert all(v in out for v in violations)
