@@ -11,7 +11,7 @@ inner budgets geometrically.
 __version__ = "0.1.0"
 
 from .errors import SqviError
-from .sets import AffineSet, Ball, Box, Halfspaces, ProductSet, Simplex, SimpleSet, project_simple
+from .sets import AffineSet, Ball, Box, Halfspaces, ProductSet, Simplex, SimpleSet
 from .operators import (
     BatchEval,
     OperatorSpec,
@@ -31,7 +31,6 @@ from .maps import (
     TranslatedSet,
     contractivity_audit,
     member,
-    translated_projection,
 )
 from .projection import (
     ProjectionResult,

@@ -76,10 +76,6 @@ class ParseError(SqviError):
     pass
 
 
-class ShapeError(SqviError):
-    pass
-
-
 class EmptyFile(SqviError):
     pass
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedBaseSet, UnsupportedSet
 from .projection import ProjectionResult, apd_solve, feasibility_witness, fista_solve
-from .sets import Array, Halfspaces, SimpleSet, has_closed_form
+from .sets import Array, Halfspaces, SimpleSet
 
 
 def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
@@ -35,6 +35,10 @@ def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
 def _capped(bound: float, domain: SimpleSet) -> float:
     diam = domain.diameter()
     return min(bound, diam) if np.isfinite(diam) else bound
+
+
+# FISTA iterations behind ArgminSet.min_value, the membership test's reference
+_MIN_VALUE_BUDGET = 20000
 
 
 class _Map:
@@ -64,7 +68,7 @@ class FixedSet(_Map):
 
     @property
     def exact(self) -> bool:
-        return has_closed_form(self.base_set)
+        return self.base_set.closed_form
 
     def exact_project(self, x: Array, u: Array) -> Array:
         return self.base_set.project(u)
@@ -89,32 +93,37 @@ class FixedSet(_Map):
 class TranslatedSet(_Map):
     """K(x) = shift(x) + base_set with shift Lipschitz constant shift_lipschitz.
 
-    The declared gamma defaults to twice the shift constant, which is what
-    the translation identity for projections yields.
+    The declared gamma is twice the shift constant, which is what the
+    translation identity for projections yields.
     """
 
     base_set: SimpleSet
     shift: Callable[[Array], Array]
     shift_lipschitz: float
-    gamma: Optional[float] = None
 
     exact = True
 
     def __post_init__(self):
         if self.shift_lipschitz < 0:
             raise DimensionMismatch("shift Lipschitz constant must be nonnegative")
-        if self.gamma is None:
-            object.__setattr__(self, "gamma", 2.0 * self.shift_lipschitz)
+
+    @property
+    def gamma(self) -> float:
+        return 2.0 * self.shift_lipschitz
 
     @property
     def dim(self) -> int:
         return self.base_set.dim
 
     def exact_project(self, x: Array, u: Array) -> Array:
-        return translated_projection(self, x, u)
+        """shift(x) + P_base(u - shift(x))."""
+        if not self.base_set.closed_form:
+            raise UnsupportedBaseSet("base set lacks a closed-form projection")
+        m = np.asarray(self.shift(np.asarray(x, dtype=float)), dtype=float)
+        return m + self.base_set.project(np.asarray(u, dtype=float) - m)
 
     def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
-        return ProjectionResult(_snap(translated_projection(self, x, u), ambient), 0.0, 0, 0.0)
+        return ProjectionResult(_snap(self.exact_project(x, u), ambient), 0.0, 0, 0.0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         return self.base_set.contains(y - np.asarray(self.shift(x), float), tol)
@@ -127,7 +136,7 @@ class NonlinearConvex(_Map):
     ``constraint(x, y)`` returns an (m,) vector convex in y for each fixed x;
     ``jacobian(x, y)`` its (m, dim) derivative in y. ``jacobian_bound`` caps
     the Jacobian spectral norm over the ambient set (estimated on demand if
-    omitted); ``dist_constant`` scales the inexact-projection certificate.
+    omitted).
     """
 
     ambient: SimpleSet
@@ -135,23 +144,17 @@ class NonlinearConvex(_Map):
     jacobian: Callable[[Array, Array], Array]
     gamma: float = 0.0
     jacobian_bound: Optional[float] = None
-    dist_constant: Optional[float] = None
 
     @property
     def dim(self) -> int:
         return self.ambient.dim
-
-    @property
-    def certificate_constant(self) -> Optional[float]:
-        # without a declared constant it is derived per call from the query point
-        return self.dist_constant
 
     def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
         g_x = lambda y: self.constraint(x, y)
         j_x = lambda y: self.jacobian(x, y)
         res = apd_solve(
             u, constraint=g_x, jacobian=j_x, t=t, ambient=self.ambient,
-            jacobian_bound=self.jacobian_bound, dist_constant=self.dist_constant,
+            jacobian_bound=self.jacobian_bound,
         )
         # a grossly violated output on a generous budget suggests K(x) may be
         # empty; confirm with a feasibility probe before giving up
@@ -171,25 +174,22 @@ class NonlinearConvex(_Map):
 class ArgminSet(_Map):
     """K(x) = argmin of a parametric convex objective over a feasible set.
 
-    objective(x, y) is convex in y with gradient grad(x, y) whose Lipschitz
-    constant in y is bounded by ``curvature``. Projections onto this set are
-    computed through a Tikhonov-regularized surrogate with weight
-    1/``regularization`` on the lower objective; ``exact_reg_project``, when
-    supplied by a problem constructor, solves that surrogate in closed form
-    and serves as the reference projector.
+    objective(x, y) is convex in y. ``grad(x)`` returns its gradient in y as
+    a function of y, so that the x-dependent part is computed once per
+    projection; ``curvature`` bounds that gradient's Lipschitz constant in
+    y. Projections onto this set are computed through a Tikhonov-regularized
+    surrogate with weight 1/``regularization`` on the lower objective;
+    ``exact_reg_project``, when supplied by a problem constructor, solves
+    that surrogate in closed form and serves as the reference projector.
     """
 
     feasible: SimpleSet
     objective: Callable[[Array, Array], float]
-    grad: Callable[[Array, Array], Array]
+    grad: Callable[[Array], Callable[[Array], Array]]
     curvature: float
     regularization: float
     gamma: float = 0.0
     exact_reg_project: Optional[Callable[[Array, Array], Array]] = None
-    # optional factory hoisting the x-dependent part of the gradient out of
-    # the inner loop: grad_at(x) returns y -> grad(x, y)
-    grad_at: Optional[Callable[[Array], Callable[[Array], Array]]] = None
-    min_value_budget: int = 20000
 
     def __post_init__(self):
         if not (self.regularization > 0):
@@ -218,9 +218,8 @@ class ArgminSet(_Map):
     def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
         # FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization
         w = 1.0 / self.regularization
-        inner_grad = self.grad_at(x) if self.grad_at is not None else (lambda y: self.grad(x, y))
+        inner_grad = self.grad(x)
         res = fista_solve(
-            value=lambda y: 0.5 * float((y - u) @ (y - u)) + w * float(self.objective(x, y)),
             grad=lambda y: (y - u) + w * np.asarray(inner_grad(y), dtype=float),
             curvature=1.0 + w * self.curvature,
             strong_convexity=1.0,
@@ -237,21 +236,19 @@ class ArgminSet(_Map):
             return False
         return float(self.objective(x, y)) - self.min_value(x) <= tol
 
-    def min_value(self, x: Array, budget: Optional[int] = None) -> float:
+    def min_value(self, x: Array) -> float:
         """High-accuracy minimum of the lower objective at parameter x."""
-        budget = budget or self.min_value_budget
         try:
             y0 = self.feasible.anchor()
         except UnsupportedSet:
             y0 = np.zeros(self.dim)
         res = fista_solve(
-            value=lambda y: self.objective(x, y),
-            grad=lambda y: self.grad(x, y),
+            grad=self.grad(x),
             curvature=max(self.curvature, 1e-12),
             strong_convexity=0.0,
             feasible=self.feasible,
             y0=y0,
-            t=budget,
+            t=_MIN_VALUE_BUDGET,
         )
         return float(self.objective(x, res.point))
 
@@ -271,19 +268,6 @@ def member(mapping: SetValuedMap, x, y, tol: float = 0.0) -> bool:
     if y.shape != (mapping.dim,):
         raise DimensionMismatch(f"candidate has shape {y.shape}, expected ({mapping.dim},)")
     return mapping.contains(x, y, tol)
-
-
-def translated_projection(mapping: TranslatedSet, x, u) -> Array:
-    """Exact projection onto a translated set: shift(x) + P_base(u - shift(x))."""
-    if not isinstance(mapping, TranslatedSet):
-        raise TypeError("translated_projection requires a TranslatedSet")
-    if not has_closed_form(mapping.base_set):
-        raise UnsupportedBaseSet("base set lacks a closed-form projection")
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m = np.asarray(mapping.shift(x), dtype=float)
-    return m + mapping.base_set.project(u - m)
-
 
 
 class ContractivityReport(NamedTuple):

@@ -85,7 +85,8 @@ class BatchEval(NamedTuple):
     batch_size: int
 
 
-def _as_stream_key(stream) -> tuple:
+def stream_key(stream) -> tuple:
+    """A seed or a tuple of seeds as a tuple of ints, the key of a generator stream."""
     if isinstance(stream, (int, np.integer)):
         return (int(stream),)
     return tuple(int(s) for s in stream)
@@ -111,7 +112,7 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> BatchEval:
     x = _check_point(x, op.dim)
     if n < 1:
         raise DimensionMismatch("batch size must be >= 1")
-    key = _as_stream_key(stream)
+    key = stream_key(stream)
     if op.batch_mean is not None:
         rng = np.random.default_rng(key)
         est = np.asarray(op.batch_mean(x, rng, n), dtype=float)

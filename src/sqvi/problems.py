@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     EmptyFile,
     ParseError,
-    ShapeError,
 )
 from .maps import (
     ArgminSet,
@@ -29,7 +28,6 @@ from .maps import (
     SetValuedMap,
     TranslatedSet,
     contractivity_audit,
-    translated_projection,
 )
 from .operators import (
     OperatorSpec,
@@ -215,14 +213,14 @@ def make_translated_box_qvi(
     eta_star = mu / lip**2
     x_star = ambient.anchor()
     for _ in range(200000):
-        step = translated_projection(mapping, x_star, x_star - eta_star * mean_eval(x_star))
+        step = mapping.exact_project(x_star, x_star - eta_star * mean_eval(x_star))
         delta = float(np.linalg.norm(step - x_star))
         x_star = step
         if delta <= 1e-13:
             break
     resid = float(
         np.linalg.norm(
-            x_star - translated_projection(mapping, x_star, x_star - eta_star * mean_eval(x_star))
+            x_star - mapping.exact_project(x_star, x_star - eta_star * mean_eval(x_star))
         )
     )
     if resid > 1e-12:
@@ -341,12 +339,12 @@ def _game_arrays(source: GameSource):
         players = source.players
         points, feats = design.shape
     if points < players:
-        raise ShapeError(f"dataset has {points} rows but {players} players")
+        raise DimensionMismatch(f"dataset has {points} rows but {players} players")
     train_count = int(0.8 * points)
     rows_tr = train_count // players
     rows_val = (points - train_count) // players
     if rows_tr < 1 or rows_val < 1:
-        raise ShapeError(
+        raise DimensionMismatch(
             f"too few rows per player (train {rows_tr}, validation {rows_val})"
         )
     dim = players * feats
@@ -401,12 +399,15 @@ def _dykstra(project_a, project_b, z, iters=2000):
     return x
 
 
+# probe points of the game's qg audit and (x, y, u) triples of its gamma audit
+_AUDIT_PROBES = 64
+_GAMMA_TRIPLES = 200
+
+
 def make_regression_game(
     source: GameSource,
     lam: Optional[float] = None,
     sigma: float = 1e-2,
-    audit_probes: int = 64,
-    gamma_triples: int = 200,
 ) -> ProblemInstance:
     """Bilevel generalized Nash regression game as a QVI.
 
@@ -470,7 +471,7 @@ def make_regression_game(
         )
         return cross
 
-    def map_grad_at(x):
+    def map_grad(x):
         cross = _block_residual_grads(x)
 
         def grad(y):
@@ -478,9 +479,6 @@ def make_regression_game(
             return (np.einsum("pfg,pg->pf", grams_tr, ym) + cross).reshape(-1)
 
         return grad
-
-    def map_grad(x, y):
-        return map_grad_at(x)(y)
 
     curvature = float(np.max(eig_vals))
 
@@ -519,7 +517,6 @@ def make_regression_game(
         regularization=sigma,
         gamma=0.0,
         exact_reg_project=exact_reg_project,
-        grad_at=map_grad_at,
     )
 
     pinv_tr = np.linalg.pinv(a_tr)
@@ -536,7 +533,7 @@ def make_regression_game(
     rng = np.random.default_rng((seed, 205))
     probe_scale = 0.5 * lam / math.sqrt(feats)
     op_plain = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=lip, mean_eval=mean_eval)
-    probes = [feasible.project(probe_scale * rng.standard_normal(dim)) for _ in range(audit_probes)]
+    probes = [feasible.project(probe_scale * rng.standard_normal(dim)) for _ in range(_AUDIT_PROBES)]
     qg_hat = estimate_qg(op_plain, reference_projector, probes)
     qg_mu = max(min(0.9 * qg_hat, lip), 1e-8)
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=qg_mu, mean_eval=mean_eval)
@@ -547,7 +544,7 @@ def make_regression_game(
             feasible.project(probe_scale * rng.standard_normal(dim)),
             probe_scale * rng.standard_normal(dim),
         )
-        for _ in range(gamma_triples)
+        for _ in range(_GAMMA_TRIPLES)
     ]
     audit = contractivity_audit(mapping, exact_reg_project, triples, declared=np.inf)
     gamma = 1.5 * audit.max_ratio + 1e-9

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleSubproblem, InvalidParameters, NonfiniteValue
-from .sets import Array, SimpleSet, project_simple
+from .sets import Array, SimpleSet
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ class FistaResult(NamedTuple):
     point: Array
     gap_bound: float
     dist_bound: float
-    iterations: int
 
 
 def fista_solve(
-    value: Callable[[Array], float],
     grad: Callable[[Array], Array],
     curvature: float,
     strong_convexity: float,
@@ -86,14 +84,11 @@ def fista_solve(
         dist_bound = math.sqrt(2.0 * gap_bound / strong_convexity)
     else:
         dist_bound = float("inf")
-    return FistaResult(point=y, gap_bound=gap_bound, dist_bound=dist_bound, iterations=t)
+    return FistaResult(point=y, gap_bound=gap_bound, dist_bound=dist_bound)
 
 
 class ApdResult(NamedTuple):
     point: Array
-    subopt_bound: float
-    infeas_bound: float
-    dual: Array
     dist_bound: float
     violation: float
 
@@ -105,20 +100,19 @@ def apd_solve(
     t: int,
     ambient: Optional[SimpleSet] = None,
     jacobian_bound: Optional[float] = None,
-    dist_constant: Optional[float] = None,
 ) -> ApdResult:
     """Accelerated primal-dual solve of min 0.5||y-u||^2 s.t. g(y) <= 0, y in ambient.
 
     Primal-dual iterations with extrapolation on the primal and step sizes
     driven by the unit strong convexity of the objective, which yields an
-    O(1/t^2) decay of suboptimality and infeasibility. The reported bounds
-    are a priori estimates C/t^2 with C derived from the Jacobian norm and
-    the domain size; the distance bound is their strong-convexity conversion.
+    O(1/t^2) decay of suboptimality and infeasibility. The reported distance
+    bound is the a priori estimate C/t, with C derived from the Jacobian
+    norm and the domain size.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
     u = np.asarray(u, dtype=float)
-    y = project_simple(ambient, u) if ambient is not None else u.copy()
+    y = ambient.project(u) if ambient is not None else u.copy()
     g0 = np.atleast_1d(np.asarray(constraint(y), dtype=float))
     m = g0.shape[0]
     lam = np.zeros(m)
@@ -137,7 +131,7 @@ def apd_solve(
         jac = np.atleast_2d(np.asarray(jacobian(y), dtype=float))
         y_prev = y
         target = (y + tau * (u - jac.T @ lam)) / (1.0 + tau)
-        y = project_simple(ambient, target) if ambient is not None else target
+        y = ambient.project(target) if ambient is not None else target
         if not np.all(np.isfinite(y)):
             raise NonfiniteValue("primal-dual iterate left the finite floats")
         # unit strong convexity of the quadratic drives the acceleration
@@ -146,22 +140,15 @@ def apd_solve(
         sigma = sigma / theta
     gy = np.atleast_1d(np.asarray(constraint(y), dtype=float))
     violation = float(np.max(np.maximum(gy, 0.0), initial=0.0))
-    if dist_constant is None:
-        if ambient is not None and np.isfinite(ambient.diameter()):
-            d = ambient.diameter()
-        else:
-            d = 2.0 * float(np.linalg.norm(y - u)) + 1.0
-        dist_constant = 8.0 * max(1.0, lj) * max(d, 1.0)
-    dist_bound = dist_constant / t
-    c_pd = 0.5 * dist_constant**2
-    return ApdResult(
-        point=y,
-        subopt_bound=c_pd / t**2,
-        infeas_bound=c_pd / t**2,
-        dual=lam,
-        dist_bound=dist_bound,
-        violation=violation,
-    )
+    if ambient is not None and np.isfinite(ambient.diameter()):
+        d = ambient.diameter()
+    else:
+        d = 2.0 * float(np.linalg.norm(y - u)) + 1.0
+    dist_bound = 8.0 * max(1.0, lj) * max(d, 1.0) / t
+    return ApdResult(point=y, dist_bound=dist_bound, violation=violation)
+
+
+_WITNESS_TOL = 1e-8
 
 
 def feasibility_witness(
@@ -170,29 +157,29 @@ def feasibility_witness(
     ambient: Optional[SimpleSet],
     start: Array,
     budget: int = 2000,
-    tol: float = 1e-8,
 ) -> Array:
-    """A point with componentwise g <= tol, found by minimizing the squared hinge.
+    """A point with componentwise g <= ``_WITNESS_TOL``, found by minimizing
+    the squared hinge.
 
     Raises InfeasibleSubproblem when no such point is found within budget.
     """
     y = np.asarray(start, dtype=float)
     if ambient is not None:
-        y = project_simple(ambient, y)
+        y = ambient.project(y)
     jac = np.atleast_2d(np.asarray(jacobian(y), float))
     lj = float(np.linalg.norm(jac, 2)) + 1e-9
     step = 1.0 / (2.0 * lj * lj + 1e-9)
     for _ in range(budget):
         g = np.atleast_1d(np.asarray(constraint(y), float))
         viol = np.maximum(g, 0.0)
-        if float(np.max(viol, initial=0.0)) <= tol:
+        if float(np.max(viol, initial=0.0)) <= _WITNESS_TOL:
             return y
         jac = np.atleast_2d(np.asarray(jacobian(y), float))
         y = y - step * (jac.T @ viol)
         if ambient is not None:
-            y = project_simple(ambient, y)
+            y = ambient.project(y)
     g = np.atleast_1d(np.asarray(constraint(y), float))
-    if float(np.max(np.maximum(g, 0.0), initial=0.0)) <= tol:
+    if float(np.max(np.maximum(g, 0.0), initial=0.0)) <= _WITNESS_TOL:
         return y
     raise InfeasibleSubproblem(
         f"no feasibility witness found within {budget} iterations "
@@ -227,6 +214,9 @@ def reference_project(mapping, x, u, budget: int = 20000) -> Array:
     return inexact_project(mapping, x, u, t=budget).point
 
 
+_RATE_AUDIT_REFERENCE_BUDGET = 100000
+
+
 class RateAudit(NamedTuple):
     slope: Optional[float]
     errors: tuple
@@ -235,28 +225,18 @@ class RateAudit(NamedTuple):
     passed: bool
 
 
-def projection_rate_audit(
-    mapping,
-    x,
-    u,
-    budgets: Sequence[int],
-    reference: Optional[Array] = None,
-    reference_budget: int = 100000,
-    ambient: Optional[SimpleSet] = None,
-) -> RateAudit:
+def projection_rate_audit(mapping, x, u, budgets: Sequence[int]) -> RateAudit:
     """Fit of log error against log inner budget across a budget grid.
 
-    The error at each budget is the distance to a high-accuracy reference
-    (computed with ``reference_budget`` iterations when not supplied). A
-    fitted slope of at most -0.95 certifies the contract that the distance
-    decays at least like 1/t; exact paths report ``exact=True`` instead.
+    The error at each budget is the distance to ``reference_project`` with
+    ``_RATE_AUDIT_REFERENCE_BUDGET`` iterations. A fitted slope of at most
+    -0.95 certifies the contract that the distance decays at least like 1/t;
+    exact paths report ``exact=True`` instead.
     """
-    if reference is None:
-        reference = reference_project(mapping, x, u, budget=reference_budget)
-    reference = np.asarray(reference, dtype=float)
+    reference = reference_project(mapping, x, u, budget=_RATE_AUDIT_REFERENCE_BUDGET)
     errs = []
     for t in budgets:
-        res = inexact_project(mapping, x, u, int(t), ambient=ambient)
+        res = inexact_project(mapping, x, u, int(t))
         errs.append(float(np.linalg.norm(res.point - reference)))
     errs_arr = np.asarray(errs)
     if np.all(errs_arr <= 1e-13):

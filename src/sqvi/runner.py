@@ -5,13 +5,13 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import fit_linear_rate
+from .diagnostics import fit_linear_rate, mean_metric_series
 from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
@@ -30,13 +30,6 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "k,N_k,t_k,cum_samples,cum_inner,dist,residual,lower_subopt,wall_ms"
 _METRIC_COLUMNS = ("dist", "residual", "lower_subopt")
-
-_KNOWN_KEYS = {
-    "problem", "problem_params", "solver", "eta", "alpha", "b", "schedule",
-    "rho", "batch", "decay", "T", "seed", "replicates", "metrics", "floor",
-    "out", "preset", "label", "record_timing", "allow_out_of_range",
-    "report_epsilons", "strict",
-}
 
 
 @dataclass(frozen=True)
@@ -74,6 +67,9 @@ class RunConfig:
             record_timing=self.record_timing,
             allow_out_of_range=self.allow_out_of_range,
         )
+
+
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {"preset"}
 
 
 def _apply_preset(data: dict) -> dict:
@@ -127,7 +123,6 @@ def check_config(text: str, strict: bool = False) -> Tuple[RunConfig, DerivedPar
         log.warning("%s (ignored)", msg)
         for key in unknown:
             data.pop(key)
-    data.pop("strict", None)
     for req in ("problem", "solver", "eta", "alpha"):
         if req not in data:
             raise ConfigError(f"missing required config key {req!r}")
@@ -321,11 +316,10 @@ def _summarize(cfg: RunConfig, metrics, traces) -> dict:
         if all(v is not None for v in vals):
             mean_finals[metric] = float(np.mean([float(v) for v in vals]))
     fits = {}
-    n_rows = min(len(t.rows) for t in traces)
     for metric in metrics:
-        series = np.mean([t.metric_series(metric)[:n_rows] for t in traces], axis=0)
+        series = mean_metric_series(traces, metric)
         try:
-            fit = fit_linear_rate(series, window=(5, n_rows - 1))
+            fit = fit_linear_rate(series, window=(5, series.shape[0] - 1))
             fits[metric] = {"slope_log10": fit.slope, "r_squared": fit.r_squared}
         except InsufficientData:
             fits[metric] = None

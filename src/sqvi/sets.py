@@ -3,8 +3,9 @@
 Concrete carriers for constraint sets: balls, boxes, the probability
 simplex, halfspace systems, affine sets, and block products of those.
 Projections are exact up to floating point, except for intersections of
-two or more halfspaces, which have no closed form and are routed to the
-iterative engine in :mod:`sqvi.projection`.
+two or more halfspaces, which have no closed form: such sets report
+``closed_form`` false and are projected by the iterative engine in
+:mod:`sqvi.projection`.
 """
 from __future__ import annotations
 
@@ -28,9 +29,14 @@ def _vec(x, dim=None, name="vector") -> Array:
 
 
 class SimpleSet:
-    """Interface: exact projection, membership, anchor point, diameter."""
+    """Interface: exact projection, membership, anchor point, diameter.
+
+    ``closed_form`` says whether ``project`` is available; sets without a
+    closed form raise UnsupportedSet from it.
+    """
 
     dim: int
+    closed_form = True
 
     def project(self, u: Array) -> Array:
         raise NotImplementedError
@@ -167,9 +173,13 @@ class Halfspaces(SimpleSet):
     def dim(self) -> int:
         return self.normals.shape[1]
 
+    @property
+    def closed_form(self) -> bool:
+        return self.normals.shape[0] == 1
+
     def project(self, u: Array) -> Array:
         u = _vec(u, self.dim, "point")
-        if self.normals.shape[0] != 1:
+        if not self.closed_form:
             raise UnsupportedSet(
                 "no closed-form projection onto an intersection of halfspaces; "
                 "use the iterative projection engine"
@@ -183,10 +193,6 @@ class Halfspaces(SimpleSet):
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         y = _vec(y, self.dim, "point")
         return bool(np.all(self.normals @ y - self.offsets <= tol))
-
-    def violation(self, y: Array) -> float:
-        y = _vec(y, self.dim, "point")
-        return float(np.max(np.maximum(self.normals @ y - self.offsets, 0.0), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +242,10 @@ class ProductSet(SimpleSet):
     def dim(self) -> int:
         return int(sum(p.dim for p in self.parts))
 
+    @property
+    def closed_form(self) -> bool:
+        return all(p.closed_form for p in self.parts)
+
     def blocks(self, y: Array):
         y = _vec(y, self.dim, "point")
         return np.split(y, self._splits)
@@ -251,20 +261,3 @@ class ProductSet(SimpleSet):
 
     def diameter(self) -> float:
         return float(np.sqrt(sum(p.diameter() ** 2 for p in self.parts)))
-
-
-def project_simple(s: SimpleSet, u: Array) -> Array:
-    """Exact Euclidean projection of ``u`` onto ``s``.
-
-    Raises UnsupportedSet when the set has no closed form (intersections of
-    two or more halfspaces); such sets are handled by the iterative engine.
-    """
-    return s.project(u)
-
-
-def has_closed_form(s: SimpleSet) -> bool:
-    if isinstance(s, Halfspaces):
-        return s.normals.shape[0] == 1
-    if isinstance(s, ProductSet):
-        return all(has_closed_form(p) for p in s.parts)
-    return isinstance(s, (Ball, Box, Simplex, AffineSet))

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import diagnostics
 from .errors import (
     InvalidConstants,
     InvalidParameters,
@@ -24,7 +25,7 @@ from .errors import (
     NonfiniteIterate,
     NotReached,
 )
-from .operators import evaluate_mean, sample_batch
+from .operators import evaluate_mean, sample_batch, stream_key
 from .projection import inexact_project
 
 
@@ -225,11 +226,6 @@ class SolverConfig:
     record_timing: bool = False
     allow_out_of_range: bool = False
 
-    def seed_key(self) -> tuple:
-        if isinstance(self.seed, (int, np.integer)):
-            return (int(self.seed),)
-        return tuple(int(s) for s in self.seed)
-
 
 class DerivedParams(NamedTuple):
     beta: float
@@ -360,15 +356,13 @@ def _projected_step(problem, config, x, n_k, t_k, k, phase):
     if config.schedule.exact_mean:
         fhat, drawn = evaluate_mean(problem.operator, x), 1
     else:
-        key = config.seed_key() + (k, phase)
+        key = stream_key(config.seed) + (k, phase)
         fhat, drawn = sample_batch(problem.operator, x, n_k, key).mean_estimate, n_k
     res = inexact_project(problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient)
     return res.point, res.inner_iterations, drawn
 
 
 def _eval_metrics(problem, x, metrics, config, t_k=None):
-    from . import diagnostics  # deferred: diagnostics imports the projection stack
-
     out = {}
     for name in metrics:
         if name == "dist":

@@ -118,12 +118,12 @@ def test_c03_inner_solver_contract():
     argmin_map = ArgminSet(
         feasible=Ball(np.zeros(n), 3.0),
         objective=lambda x, y: 0.5 * float(np.sum((b_mat @ y - c) ** 2)),
-        grad=lambda x, y: b_mat.T @ (b_mat @ y - c),
+        grad=lambda x: lambda y: b_mat.T @ (b_mat @ y - c),
         curvature=float(np.linalg.norm(b_mat, 2) ** 2),
         regularization=1e-2,
     )
     fista_audit = projection_rate_audit(
-        argmin_map, np.zeros(n), 2.0 * rng.standard_normal(n), budgets, reference_budget=100000
+        argmin_map, np.zeros(n), 2.0 * rng.standard_normal(n), budgets
     )
 
     # inequality path: nonlinear ball constraint, solved by the primal-dual scheme
@@ -133,7 +133,7 @@ def test_c03_inner_solver_contract():
         jacobian=lambda x, y: 2.0 * y[None, :],
     )
     apd_audit = projection_rate_audit(
-        apd_map, np.zeros(2), np.array([3.0, 4.0]), budgets, reference_budget=100000
+        apd_map, np.zeros(2), np.array([3.0, 4.0]), budgets
     )
 
     # FISTA objective-gap decay exponent on a strongly convex quadratic
@@ -145,9 +145,9 @@ def test_c03_inner_solver_contract():
     val = lambda y: 0.5 * float(y @ (a @ y)) + float(lin @ y)
     grd = lambda y: a @ y + lin
     y0 = ball.project(rng.standard_normal(n))
-    fstar = val(fista_solve(val, grd, eigs[-1], eigs[0], ball, y0, t=100000).point)
+    fstar = val(fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=100000).point)
     gaps = [
-        max(val(fista_solve(val, grd, eigs[-1], eigs[0], ball, y0, t=t).point) - fstar, 1e-16)
+        max(val(fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=t).point) - fstar, 1e-16)
         for t in budgets
     ]
     gap_exponent = -float(np.polyfit(np.log10(budgets), np.log10(gaps), 1)[0])

@@ -9,9 +9,8 @@ from sqvi.maps import (
     TranslatedSet,
     contractivity_audit,
     member,
-    translated_projection,
 )
-from sqvi.problems import build_problem
+from sqvi.problems import BlockBalls, build_problem
 from sqvi.projection import inexact_project, reference_project
 from sqvi.sets import Ball, Box, Halfspaces
 
@@ -47,7 +46,7 @@ def test_member_argmin_set():
     m = ArgminSet(
         feasible=Box([0.0], [1.0]),
         objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
-        grad=lambda x, y: y - 2.0,
+        grad=lambda x: lambda y: y - 2.0,
         curvature=1.0,
         regularization=1e-2,
     )
@@ -58,16 +57,16 @@ def test_member_argmin_set():
 def test_translated_projection_worked_values():
     m = half_shift_ball()
     np.testing.assert_allclose(
-        translated_projection(m, np.array([2.0, 0.0]), np.array([2.0, 0.0])), [2.0, 0.0]
+        m.exact_project(np.array([2.0, 0.0]), np.array([2.0, 0.0])), [2.0, 0.0]
     )
     np.testing.assert_allclose(
-        translated_projection(m, np.zeros(2), np.array([3.0, 4.0])), [0.6, 0.8]
+        m.exact_project(np.zeros(2), np.array([3.0, 4.0])), [0.6, 0.8]
     )
     box_map = TranslatedSet(
         base_set=Box(-np.ones(2), np.ones(2)), shift=lambda x: np.zeros(2), shift_lipschitz=0.0
     )
     np.testing.assert_allclose(
-        translated_projection(box_map, np.zeros(2), np.array([2.0, -3.0])), [1.0, -1.0]
+        box_map.exact_project(np.zeros(2), np.array([2.0, -3.0])), [1.0, -1.0]
     )
 
 
@@ -78,7 +77,7 @@ def test_translated_projection_unsupported_base():
         shift_lipschitz=1.0,
     )
     with pytest.raises(UnsupportedBaseSet):
-        translated_projection(m, np.zeros(2), np.ones(2))
+        m.exact_project(np.zeros(2), np.ones(2))
 
 
 def test_gamma_defaults_to_twice_shift_constant():
@@ -96,7 +95,7 @@ def test_contractivity_fixed_set_is_zero(rng):
 def test_contractivity_translated_bound(rng):
     m = TranslatedSet(base_set=unit_ball, shift=lambda x: 0.1 * x, shift_lipschitz=0.1)
     triples = [tuple(3.0 * rng.standard_normal((3, 2))) for _ in range(10000)]
-    rep = contractivity_audit(m, lambda x, u: translated_projection(m, x, u), triples)
+    rep = contractivity_audit(m, m.exact_project, triples)
     assert rep.max_ratio <= 0.2 + 1e-9
     assert rep.passed
 
@@ -107,7 +106,7 @@ def test_contractivity_collinear_far_query():
     m = TranslatedSet(base_set=unit_ball, shift=lambda x: 0.1 * x, shift_lipschitz=0.1)
     e = np.array([1.0, 0.0])
     triples = [(0.5 * e, 1.5 * e, 1e6 * e)]
-    rep = contractivity_audit(m, lambda x, u: translated_projection(m, x, u), triples)
+    rep = contractivity_audit(m, m.exact_project, triples)
     assert abs(rep.max_ratio - 0.1) <= 1e-5
 
 
@@ -141,7 +140,7 @@ def _lower_argmin(closed_form):
     return ArgminSet(
         feasible=Box([0.0], [1.0]),
         objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
-        grad=lambda x, y: y - 2.0,
+        grad=lambda x: lambda y: y - 2.0,
         curvature=1.0,
         regularization=sigma,
         exact_reg_project=exact if closed_form else None,
@@ -153,6 +152,12 @@ PROTOCOL_CASES = {
     "fixed-ball": (lambda: FixedSet(unit_ball), True, True),
     "fixed-halfspaces": (lambda: FixedSet(Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])), False, False),
     "translated-ball": (half_shift_ball, True, True),
+    "fixed-block-balls": (lambda: FixedSet(BlockBalls(2, 2, 1.0)), True, True),
+    "translated-block-balls": (
+        lambda: TranslatedSet(base_set=BlockBalls(2, 2, 1.0), shift=lambda x: 0.5 * x, shift_lipschitz=0.5),
+        True,
+        True,
+    ),
     "nonlinear-convex": (
         lambda: NonlinearConvex(
             ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),

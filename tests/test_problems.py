@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from sqvi.diagnostics import natural_residual
-from sqvi.errors import ConstructionFailed, EmptyFile, ParseError, ShapeError
-from sqvi.maps import member, translated_projection
+from sqvi.errors import ConstructionFailed, DimensionMismatch, EmptyFile, ParseError
+from sqvi.maps import member
 from sqvi.operators import estimate_qg, estimate_strong_monotonicity, evaluate_mean
 from sqvi.problems import (
     PRESETS,
@@ -41,8 +41,8 @@ def test_reference_is_fixed_point_for_any_eta(box_problem):
     # the fixed-point optimality condition holds for every positive step size
     x_star = box_problem.reference_projector(None)
     for eta in (0.15, 0.4, 0.9):
-        step = translated_projection(
-            box_problem.map, x_star, x_star - eta * evaluate_mean(box_problem.operator, x_star)
+        step = box_problem.map.exact_project(
+            x_star, x_star - eta * evaluate_mean(box_problem.operator, x_star)
         )
         assert np.linalg.norm(step - x_star) <= 1e-10
 
@@ -187,7 +187,7 @@ def test_game_radius_rejects_tight_ball():
 
 
 def test_game_too_few_rows():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DimensionMismatch):
         make_regression_game(SyntheticGame(players=40, points=50, features=4))
 
 

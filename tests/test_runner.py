@@ -62,6 +62,11 @@ def test_unknown_key_strict_vs_lenient():
         parse_config(json.dumps(cfg), strict=True)
     parsed = parse_config(json.dumps(cfg), strict=False)
     assert parsed.problem == "translated_box"
+    # "strict" is a command-line option, not a config key
+    cfg = dict(MINIMAL, strict=True)
+    with pytest.raises(UnknownKey):
+        parse_config(json.dumps(cfg), strict=True)
+    assert parse_config(json.dumps(cfg), strict=False).problem == "translated_box"
 
 
 def test_missing_key_diagnostic():

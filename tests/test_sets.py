@@ -11,8 +11,6 @@ from sqvi.sets import (
     Halfspaces,
     ProductSet,
     Simplex,
-    has_closed_form,
-    project_simple,
 )
 
 KINDS = {
@@ -66,9 +64,9 @@ def test_affine_projection_coordinates():
 
 def test_multi_halfspace_has_no_closed_form():
     hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    assert not has_closed_form(hs)
+    assert not hs.closed_form
     with pytest.raises(UnsupportedSet):
-        project_simple(hs, np.array([2.0, 2.0]))
+        hs.project(np.array([2.0, 2.0]))
 
 
 def test_product_set_blockwise():

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer (perfbench/tracer.py) still finds every name it patches.
+
+The tracer wraps sqvi functions at the module attribute their caller looks
+up; a name that moves or is renamed breaks traced benchmark runs. This test
+only reads perfbench/.
+"""
+import importlib
+import json
+import sys
+from pathlib import Path
+
+from sqvi import diagnostics, problems, runner, solvers
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+PATCHED = {
+    runner: ("build_problem", "run_ieg_sqvi", "run_ig_sqvi", "trace_to_csv", "mean_csv"),
+    problems: ("contractivity_audit", "estimate_qg"),
+    solvers: ("schedule_values", "inexact_project", "sample_batch", "evaluate_mean"),
+    diagnostics: (
+        "dist_to_solution", "natural_residual", "lower_level_subopt", "inexact_project", "reference_project",
+    ),
+}
+
+
+def test_tracer_patches_and_restores_every_name(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    originals = {(mod, name): getattr(mod, name) for mod, names in PATCHED.items() for name in names}
+    tracer = tracer_mod.Tracer()
+    restore = tracer_mod.install(tracer)
+    try:
+        for (mod, name), original in originals.items():
+            assert getattr(mod, name) is not original, f"{mod.__name__}.{name} not patched"
+        # a small sampled run reaches the wrapped names through their callers
+        cfg = {
+            "problem": "translated_box", "solver": "ieg", "eta": 0.64, "alpha": 0.9, "b": 2.0,
+            "schedule": "increasing", "rho": 0.9, "T": 3, "seed": 1, "metrics": ["dist", "residual"],
+        }
+        runner.run_experiment(runner.parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
+    finally:
+        restore()
+    for (mod, name), original in originals.items():
+        assert getattr(mod, name) is original, f"{mod.__name__}.{name} not restored"
+    spans = {span.name for span in tracer.spans}
+    assert {
+        "problems.build", "solvers.run", "solvers.schedule", "projection", "operators",
+        "diagnostics", "diagnostics.residual_projection", "runner.format",
+    } <= spans
