@@ -12,7 +12,6 @@ import sys
 
 from sqvi.problems import make_translated_box_qvi
 from sqvi.runner import parse_config, run_experiment
-from sqvi.solvers import SolverConfig, Deterministic, derive_params
 
 
 def main() -> int:
@@ -32,32 +31,25 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    problem = make_translated_box_qvi(n=args.n, seed=args.seed, noise_level=args.noise)
-    eta = args.eta if args.eta is not None else problem.suggested_eta
-    probe = SolverConfig(eta=eta, alpha=args.alpha, b=args.b, schedule=Deterministic(), max_outer=1)
-    params = derive_params(problem, probe, extra_gradient=args.solver == "ieg")
-    rho = args.rho
-    if args.schedule == "increasing" and rho is None:
-        rho = max(1.0 - params.q + 0.05, 0.9)
-        print(f"rho not given; using max(1-q+0.05, 0.9) = {rho:.4f}")
-
+    problem_params = {"n": args.n, "seed": args.seed, "noise_level": args.noise}
+    eta = args.eta if args.eta is not None else make_translated_box_qvi(**problem_params).suggested_eta
     cfg = {
         "problem": "translated_box",
-        "problem_params": {"n": args.n, "seed": args.seed, "noise_level": args.noise},
+        "problem_params": problem_params,
         "solver": args.solver,
         "eta": eta,
         "alpha": args.alpha,
         "b": args.b,
         "schedule": args.schedule,
+        "rho": args.rho,
+        "batch": args.batch,
         "T": args.T,
         "seed": args.seed,
         "replicates": args.replicates,
     }
-    if rho is not None:
-        cfg["rho"] = rho
-    if args.batch is not None:
-        cfg["batch"] = args.batch
-    artifacts = run_experiment(parse_config(json.dumps(cfg)), out_dir=args.out)
+    run_cfg = parse_config(json.dumps(cfg))
+    params = run_cfg.validated.params
+    artifacts = run_experiment(run_cfg, out_dir=args.out)
     print(f"beta={params.beta:.4f} q={params.q:.4f}; wrote {artifacts.out_dir}")
     print(json.dumps(artifacts.summary["fitted_rates"], indent=2, sort_keys=True))
     return 0

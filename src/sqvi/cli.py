@@ -6,7 +6,7 @@ import json
 import sys
 
 from .errors import ConfigError, SqviError
-from .runner import check_config, run_experiment
+from .runner import parse_config, run_experiment
 from .solvers import admissible_eta_interval, contraction_factor, derive_beta
 
 
@@ -56,11 +56,11 @@ def main(argv=None) -> int:
             return 0
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-        cfg, params = check_config(text, strict=args.strict)
+        cfg = parse_config(text, strict=args.strict)
         if args.command == "validate":
             print("config OK")
             print(json.dumps({"problem": cfg.problem, "solver": cfg.solver, "schedule": cfg.schedule}, indent=2))
-            for msg in params.violations:
+            for msg in cfg.validated.params.violations:
                 print(f"validation bypassed (allow_out_of_range): {msg}")
             return 0
         artifacts = run_experiment(cfg, out_dir=args.out)

@@ -422,7 +422,7 @@ def make_regression_game(
     dim = players * feats
     blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
     grams_tr = np.stack([blk.T @ blk for blk in blocks])
-    at_tensor = np.stack([blk.T for blk in blocks])  # (players, feats, rows)
+    at_tensor = a_tr.T.reshape(players, feats, -1)  # (players, feats, rows), a view, not a copy of a_tr
     eig_vals, eig_vecs = np.linalg.eigh(grams_tr)  # (players, feats), (players, feats, feats)
 
     x_interp, *_ = np.linalg.lstsq(a_tr, b_tr, rcond=None)
@@ -538,14 +538,16 @@ def make_regression_game(
     qg_mu = max(min(0.9 * qg_hat, lip), 1e-8)
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=qg_mu, mean_eval=mean_eval)
 
-    triples = [
+    # drawn one at a time as the audit reads them, in the order a list would draw
+    # them; the whole list (1.2 MB on table1-synthetic) would set the build's peak memory
+    triples = (
         (
             feasible.project(probe_scale * rng.standard_normal(dim)),
             feasible.project(probe_scale * rng.standard_normal(dim)),
             probe_scale * rng.standard_normal(dim),
         )
         for _ in range(_GAMMA_TRIPLES)
-    ]
+    )
     audit = contractivity_audit(mapping, exact_reg_project, triples, declared=np.inf)
     gamma = 1.5 * audit.max_ratio + 1e-9
     mapping = replace(mapping, gamma=gamma)
@@ -811,25 +813,24 @@ def audit_instance(problem: ProblemInstance, probes: int = 1000, seed: int = 0) 
     )
 
 
-#: tuned parameter presets for the regression-game experiments
+#: tuned partial run configurations for the regression-game experiments;
+#: the keys of a config that names one override its keys
 PRESETS = {
     "table1-synthetic": {
         "problem": "regression_game",
-        "problem_params": {"source": "synthetic", "players": 10, "points": 250, "features": 25, "seed": 1},
-        "sigma": 1e-2,
-        "solver_params": {"eta": 1e-2, "alpha": 9e-1, "b": 12e-1, "schedule": "damped", "allow_out_of_range": True},
+        "problem_params": {"source": "synthetic", "players": 10, "points": 250, "features": 25, "seed": 1,
+                           "sigma": 1e-2},
+        "eta": 1e-2, "alpha": 9e-1, "b": 12e-1, "schedule": "damped", "allow_out_of_range": True,
     },
     "table1-eunite2001": {
         "problem": "regression_game",
-        "problem_params": {"source": "dataset", "players": 4},
-        "sigma": 1e-1,
-        "solver_params": {"eta": 3e-1, "alpha": 5e-1, "b": 5e-1, "schedule": "damped", "allow_out_of_range": True},
+        "problem_params": {"source": "dataset", "players": 4, "sigma": 1e-1},
+        "eta": 3e-1, "alpha": 5e-1, "b": 5e-1, "schedule": "damped", "allow_out_of_range": True,
     },
     "table1-triazines": {
         "problem": "regression_game",
-        "problem_params": {"source": "dataset", "players": 6},
-        "sigma": 1e0,
-        "solver_params": {"eta": 5e-2, "alpha": 1e-1, "b": 1e-1, "schedule": "damped", "allow_out_of_range": True},
+        "problem_params": {"source": "dataset", "players": 6, "sigma": 1e0},
+        "eta": 5e-2, "alpha": 1e-1, "b": 1e-1, "schedule": "damped", "allow_out_of_range": True,
     },
 }
 

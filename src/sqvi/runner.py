@@ -6,13 +6,15 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import fit_linear_rate, mean_metric_series
 from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
+from .operators import stream_key
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
     DerivedParams,
@@ -32,8 +34,28 @@ CSV_HEADER = "k,N_k,t_k,cum_samples,cum_inner,dist,residual,lower_subopt,wall_ms
 _METRIC_COLUMNS = ("dist", "residual", "lower_subopt")
 
 
+class Validated(NamedTuple):
+    problem: ProblemInstance
+    params: DerivedParams
+    build_s: float  # seconds spent building and validating
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+def _is_list_of(value, item_ok) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(item_ok, value))
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One run, with its values in the JSON shapes they were given in.
+
+    ``validated`` builds the problem and checks every rule the run relies
+    on, once per config object; :func:`parse_config` computes it.
+    """
+
     problem: str
     solver: str
     eta: float
@@ -44,16 +66,16 @@ class RunConfig:
     batch: Optional[int] = None
     decay: Optional[float] = None
     T: int = 100
-    seed: int = 0
+    seed: Union[int, list] = 0
     replicates: int = 1
-    metrics: Optional[tuple] = None
-    floor: Optional[tuple] = None
+    metrics: Optional[list] = None
+    floor: Optional[dict] = None  # {"metric": ..., "value": ...}
     problem_params: dict = field(default_factory=dict)
     out: Optional[str] = None
     label: Optional[str] = None
     record_timing: bool = False
     allow_out_of_range: bool = False
-    report_epsilons: tuple = ()
+    report_epsilons: list = field(default_factory=list)
 
     def solver_config(self, seed=None) -> SolverConfig:
         return SolverConfig(
@@ -63,10 +85,58 @@ class RunConfig:
             schedule=schedule_from_name(self.schedule, rho=self.rho, batch=self.batch, decay=self.decay),
             max_outer=self.T,
             seed=self.seed if seed is None else seed,
-            metric_floor=self.floor,
+            metric_floor=None if self.floor is None else (self.floor["metric"], self.floor["value"]),
             record_timing=self.record_timing,
             allow_out_of_range=self.allow_out_of_range,
         )
+
+    @cached_property
+    def validated(self) -> Validated:
+        """The built problem and its derived parameters; raises ConfigError
+        for any value the run could not use."""
+        tic = time.perf_counter()
+        if self.solver not in ("ieg", "ig"):
+            raise ConfigError(f"solver must be 'ieg' or 'ig', got {self.solver!r}")
+        for name in ("T", "replicates"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("eta", "alpha", "b", "rho", "batch", "decay"):
+            value = getattr(self, name)
+            if not (value is None or _is_number(value)):  # a missing required value fails below
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:  # the key of the first replicate's sample stream
+            stream_key(self.seed if self.replicates == 1 else (self.seed, 0))
+        except (TypeError, ValueError):
+            raise ConfigError(f"seed must be an integer or a list of integers, got {self.seed!r}") from None
+        if self.metrics is not None and not _is_list_of(self.metrics, _METRIC_COLUMNS.__contains__):
+            raise ConfigError(f"metrics must be a list drawn from {_METRIC_COLUMNS}, got {self.metrics!r}")
+        if not _is_list_of(self.report_epsilons, _is_number):
+            raise ConfigError(f"report_epsilons must be a list of numbers, got {self.report_epsilons!r}")
+        floor = self.floor
+        if floor is not None and not (
+            isinstance(floor, dict) and {"metric", "value"} <= floor.keys() and _is_number(floor["value"])
+        ):
+            raise ConfigError(f"floor must be an object with 'metric' and a numeric 'value', got {floor!r}")
+        try:
+            problem = build_problem(self.problem, self.problem_params)
+        except Exception as exc:
+            raise ConfigError(f"problem construction failed: {exc}") from exc
+        if floor is not None and floor["metric"] not in (self.metrics or default_metrics(problem)):
+            raise ConfigError(f"floor metric {floor['metric']!r} is not recorded")
+        try:
+            sc = self.solver_config()
+            params = derive_params(problem, sc, extra_gradient=self.solver == "ieg")
+        except Exception as exc:
+            raise ConfigError(str(exc)) from exc
+        # the run evaluates the schedule at every k < T; any failure there is a
+        # config error, reported before the run starts
+        try:
+            for k in range(self.T):
+                schedule_values(sc.schedule, params.q, k)
+        except (InvalidSchedule, ArithmeticError) as exc:
+            raise ConfigError(f"schedule {self.schedule!r} fails at iteration {k}: {exc}") from exc
+        return Validated(problem, params, time.perf_counter() - tic)
 
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {"preset"}
@@ -76,19 +146,10 @@ def _apply_preset(data: dict) -> dict:
     name = data.pop("preset")
     try:
         preset = PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown preset {name!r}") from None
-    merged = dict(data)
-    merged.setdefault("problem", preset["problem"])
-    merged.setdefault("solver", "ieg")
-    params = dict(preset["problem_params"])
-    params.setdefault("sigma", preset["sigma"])
-    params.update(merged.get("problem_params", {}))
-    merged["problem_params"] = params
-    for key, val in preset["solver_params"].items():
-        merged.setdefault(key, val)
-    merged.setdefault("label", name)
-    return merged
+    params = {**preset["problem_params"], **data.get("problem_params", {})}
+    return {"solver": "ieg", "label": name, **preset, **data, "problem_params": params}
 
 
 def parse_config(text: str, strict: bool = False) -> RunConfig:
@@ -98,21 +159,16 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
     :func:`run_experiment` (whose ``config`` entry is reused verbatim, which
     makes manifests rerunnable).
     """
-    return check_config(text, strict)[0]
-
-
-def check_config(text: str, strict: bool = False) -> Tuple[RunConfig, DerivedParams]:
-    """:func:`parse_config` plus the derived parameters its validation computed;
-    their ``violations`` list what ``allow_out_of_range`` let through."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    if "config" in data and isinstance(data["config"], dict):
+    if isinstance(data.get("config"), dict):
         data = data["config"]
-    data = dict(data)
+    if not isinstance(data.get("problem_params", {}), dict):
+        raise ConfigError("problem_params must be an object")
     if "preset" in data:
         data = _apply_preset(data)
     unknown = set(data) - _KNOWN_KEYS
@@ -126,51 +182,9 @@ def check_config(text: str, strict: bool = False) -> Tuple[RunConfig, DerivedPar
     for req in ("problem", "solver", "eta", "alpha"):
         if req not in data:
             raise ConfigError(f"missing required config key {req!r}")
-    if data["solver"] not in ("ieg", "ig"):
-        raise ConfigError(f"solver must be 'ieg' or 'ig', got {data['solver']!r}")
-    if "floor" in data and data["floor"] is not None:
-        fl = data["floor"]
-        if not (isinstance(fl, dict) and "metric" in fl and "value" in fl):
-            raise ConfigError("floor must be an object with 'metric' and 'value'")
-        data["floor"] = (str(fl["metric"]), float(fl["value"]))
-    if "metrics" in data and data["metrics"] is not None:
-        data["metrics"] = tuple(data["metrics"])
-    if "report_epsilons" in data:
-        data["report_epsilons"] = tuple(float(e) for e in data["report_epsilons"])
-    if "problem_params" in data and not isinstance(data["problem_params"], dict):
-        raise ConfigError("problem_params must be an object")
-    try:
-        cfg = RunConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg, _validate(cfg)[1]
-
-
-def _validate(cfg: RunConfig) -> Tuple[ProblemInstance, DerivedParams]:
-    if cfg.T < 1:
-        raise ConfigError("T must be >= 1")
-    if cfg.replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    try:
-        problem = build_problem(cfg.problem, cfg.problem_params)
-    except Exception as exc:
-        raise ConfigError(f"problem construction failed: {exc}") from exc
-    try:
-        sc = cfg.solver_config()
-        params = derive_params(problem, sc, extra_gradient=cfg.solver == "ieg")
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
-    # the run evaluates the schedule at every k < T; any failure there is a
-    # config error, reported before the run starts
-    try:
-        for k in range(cfg.T):
-            schedule_values(sc.schedule, params.q, k)
-    except (InvalidSchedule, ArithmeticError) as exc:
-        raise ConfigError(f"schedule {cfg.schedule!r} fails at iteration {k}: {exc}") from exc
-    for metric in cfg.metrics or ():
-        if metric not in _METRIC_COLUMNS:
-            raise ConfigError(f"unknown metric {metric!r}")
-    return problem, params
+    cfg = RunConfig(**data)
+    cfg.validated
+    return cfg
 
 
 def default_metrics(problem: ProblemInstance) -> tuple:
@@ -236,9 +250,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     that reproduces the run when fed back to ``parse_config``, and a summary
     with final metrics and fitted rates.
     """
-    tic = time.perf_counter()
-    problem, params = _validate(cfg)
-    build_s = time.perf_counter() - tic
+    problem, params, build_s = cfg.validated
     if params.violations:
         log.warning("parameter validation bypassed: %s", "; ".join(params.violations))
     out_dir = out_dir or cfg.out or os.path.join("runs", cfg.label or cfg.problem)
@@ -264,14 +276,9 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
 
     manifest = {
         "version": __version__,
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "problem_manifest": problem.manifest(),
-        "derived": {
-            "beta": params.beta,
-            "q": params.q,
-            "eta_interval": list(params.eta_interval) if params.eta_interval else None,
-            "violations": list(params.violations),
-        },
+        "derived": params._asdict(),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -293,16 +300,6 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         summary_path=summary_path,
         summary=summary,
     )
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    data = asdict(cfg)
-    if data.get("floor") is not None:
-        data["floor"] = {"metric": data["floor"][0], "value": data["floor"][1]}
-    if data.get("metrics") is not None:
-        data["metrics"] = list(data["metrics"])
-    data["report_epsilons"] = list(data["report_epsilons"])
-    return data
 
 
 def _summarize(cfg: RunConfig, metrics, traces) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -94,32 +94,45 @@ def _inner_budget(k: int, contraction: float) -> int:
     return max(int(math.ceil((k + 1.0) * math.log(k + 2.0) ** 2 / contraction**k)), 1)
 
 
+def _geometric_rho(rho: Optional[float], q: Optional[float]) -> float:
+    """``rho`` if given, else max(1 - q + 0.05, 0.9), or the midpoint 1 - q/2
+    of (1 - q, 1) when that reaches 1; it must lie in (1 - q, 1)."""
+    if rho is None:
+        if q is None:
+            raise InvalidSchedule("schedule needs rho or q")
+        rho = max(1.0 - q + 0.05, 0.9)
+        if rho >= 1.0:
+            rho = 1.0 - 0.5 * q
+    if q is not None and not (rho > 1.0 - q):
+        raise InvalidSchedule(f"rho must exceed 1-q (rho={rho}, 1-q={1.0 - q})")
+    if not (0.0 < rho < 1.0):
+        raise InvalidSchedule(f"rho must lie in (0,1), got {rho}")
+    return rho
+
+
 @dataclass(frozen=True)
 class IncreasingSample:
     """Geometrically growing batches N_k = ceil(rho^(-2k)) with matching inner
-    budgets t_k = ceil((k+1) ln^2(k+2) / rho^k), requiring rho > 1 - q."""
+    budgets t_k = ceil((k+1) ln^2(k+2) / rho^k); ``rho`` as in :func:`_geometric_rho`."""
 
-    rho: float
+    rho: Optional[float] = None
     exact_mean = False
 
     def values(self, q: Optional[float], k: int):
-        if q is not None and not (self.rho > 1.0 - q):
-            raise InvalidSchedule(f"rho must exceed 1-q (rho={self.rho}, 1-q={1.0 - q})")
-        if not (0.0 < self.rho < 1.0):
-            raise InvalidSchedule(f"rho must lie in (0,1), got {self.rho}")
-        return max(int(math.ceil(self.rho ** (-2 * k))), 1), _inner_budget(k, self.rho)
+        rho = _geometric_rho(self.rho, q)
+        return max(int(math.ceil(rho ** (-2 * k))), 1), _inner_budget(k, rho)
 
 
 @dataclass(frozen=True)
 class ConstantMinibatch:
     """Fixed batch size; inner budgets t_k = ceil((k+1) ln^2(k+2) / (1-q)^k)."""
 
-    batch: int
+    batch: Optional[int] = None
     exact_mean = False
 
     def values(self, q: Optional[float], k: int):
-        if self.batch < 1:
-            raise InvalidSchedule("constant mini-batch size must be >= 1")
+        if self.batch is None or self.batch < 1:
+            raise InvalidSchedule("constant mini-batch schedule needs a batch size >= 1")
         if q is None or not (0.0 < q < 1.0):
             raise InvalidSchedule("constant mini-batch schedule needs q in (0,1)")
         return int(self.batch), _inner_budget(k, 1.0 - q)
@@ -127,25 +140,14 @@ class ConstantMinibatch:
 
 @dataclass(frozen=True)
 class Deterministic:
-    """Exact mean evaluations (N_k = 1); inner budgets as in the increasing-sample schedule.
-
-    ``rho`` defaults to max(1 - q + 0.05, 0.9) at run time when omitted.
-    """
+    """Exact mean evaluations (N_k = 1); inner budgets as in the increasing-sample
+    schedule, with the same ``rho`` rule."""
 
     rho: Optional[float] = None
     exact_mean = True
 
     def values(self, q: Optional[float], k: int):
-        rho = self.rho
-        if rho is None:
-            if q is None:
-                raise InvalidSchedule("deterministic schedule needs rho or q")
-            rho = max(1.0 - q + 0.05, 0.9)
-            if rho >= 1.0:
-                rho = 1.0 - 0.5 * q  # midpoint of (1-q, 1) when q is small
-        if q is not None and not (rho > 1.0 - q):
-            raise InvalidSchedule(f"rho must exceed 1-q (rho={rho}, 1-q={1.0 - q})")
-        return 1, _inner_budget(k, rho)
+        return 1, _inner_budget(k, _geometric_rho(self.rho, q))
 
 
 @dataclass(frozen=True)
@@ -184,22 +186,14 @@ def schedule_values(schedule: Schedule, q: Optional[float], k: int):
     return schedule.values(q, k)
 
 
-def schedule_from_name(name: str, rho=None, batch=None, decay=None) -> Schedule:
+def schedule_from_name(name: str, **params) -> Schedule:
+    """The schedule called ``name``, given those of ``params`` it declares
+    that are not None; the schedule's ``values`` reports a missing one."""
     try:
         cls = _SCHEDULE_NAMES[name]
     except KeyError:
         raise InvalidSchedule(f"unknown schedule name {name!r}") from None
-    if cls is IncreasingSample:
-        if rho is None:
-            raise InvalidSchedule("increasing-sample schedule needs rho")
-        return IncreasingSample(rho=float(rho))
-    if cls is ConstantMinibatch:
-        if batch is None:
-            raise InvalidSchedule("constant mini-batch schedule needs a batch size")
-        return ConstantMinibatch(batch=int(batch))
-    if cls is Deterministic:
-        return Deterministic(rho=None if rho is None else float(rho))
-    return DampedInner() if decay is None else DampedInner(decay=float(decay))
+    return cls(**{f.name: params[f.name] for f in fields(cls) if params.get(f.name) is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -307,14 +307,14 @@ def test_dataset_game_roundtrip(tmp_path, rng):
 
 def test_presets_carry_tuned_values():
     syn = PRESETS["table1-synthetic"]
-    assert syn["solver_params"]["eta"] == 1e-2
-    assert syn["solver_params"]["alpha"] == 9e-1
-    assert syn["solver_params"]["b"] == 12e-1
-    assert syn["sigma"] == 1e-2
+    assert syn["eta"] == 1e-2
+    assert syn["alpha"] == 9e-1
+    assert syn["b"] == 12e-1
+    assert syn["problem_params"]["sigma"] == 1e-2
     eun = PRESETS["table1-eunite2001"]
-    assert (eun["solver_params"]["eta"], eun["sigma"]) == (3e-1, 1e-1)
+    assert (eun["eta"], eun["problem_params"]["sigma"]) == (3e-1, 1e-1)
     tri = PRESETS["table1-triazines"]
-    assert (tri["solver_params"]["eta"], tri["sigma"]) == (5e-2, 1e0)
+    assert (tri["eta"], tri["problem_params"]["sigma"]) == (5e-2, 1e0)
 
 
 def test_build_problem_factory():

@@ -4,8 +4,10 @@ import logging
 import numpy as np
 import pytest
 
+from sqvi import runner
 from sqvi.cli import main as cli_main
 from sqvi.errors import ConfigError, UnknownKey
+from sqvi.problems import build_problem
 from sqvi.runner import parse_config, run_experiment
 
 MINIMAL = {
@@ -54,6 +56,46 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
     parse_config(json.dumps(dict(long_run, T=3369)))
     with pytest.raises(ConfigError, match="batch size"):
         parse_config(json.dumps(dict(MINIMAL, schedule="constant")))
+    # a ratio above 1 would shrink the inner budgets
+    with pytest.raises(ConfigError, match=r"rho must lie in \(0,1\)"):
+        parse_config(json.dumps(dict(MINIMAL, rho=1.5)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "a"),
+        ("T", "10"),
+        ("replicates", "2"),
+        ("rho", "0.995"),
+        ("report_epsilons", 5),
+        ("report_epsilons", "abc"),
+        ("floor", {"metric": "dist", "value": "x"}),
+        ("floor", {"metric": "lower_subopt", "value": 1e-3}),  # the box records no lower_subopt
+        ("metrics", 5),
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
+    text = json.dumps({**MINIMAL, "T": 3, key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.count("config error:") == 2
+
+
+def test_one_problem_build_per_run(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        calls.append(args)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "build_problem", counting_build)
+    run_experiment(parse_config(json.dumps(dict(MINIMAL, T=3))), out_dir=str(tmp_path / "out"))
+    assert len(calls) == 1
 
 
 def test_unknown_key_strict_vs_lenient():
@@ -151,9 +193,14 @@ def test_mean_csv_is_elementwise_average(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    cfg = parse_config(json.dumps(dict(MINIMAL, T=20)))
+    shaped = {"floor": {"metric": "dist", "value": 1e-12}, "metrics": ["dist", "residual"], "report_epsilons": [1e-3]}
+    cfg = parse_config(json.dumps(dict(MINIMAL, T=20, **shaped)))
     a = run_experiment(cfg, out_dir=str(tmp_path / "a"))
-    cfg2 = parse_config(open(a.manifest_path).read())
+    manifest = open(a.manifest_path).read()
+    written = json.loads(manifest)["config"]
+    assert {key: written[key] for key in shaped} == shaped
+    cfg2 = parse_config(manifest)
+    assert cfg2 == cfg
     b = run_experiment(cfg2, out_dir=str(tmp_path / "b"))
     assert open(a.trace_paths[0], "rb").read() == open(b.trace_paths[0], "rb").read()
 
