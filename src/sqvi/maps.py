@@ -6,11 +6,12 @@ the solution set of a parametric convex lower-level problem. Every map
 carries a declared contractivity constant ``gamma`` bounding how fast the
 projection onto K(x) moves with x.
 
-Each map owns its projection: ``project(x, u, t, ambient)`` runs its solver
-path (closed form, accelerated primal-dual or FISTA) with a certified error
-bound, ``exact`` says whether ``exact_project(x, u)`` is a closed form,
-``contains(x, y, tol)`` tests membership, and ``certificate_constant`` is
-the C of the C/t certificate when known up front. The inner solvers live in
+Each map owns its projection: ``project(x, u, t, ambient, rel_tol)`` runs
+its solver path (closed form, accelerated primal-dual or FISTA) for at most
+t inner iterations with a certified error bound, ``exact`` says whether
+``exact_project(x, u)`` is a closed form, ``contains(x, y, tol)`` tests
+membership, and ``certificate_constant`` is the C of the C/t certificate
+when known up front. The inner solvers live in
 :mod:`sqvi.projection`, which does not import this module.
 """
 from __future__ import annotations
@@ -73,7 +74,12 @@ class FixedSet(_Map):
     def exact_project(self, x: Array, u: Array) -> Array:
         return self.base_set.project(u)
 
-    def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
+    def project(
+        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
+    ) -> ProjectionResult:
+        """Closed form for closed-form bases, else ``t`` primal-dual iterations;
+        ``rel_tol`` is ignored, since the primal-dual scheme has no a-posteriori
+        certificate to stop on."""
         if self.exact:
             return ProjectionResult(_snap(self.base_set.project(u), ambient), 0.0, 0, 0.0)
         if not isinstance(self.base_set, Halfspaces):
@@ -122,7 +128,10 @@ class TranslatedSet(_Map):
         m = np.asarray(self.shift(np.asarray(x, dtype=float)), dtype=float)
         return m + self.base_set.project(np.asarray(u, dtype=float) - m)
 
-    def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
+    def project(
+        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
+    ) -> ProjectionResult:
+        """The closed form; ``t`` and ``rel_tol`` are ignored."""
         return ProjectionResult(_snap(self.exact_project(x, u), ambient), 0.0, 0, 0.0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
@@ -149,7 +158,11 @@ class NonlinearConvex(_Map):
     def dim(self) -> int:
         return self.ambient.dim
 
-    def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
+    def project(
+        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
+    ) -> ProjectionResult:
+        """``t`` primal-dual iterations with the a-priori C/t bound; ``rel_tol``
+        is ignored, since the scheme has no a-posteriori certificate to stop on."""
         g_x = lambda y: self.constraint(x, y)
         j_x = lambda y: self.jacobian(x, y)
         res = apd_solve(
@@ -215,8 +228,16 @@ class ArgminSet(_Map):
     def exact_project(self, x: Array, u: Array) -> Array:
         return np.asarray(self.exact_reg_project(x, u), dtype=float)
 
-    def project(self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet]) -> ProjectionResult:
-        # FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization
+    def project(
+        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
+    ) -> ProjectionResult:
+        """FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization.
+
+        The error bound is FISTA's gradient-mapping certificate. A positive
+        ``rel_tol`` stops the solve once that certificate is at most
+        ``rel_tol`` times the distance from x to the current iterate, so
+        ``inner_iterations`` may fall below the cap t; with 0 it runs t steps.
+        """
         w = 1.0 / self.regularization
         inner_grad = self.grad(x)
         res = fista_solve(
@@ -226,10 +247,11 @@ class ArgminSet(_Map):
             feasible=self.feasible,
             y0=self.feasible.project(u),
             t=t,
-            dist0_bound=self.feasible.diameter(),
+            rel_tol=rel_tol,
+            anchor=x,
         )
         bound = _capped(res.dist_bound, self.feasible)
-        return ProjectionResult(_snap(res.point, ambient), bound, t, 0.0)
+        return ProjectionResult(_snap(res.point, ambient), bound, res.iterations, 0.0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         if not self.feasible.contains(y, tol):

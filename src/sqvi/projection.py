@@ -5,7 +5,13 @@ which argmin-set maps run on a Tikhonov regularized surrogate, and an
 accelerated primal-dual scheme on the Lagrangian of the projection
 subproblem, which inequality-constrained maps run. Both return a
 certificate: a bound on the distance from the returned point to the target
-projection that shrinks at least like 1/t in the inner budget t.
+projection. On the strongly convex surrogate FISTA reports the a-posteriori
+gradient-mapping certificate and, given a relative tolerance, stops as soon
+as that certificate meets it, so the inner budget t is a cap and the
+iterations actually run are reported. The primal-dual scheme reports the
+a-priori C/t bound and always runs t iterations. Called with a forced budget
+(relative tolerance 0), both paths run exactly t iterations and their error
+decays at least like 1/t.
 
 The entry points ``inexact_project`` and ``reference_project`` delegate to
 the map, which owns its projection, membership test and exactness (see
@@ -41,8 +47,8 @@ class ProjectionResult:
 
 class FistaResult(NamedTuple):
     point: Array
-    gap_bound: float
     dist_bound: float
+    iterations: int
 
 
 def fista_solve(
@@ -52,39 +58,60 @@ def fista_solve(
     feasible: SimpleSet,
     y0: Array,
     t: int,
-    dist0_bound: Optional[float] = None,
+    rel_tol: float = 0.0,
+    anchor: Optional[Array] = None,
 ) -> FistaResult:
     """Accelerated proximal-gradient minimization over a simple set.
 
-    Runs t projected accelerated gradient steps on a smooth objective with
-    gradient Lipschitz constant ``curvature``. The returned gap bound is the
-    a priori estimate 2 * curvature * R^2 / (t+1)^2 with R the supplied (or
-    diameter-derived) bound on ||y0 - y*||; the distance bound converts it
-    through the strong convexity modulus when that is positive.
+    Runs at most t projected accelerated gradient steps on a smooth objective
+    with gradient Lipschitz constant ``curvature``. With a positive
+    ``strong_convexity`` mu the momentum is the constant
+    (sqrt(L/mu) - 1)/(sqrt(L/mu) + 1), and each step y+ = P(z - grad(z)/L)
+    yields the gradient-mapping certificate 2 L ||z - y+|| / mu, which bounds
+    ||y+ - y*|| at no extra gradient (Nesterov 2013, Math. Program. 140).
+    The iterate with the smallest certificate is returned, with that
+    certificate as ``dist_bound``. When ``rel_tol`` is positive the loop
+    stops as soon as the certificate is at most ``rel_tol`` times
+    ||anchor - y+||; with ``rel_tol`` 0 it runs exactly t steps. With mu = 0
+    the momentum is Nesterov's, the loop runs t steps and the distance bound
+    is infinite. ``iterations`` counts the steps run.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
     L = max(float(curvature), 1e-15)
+    step = 1.0 / L
     y = np.asarray(y0, dtype=float)
     z = y.copy()
-    s = 1.0
-    step = 1.0 / L
-    for _ in range(t):
-        g = np.asarray(grad(z), dtype=float)
-        y_new = feasible.project(z - step * g)
-        if not np.all(np.isfinite(y_new)):
+    if strong_convexity <= 0:
+        s = 1.0
+        for _ in range(t):
+            y_new = feasible.project(z - step * np.asarray(grad(z), dtype=float))
+            if not np.all(np.isfinite(y_new)):
+                raise NonfiniteValue("iterate left the finite floats; check problem scaling")
+            s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s * s))
+            z = y_new + ((s - 1.0) / s_new) * (y_new - y)
+            y, s = y_new, s_new
+        return FistaResult(point=y, dist_bound=float("inf"), iterations=t)
+    root = math.sqrt(L / strong_convexity)
+    momentum = (root - 1.0) / (root + 1.0)
+    scale = 2.0 * L / strong_convexity
+    best, best_bound = y, float("inf")
+    for it in range(1, t + 1):
+        y_new = feasible.project(z - step * np.asarray(grad(z), dtype=float))
+        d = z - y_new
+        cert = scale * math.sqrt(d @ d)
+        # any nonfinite entry of y_new makes the certificate nonfinite
+        if not math.isfinite(cert):
             raise NonfiniteValue("iterate left the finite floats; check problem scaling")
-        s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s * s))
-        z = y_new + ((s - 1.0) / s_new) * (y_new - y)
-        y, s = y_new, s_new
-    if dist0_bound is None:
-        dist0_bound = feasible.diameter()
-    gap_bound = 2.0 * L * dist0_bound**2 / (t + 1.0) ** 2
-    if strong_convexity > 0:
-        dist_bound = math.sqrt(2.0 * gap_bound / strong_convexity)
-    else:
-        dist_bound = float("inf")
-    return FistaResult(point=y, gap_bound=gap_bound, dist_bound=dist_bound)
+        if cert < best_bound:
+            best, best_bound = y_new, cert
+        if rel_tol > 0:
+            r = anchor - y_new
+            if cert <= rel_tol * math.sqrt(r @ r):
+                break
+        z = y_new + momentum * (y_new - y)
+        y = y_new
+    return FistaResult(point=best, dist_bound=best_bound, iterations=it)
 
 
 class ApdResult(NamedTuple):
@@ -187,18 +214,24 @@ def feasibility_witness(
     )
 
 
-def inexact_project(mapping, x, u, t: int, ambient: Optional[SimpleSet] = None) -> ProjectionResult:
-    """Approximate projection of u onto the map K(x) with an inner budget of t iterations.
+def inexact_project(
+    mapping, x, u, t: int, ambient: Optional[SimpleSet] = None, rel_tol: float = 0.0
+) -> ProjectionResult:
+    """Approximate projection of u onto the map K(x) with an inner budget of at most t iterations.
 
     The map runs its own solver path (see :mod:`sqvi.maps`): closed forms
     report an error bound of 0, argmin-set maps run FISTA on the regularized
     surrogate, inequality-constrained maps the accelerated primal-dual
-    scheme. The returned point is snapped onto ``ambient`` when one is
-    supplied so that solver iterates never leave the ambient set.
+    scheme. A positive ``rel_tol`` lets a solver with an a-posteriori
+    certificate (FISTA) stop once its bound is at most ``rel_tol`` times the
+    distance from x to its iterate; with the default 0 every iterative path
+    runs exactly t iterations. The returned point is snapped onto
+    ``ambient`` when one is supplied so that solver iterates never leave the
+    ambient set.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
-    return mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, ambient)
+    return mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, ambient, rel_tol)
 
 
 def reference_project(mapping, x, u, budget: int = 20000) -> Array:

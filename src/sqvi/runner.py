@@ -304,8 +304,15 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
 
 def _summarize(cfg: RunConfig, metrics, traces) -> dict:
     per_rep = []
+    projections = 2 if cfg.solver == "ieg" else 1
     for trace in traces:
-        entry = {"final_metrics": trace.summary["final_metrics"], "iterations": trace.summary["iterations"]}
+        entry = {
+            "final_metrics": trace.summary["final_metrics"],
+            "iterations": trace.summary["iterations"],
+            # inner iterations the schedule allowed, and those the projections ran
+            "inner_scheduled": projections * sum(row.t_k for row in trace.rows),
+            "inner_consumed": trace.rows[-1].cum_inner if trace.rows else 0,
+        }
         per_rep.append(entry)
     mean_finals = {}
     for metric in metrics:

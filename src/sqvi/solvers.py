@@ -341,8 +341,14 @@ def oracle_complexity_report(trace: IterationTrace, epsilon: float, metric: str 
 _RESIDUAL_BUDGET_SCALE = 10
 
 
+# relative tolerance of the solver's projections: an inner solver with an
+# a-posteriori certificate stops once its bound is at most this fraction of
+# the step length ||x - P(x - eta F)||, with t_k as the cap
+_INNER_REL_TOL = 1e-2
+
+
 def _projected_step(problem, config, x, n_k, t_k, k, phase):
-    """Project the batch-operator step at x onto K(x) with budget t_k.
+    """Project the batch-operator step at x onto K(x) with budget at most t_k.
 
     Returns the projected point, the inner iterations run and the operator
     draws spent (an exact mean evaluation counts as one draw).
@@ -352,7 +358,9 @@ def _projected_step(problem, config, x, n_k, t_k, k, phase):
     else:
         key = stream_key(config.seed) + (k, phase)
         fhat, drawn = sample_batch(problem.operator, x, n_k, key).mean_estimate, n_k
-    res = inexact_project(problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient)
+    res = inexact_project(
+        problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient, rel_tol=_INNER_REL_TOL
+    )
     return res.point, res.inner_iterations, drawn
 
 

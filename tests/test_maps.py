@@ -185,7 +185,7 @@ def test_map_protocol_contract(name):
         assert first.error_bound == 0.0 and first.inner_iterations == 0
         np.testing.assert_array_equal(first.point, ref)
     else:
-        assert first.error_bound > 0.0 and first.inner_iterations == 1
+        assert np.linalg.norm(first.point - ref) <= first.error_bound + 1e-12 and first.inner_iterations == 1
         long_run = inexact_project(m, x, u, t=4000)
         if exact:
             np.testing.assert_allclose(long_run.point, ref, atol=long_run.error_bound)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from sqvi.errors import InfeasibleSubproblem, InvalidParameters
+from sqvi.errors import InfeasibleSubproblem, InvalidParameters, NonfiniteValue
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex, TranslatedSet
+from sqvi.operators import evaluate_mean
 from sqvi.projection import (
     apd_solve,
     feasibility_witness,
@@ -39,6 +40,13 @@ def rank_deficient_argmin(rng, n=10, rows=4, radius=3.0, sigma=1e-2):
 # FISTA
 
 
+# f(y) = y^2/2 on [-1, 1] from y0 = 1 with L = mu = 1: the momentum
+# (sqrt(L/mu) - 1)/(sqrt(L/mu) + 1) is 0. Step 1 from z = 1 gives
+# y+ = P(1 - 1) = 0 with certificate 2 L |z - y+| / mu = 2; step 2 from z = 0
+# gives y+ = 0 with certificate 0, and every later step repeats it. The
+# smallest certificate seen is 2 after one step and 0 after two or more.
+
+
 def test_fista_box_quadratic_worked_value():
     res = fista_solve(
         grad=lambda y: y,
@@ -47,10 +55,9 @@ def test_fista_box_quadratic_worked_value():
         feasible=Box([-1.0], [1.0]),
         y0=np.array([1.0]),
         t=10,
-        dist0_bound=1.0,
     )
-    assert abs(res.gap_bound - 2.0 / 121.0) <= 1e-15
-    assert 0.5 * float(res.point @ res.point) <= res.gap_bound
+    assert res.dist_bound == 0.0 and res.iterations == 10
+    assert abs(float(res.point[0])) <= res.dist_bound
 
 
 def test_fista_single_step_bound():
@@ -61,10 +68,23 @@ def test_fista_single_step_bound():
         feasible=Box([-1.0], [1.0]),
         y0=np.array([1.0]),
         t=1,
-        dist0_bound=1.0,
     )
-    assert abs(res.gap_bound - 0.5) <= 1e-15
+    assert abs(res.dist_bound - 2.0) <= 1e-15 and res.iterations == 1
     np.testing.assert_allclose(res.point, [0.0])  # one projected gradient step from 1
+    assert abs(float(res.point[0])) <= res.dist_bound
+
+
+@pytest.mark.parametrize("strong_convexity", [1.0, 0.0])
+def test_fista_nonfinite_gradient_raises(strong_convexity):
+    with pytest.raises(NonfiniteValue):
+        fista_solve(
+            grad=lambda y: np.full_like(y, np.nan),
+            curvature=1.0,
+            strong_convexity=strong_convexity,
+            feasible=Box([-1.0], [1.0]),
+            y0=np.array([1.0]),
+            t=5,
+        )
 
 
 def test_fista_gap_decay_exponent(rng):
@@ -222,6 +242,15 @@ def test_error_bound_monotone_in_budget(rng):
     u = rng.standard_normal(10)
     bounds = [inexact_project(m, np.zeros(10), u, t=t).error_bound for t in (5, 10, 50, 100, 500)]
     assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
+
+
+def test_forced_budget_runs_every_iteration(game_problem):
+    # rel_tol defaults to 0, which runs exactly t iterations
+    p = game_problem
+    x = np.asarray(p.x0, dtype=float)
+    u = x - 1e-2 * evaluate_mean(p.operator, x)
+    res = inexact_project(p.map, x, u, t=50)
+    assert res.inner_iterations == 50
 
 
 def test_certificate_soundness_fista_path(rng):

@@ -246,6 +246,22 @@ def test_floor_and_epsilon_reporting(tmp_path):
     assert crossings["0.01"]["cum_samples"] == int(crossed[3])
 
 
+def test_summary_reports_inner_work(tmp_path):
+    # scheduled work is the t_k column summed over both IEG projections;
+    # consumed work is the last cum_inner, below it once FISTA stops early
+    cfg = parse_config(
+        json.dumps(
+            {"preset": "table1-synthetic", "T": 6, "schedule": "deterministic", "rho": 0.5, "metrics": ["lower_subopt"]}
+        )
+    )
+    art = run_experiment(cfg, out_dir=str(tmp_path / "w"))
+    rows = open(art.trace_paths[0]).read().strip().split("\n")[1:]
+    entry = art.summary["replicates"][0]
+    assert entry["inner_scheduled"] == 2 * sum(int(r.split(",")[2]) for r in rows)
+    assert entry["inner_consumed"] == int(rows[-1].split(",")[4])
+    assert entry["inner_consumed"] < entry["inner_scheduled"]
+
+
 def test_preset_run_end_to_end(tmp_path):
     cfg = parse_config(json.dumps({"preset": "table1-synthetic", "T": 3, "seed": 2}))
     art = run_experiment(cfg, out_dir=str(tmp_path / "p"))

@@ -13,7 +13,7 @@ from sqvi.errors import (
     NonfiniteIterate,
     NotReached,
 )
-from sqvi.maps import FixedSet
+from sqvi.maps import ArgminSet, FixedSet
 from sqvi.operators import OperatorSpec
 from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
 from sqvi.sets import Box, Halfspaces
@@ -306,3 +306,27 @@ def test_inner_iteration_totals_scale_like_inverse_epsilon():
         assert consumed > 0
         ratios.append(consumed / ((1.0 / eps) * math.log(1.0 / eps)))
     assert max(ratios) / min(ratios) <= 10.0
+
+
+def test_game_projection_certificates_sound_along_run(game_problem, monkeypatch):
+    # every projection of a run under the solver's relative stop is within its
+    # certified bound of the surrogate's closed-form solution
+    original = ArgminSet.project
+    calls = []
+
+    def checked(self, x, u, t, ambient, rel_tol):
+        res = original(self, x, u, t, ambient, rel_tol)
+        dist = float(np.linalg.norm(res.point - self.exact_reg_project(x, u)))
+        assert dist <= res.error_bound + 1e-12
+        calls.append((res.inner_iterations, t))
+        return res
+
+    monkeypatch.setattr(ArgminSet, "project", checked)
+    # budgets 1, 5, 24, 83, 257, 728: the last two exceed what the stop needs
+    cfg = SolverConfig(
+        eta=1e-2, alpha=9e-1, b=12e-1, schedule=Deterministic(rho=0.5), max_outer=6, seed=1,
+        allow_out_of_range=True,
+    )
+    run_ieg_sqvi(game_problem, cfg, metrics=("lower_subopt",))
+    assert len(calls) == 12
+    assert any(ran < t for ran, t in calls)
