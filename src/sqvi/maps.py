@@ -9,14 +9,12 @@ projection onto K(x) moves with x.
 Each map owns its projection: ``project(x, u, t, ambient, rel_tol)`` runs
 its solver path (closed form, accelerated primal-dual or FISTA) for at most
 t inner iterations with a certified error bound, ``exact`` says whether
-``exact_project(x, u)`` is a closed form, ``contains(x, y, tol)`` tests
-membership, and ``certificate_constant`` is the C of the C/t certificate
-when known up front. The inner solvers live in
-:mod:`sqvi.projection`, which does not import this module.
+``exact_project(x, u)`` is a closed form, and ``contains(x, y, tol)``
+tests membership. The inner solvers live in :mod:`sqvi.projection`, which
+does not import this module.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -42,15 +40,8 @@ def _capped(bound: float, domain: SimpleSet) -> float:
 _MIN_VALUE_BUDGET = 20000
 
 
-class _Map:
-    """Protocol defaults: no closed form, no up-front certificate constant."""
-
-    exact = False
-    certificate_constant = None
-
-
 @dataclass(frozen=True, eq=False)
-class FixedSet(_Map):
+class FixedSet:
     """K(x) = base_set for every x; gamma is 0 by definition.
 
     Closed-form bases are projected exactly; a system of several halfspaces
@@ -96,7 +87,7 @@ class FixedSet(_Map):
 
 
 @dataclass(frozen=True, eq=False)
-class TranslatedSet(_Map):
+class TranslatedSet:
     """K(x) = shift(x) + base_set with shift Lipschitz constant shift_lipschitz.
 
     The declared gamma is twice the shift constant, which is what the
@@ -139,7 +130,7 @@ class TranslatedSet(_Map):
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearConvex(_Map):
+class NonlinearConvex:
     """K(x) = {y in ambient : constraint(x, y) <= 0 componentwise}.
 
     ``constraint(x, y)`` returns an (m,) vector convex in y for each fixed x;
@@ -153,6 +144,8 @@ class NonlinearConvex(_Map):
     jacobian: Callable[[Array, Array], Array]
     gamma: float = 0.0
     jacobian_bound: Optional[float] = None
+
+    exact = False
 
     @property
     def dim(self) -> int:
@@ -184,7 +177,7 @@ class NonlinearConvex(_Map):
 
 
 @dataclass(frozen=True, eq=False)
-class ArgminSet(_Map):
+class ArgminSet:
     """K(x) = argmin of a parametric convex objective over a feasible set.
 
     objective(x, y) is convex in y. ``grad(x)`` returns its gradient in y as
@@ -217,13 +210,6 @@ class ArgminSet(_Map):
     @property
     def exact(self) -> bool:
         return self.exact_reg_project is not None
-
-    @property
-    def certificate_constant(self) -> Optional[float]:
-        diam = self.feasible.diameter()
-        if not np.isfinite(diam):
-            return None
-        return 2.0 * math.sqrt(1.0 + self.curvature / self.regularization) * diam
 
     def exact_project(self, x: Array, u: Array) -> Array:
         return np.asarray(self.exact_reg_project(x, u), dtype=float)

@@ -122,7 +122,13 @@ class RunConfig:
             problem = build_problem(self.problem, self.problem_params)
         except Exception as exc:
             raise ConfigError(f"problem construction failed: {exc}") from exc
-        if floor is not None and floor["metric"] not in (self.metrics or default_metrics(problem)):
+        computable = default_metrics(problem)
+        missing = [m for m in self.metrics or () if m not in computable]
+        if missing:
+            raise ConfigError(
+                f"metrics {missing} are not computable on {problem.name}, which offers {list(computable)}"
+            )
+        if floor is not None and floor["metric"] not in (self.metrics or computable):
             raise ConfigError(f"floor metric {floor['metric']!r} is not recorded")
         try:
             sc = self.solver_config()
@@ -188,6 +194,9 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 
 
 def default_metrics(problem: ProblemInstance) -> tuple:
+    """Every metric the problem can compute: ``dist`` needs a reference
+    solution set, which the coupled saddle point lacks (its solutions can
+    form a continuum), and ``lower_subopt`` a lower-level objective."""
     out = []
     if problem.reference_projector is not None:
         out.append("dist")

@@ -10,7 +10,7 @@ from sqvi.maps import (
     contractivity_audit,
     member,
 )
-from sqvi.problems import BlockBalls, build_problem
+from sqvi.problems import BlockBalls
 from sqvi.projection import inexact_project, reference_project
 from sqvi.sets import Ball, Box, Halfspaces
 
@@ -129,7 +129,7 @@ def test_reference_project_closed_forms():
 
 
 # ---------------------------------------------------------------------------
-# the map protocol: project, exact, exact_project, contains, certificate_constant
+# the map protocol: project, exact, exact_project, contains
 
 
 def _lower_argmin(closed_form):
@@ -192,12 +192,3 @@ def test_map_protocol_contract(name):
         else:
             np.testing.assert_array_equal(long_run.point, ref)
     assert member(m, x, ref, tol=1e-6)
-
-
-def test_manifest_certificate_constant(game_problem):
-    # table1-synthetic at seed 1: 2 sqrt(1 + curvature/regularization) * diameter
-    const = game_problem.manifest()["projection_certificate_constant"]
-    assert abs(const - 445.7484998186648) <= 1e-12 * 445.7484998186648
-    assert build_problem("translated_box").manifest()["projection_certificate_constant"] is None
-    coupled = build_problem("coupled_sp", {"coupling": {"a_u": [1.0], "a_w": [1.0], "c": -0.5}})
-    assert coupled.manifest()["projection_certificate_constant"] is None

@@ -197,23 +197,32 @@ def test_game_too_few_rows():
 
 def test_bilinear_saddle_uncoupled():
     p = make_coupled_sp(QuadraticPayoff(P=[[0.0]], Q=[[0.0]], R=[[1.0]], p=[0.0], q=[0.0]))
-    np.testing.assert_allclose(p.reference_projector(np.zeros(2)), [0.0, 0.0], atol=1e-9)
+    assert p.reference_projector is None
     assert natural_residual(p, np.zeros(2)).value <= 1e-12
 
 
 def test_coupled_sp_inactive_constraint():
     pay = QuadraticPayoff(P=[[1.0]], Q=[[1.0]], R=[[1.0]], p=[0.0], q=[0.0])
     p = make_coupled_sp(pay, LinearCoupling([1.0], [1.0], 1.0))
-    np.testing.assert_allclose(p.reference_projector(np.zeros(2)), [0.0, 0.0], atol=1e-8)
+    assert natural_residual(p, np.zeros(2), budget=5000).value <= 1e-12
 
 
-def test_coupled_sp_active_constraint():
+# F(u, w) = (u + w, w - u) under the shared constraint u + w <= -0.5: every
+# point of the segment u + w = -0.5 with w <= u (-0.25 <= u <= 0.5) solves
+# the QVI; (-0.3, -0.2) lies on the line but off the segment
+@pytest.mark.parametrize(
+    "point, solves",
+    [((-0.25, -0.25), True), ((-0.2, -0.3), True), ((0.0, -0.5), True), ((-0.3, -0.2), False)],
+    ids=["sol(-0.25,-0.25)", "sol(-0.2,-0.3)", "sol(0.0,-0.5)", "nonsol(-0.3,-0.2)"],
+)
+def test_coupled_sp_active_constraint(point, solves):
     pay = QuadraticPayoff(P=[[1.0]], Q=[[1.0]], R=[[1.0]], p=[0.0], q=[0.0])
     p = make_coupled_sp(pay, LinearCoupling([1.0], [1.0], -0.5))
-    sol = p.reference_projector(np.zeros(2))
-    np.testing.assert_allclose(sol, [-0.25, -0.25], atol=1e-7)
-    res = natural_residual(p, sol, budget=5000)
-    assert res.value <= 1e-6
+    res = natural_residual(p, np.array(point), budget=5000)
+    if solves:
+        assert res.value <= 1e-6
+    else:  # certified: the exact residual is at least value - error_bound
+        assert res.value - res.error_bound >= 1e-2
 
 
 def test_coupled_sp_rejects_nonconvex():

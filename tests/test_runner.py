@@ -122,6 +122,35 @@ def test_unknown_metric_rejected():
         parse_config(json.dumps(dict(MINIMAL, metrics=["dist", "bogus"])))
 
 
+COUPLED = {
+    "problem": "coupled_sp",
+    "problem_params": {"coupling": {"a_u": [1.0], "a_w": [1.0], "c": -0.5}},
+    "solver": "ieg",
+    "eta": 0.5,
+    "alpha": 0.5,
+    "b": 0.5,
+    "schedule": "deterministic",
+    "rho": 0.9,
+    "T": 5,
+    "allow_out_of_range": True,
+}
+
+
+@pytest.mark.parametrize(
+    "base, metrics",
+    [(COUPLED, ["residual", "lower_subopt"]), (COUPLED, ["dist"]), (MINIMAL, ["dist", "lower_subopt"])],
+    ids=["coupled-lower_subopt", "coupled-dist", "box-lower_subopt"],
+)
+def test_metrics_the_problem_cannot_compute_are_config_errors(tmp_path, base, metrics):
+    text = json.dumps(dict(base, metrics=metrics))
+    with pytest.raises(ConfigError, match="not computable"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    parse_config(json.dumps(dict(base, metrics=["residual"])))
+
+
 def test_preset_loads_table_values():
     cfg = parse_config(json.dumps({"preset": "table1-synthetic", "T": 5}))
     assert cfg.problem == "regression_game"
