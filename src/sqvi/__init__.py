@@ -31,6 +31,7 @@ from .maps import (
     TranslatedSet,
     contractivity_audit,
     member,
+    stacked_projector,
 )
 from .projection import (
     ProjectionResult,

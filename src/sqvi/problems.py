@@ -28,6 +28,7 @@ from .maps import (
     SetValuedMap,
     TranslatedSet,
     contractivity_audit,
+    stacked_projector,
 )
 from .operators import (
     OperatorSpec,
@@ -121,11 +122,12 @@ class BlockBalls(SimpleSet):
         return np.linalg.norm(y.reshape(self.blocks, self.block_dim), axis=1)
 
     def project(self, u: Array) -> Array:
+        """Projection of one point, or of each row of a stack ``(..., dim)``."""
         u = np.asarray(u, dtype=float)
-        mat = u.reshape(self.blocks, self.block_dim)
-        nrm = np.linalg.norm(mat, axis=1)
+        mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
+        nrm = np.linalg.norm(mat, axis=-1)
         scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
-        return (mat * scale[:, None]).reshape(-1)
+        return (mat * scale[..., None]).reshape(u.shape)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         return bool(np.all(self._norms(np.asarray(y, float)) <= self.radius + tol))
@@ -399,6 +401,10 @@ def _dykstra(project_a, project_b, z, iters=2000):
 # probe points of the game's qg audit and (x, y, u) triples of its gamma audit
 _AUDIT_PROBES = 64
 _GAMMA_TRIPLES = 200
+# triples drawn and projected per batch of the gamma audit: on table1-synthetic
+# one batch of all 200 raised a run's peak memory from 47.6 to 54.1 MB, and
+# chunks of 25 build as fast as larger ones (CHANGES.md has the measurements)
+_AUDIT_CHUNK = 25
 
 
 def make_regression_game(
@@ -460,13 +466,12 @@ def make_regression_game(
         return total
 
     def _block_residual_grads(x):
-        base = a_tr @ x - b_tr
-        xm = x.reshape(players, feats)
-        # per player: A_i^T (base - A_i x_i) precomputed once per projection
-        cross = np.einsum("pfr,r->pf", at_tensor, base) - np.einsum(
-            "pfg,pg->pf", grams_tr, xm
-        )
-        return cross
+        # per player: A_i^T (base - A_i x_i) precomputed once per projection,
+        # for one point or each row of a stack (..., dim); on one point
+        # x @ a_tr.T runs the same matrix-vector product as a_tr @ x
+        base = x @ a_tr.T - b_tr
+        xm = x.reshape(x.shape[:-1] + (players, feats))
+        return np.einsum("pfr,...r->...pf", at_tensor, base) - np.einsum("pfg,...pg->...pf", grams_tr, xm)
 
     def map_grad(x):
         cross = _block_residual_grads(x)
@@ -485,13 +490,16 @@ def make_regression_game(
         # multiplier theta >= 0 that solves the secular equation
         # phi(theta) = 1/||y(theta)|| - 1/lam = 0, y(theta) = rhs / (denom + theta).
         # phi is concave and increasing, so Newton's method from theta = 0
-        # rises monotonically to the root (More & Sorensen 1983).
+        # rises monotonically to the root (More & Sorensen 1983). x and u are
+        # one point each or stacks (..., dim); one Newton loop serves every
+        # active (point, player) row.
         w = 1.0 / sigma
-        um = np.asarray(u, dtype=float).reshape(players, feats)
-        rhs = np.einsum("pgf,pg->pf", eig_vecs, um - w * _block_residual_grads(x))
+        u = np.asarray(u, dtype=float)
+        um = u.reshape(u.shape[:-1] + (players, feats))
+        rhs = np.einsum("pgf,...pg->...pf", eig_vecs, um - w * _block_residual_grads(x))
         denom = 1.0 + w * eig_vals
-        active = np.sum((rhs / denom) ** 2, axis=1) > lam * lam
-        r2, d = rhs[active] ** 2, denom[active]
+        active = np.sum((rhs / denom) ** 2, axis=-1) > lam * lam
+        r2, d = rhs[active] ** 2, np.broadcast_to(denom, rhs.shape)[active]
         th = np.zeros((r2.shape[0], 1))
         for _ in range(100):
             norm2 = np.sum(r2 / (d + th) ** 2, axis=1, keepdims=True)
@@ -502,9 +510,9 @@ def make_regression_game(
                 break
         else:
             raise ConstructionFailed("secular equation did not converge")
-        theta = np.zeros((players, 1))
+        theta = np.zeros(rhs.shape[:-1] + (1,))
         theta[active] = th
-        return np.einsum("pfg,pg->pf", eig_vecs, rhs / (denom + theta)).reshape(-1)
+        return np.einsum("pfg,...pg->...pf", eig_vecs, rhs / (denom + theta)).reshape(u.shape)
 
     mapping = ArgminSet(
         feasible=feasible,
@@ -530,22 +538,20 @@ def make_regression_game(
     rng = np.random.default_rng((seed, 205))
     probe_scale = 0.5 * lam / math.sqrt(feats)
     op_plain = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=lip, mean_eval=mean_eval)
-    probes = [feasible.project(probe_scale * rng.standard_normal(dim)) for _ in range(_AUDIT_PROBES)]
+    probes = feasible.project(probe_scale * rng.standard_normal((_AUDIT_PROBES, dim)))
     qg_hat = estimate_qg(op_plain, reference_projector, probes)
     qg_mu = max(min(0.9 * qg_hat, lip), 1e-8)
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=qg_mu, mean_eval=mean_eval)
 
-    # drawn one at a time as the audit reads them, in the order a list would draw
-    # them; the whole list (1.2 MB on table1-synthetic) would set the build's peak memory
-    triples = (
-        (
-            feasible.project(probe_scale * rng.standard_normal(dim)),
-            feasible.project(probe_scale * rng.standard_normal(dim)),
-            probe_scale * rng.standard_normal(dim),
-        )
-        for _ in range(_GAMMA_TRIPLES)
-    )
-    audit = contractivity_audit(mapping, exact_reg_project, triples, declared=np.inf)
+    def triple_batches():
+        # drawn as the audit reads them, _AUDIT_CHUNK triples at a time; the
+        # generator yields the numbers of one (_GAMMA_TRIPLES, 3, dim) draw
+        for start in range(0, _GAMMA_TRIPLES, _AUDIT_CHUNK):
+            batch = probe_scale * rng.standard_normal((min(_AUDIT_CHUNK, _GAMMA_TRIPLES - start), 3, dim))
+            batch[:, :2] = feasible.project(batch[:, :2])
+            yield batch
+
+    audit = contractivity_audit(mapping, exact_reg_project, triple_batches(), declared=np.inf)
     gamma = 1.5 * audit.max_ratio + 1e-9
     mapping = replace(mapping, gamma=gamma)
 
@@ -736,8 +742,8 @@ def audit_instance(problem: ProblemInstance, probes: int = 1000, seed: int = 0) 
         ]
         gamma_rep = contractivity_audit(
             problem.map,
-            lambda x, u: reference_project(problem.map, x, u, budget=4000),
-            triples,
+            stacked_projector(lambda x, u: reference_project(problem.map, x, u, budget=4000)),
+            [np.reshape(triples, (-1, 3, dim))],
         )
     return InstanceAudit(
         monotone_min=mono.minimum,

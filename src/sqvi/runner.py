@@ -358,4 +358,5 @@ def _summarize(cfg: RunConfig, metrics, traces) -> dict:
         "fitted_rates": fits,
         "epsilon_crossings": crossings,
         "beta_q": {"beta": traces[0].summary["beta"], "q": traces[0].summary["q"]},
+        "rho": traces[0].summary["rho"],
     }

@@ -226,14 +226,17 @@ class DerivedParams(NamedTuple):
     q: Optional[float]
     eta_interval: Optional[tuple]
     violations: tuple  # preconditions of the theory that fail; empty when certified
+    rho: Optional[float]  # the rho a geometric schedule runs with; None for the others
 
 
 def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> DerivedParams:
-    """Expansion factor, contraction factor, and admissible step interval.
+    """Expansion factor, contraction factor, admissible step interval, and
+    the effective rho of an ``increasing`` or ``deterministic`` schedule.
 
     Raises on invalid parameters unless the config opts out, in which case
     the issues are returned as ``violations`` with a best-effort q (possibly
-    None).
+    None). A rho the schedule cannot use is left None here; the schedule
+    raises it when asked for its values.
     """
     c = problem.constants
     beta = derive_beta(c.lipschitz, c.qg_mu, c.gamma, config.eta)
@@ -255,7 +258,13 @@ def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> Derive
         problems.append(str(exc))
     if problems and not config.allow_out_of_range:
         raise InvalidParameters("; ".join(problems))
-    return DerivedParams(beta=beta, q=q, eta_interval=interval, violations=tuple(problems))
+    rho = None
+    if hasattr(config.schedule, "rho"):
+        try:
+            rho = _geometric_rho(config.schedule.rho, q)
+        except InvalidSchedule:
+            pass
+    return DerivedParams(beta=beta, q=q, eta_interval=interval, violations=tuple(problems), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -434,6 +443,7 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
         "stopped_early": stopped_early,
         "beta": params.beta,
         "q": params.q,
+        "rho": params.rho,
         "eta_interval": params.eta_interval,
         "violations": list(params.violations),
         "final_metrics": dict(trace.rows[-1].metrics) if trace.rows else dict(trace.initial_metrics),

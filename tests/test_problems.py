@@ -7,6 +7,7 @@ from sqvi.maps import member
 from sqvi.operators import estimate_qg, estimate_strong_monotonicity, evaluate_mean
 from sqvi.problems import (
     PRESETS,
+    BlockBalls,
     DatasetGame,
     LinearCoupling,
     QuadraticPayoff,
@@ -68,6 +69,17 @@ def test_solution_in_own_constraint_set(box_problem):
 
 # ---------------------------------------------------------------------------
 # regression game
+
+
+def test_block_balls_project_stack(rng):
+    # each point of a (..., dim) stack is projected exactly as on its own
+    balls = BlockBalls(3, 4, 1.5)
+    stack = rng.standard_normal((2, 5, balls.dim))
+    out = balls.project(stack)
+    assert out.shape == stack.shape
+    assert np.any(out != stack) and np.any(out == stack)
+    for row, u in zip(out.reshape(-1, balls.dim), stack.reshape(-1, balls.dim)):
+        np.testing.assert_array_equal(row, balls.project(u))
 
 
 def test_game_interpolation_minimum(game_problem):
@@ -139,21 +151,25 @@ def _bisection_reg_project(game, x, u):
     return out
 
 
-def test_game_exact_projection_matches_scalar_bisection(game_problem):
+def _bisection_probes(game_problem):
     game = game_problem.lower_level.game
-    players, feats, lam = game.players, game.feature_dim, game.radius
     rng = np.random.default_rng(11)
     x_fit = np.linalg.lstsq(game.train_matrix, game.train_rhs, rcond=None)[0]
     # near the training fit the unconstrained blocks stay inside the ball;
     # large pushes on every other block drive those onto its boundary
-    mixed = (x_fit + 0.01 * rng.standard_normal(x_fit.size)).reshape(players, feats)
+    mixed = (x_fit + 0.01 * rng.standard_normal(x_fit.size)).reshape(game.players, game.feature_dim)
     mixed[::2] += 5.0 * rng.standard_normal(mixed[::2].shape)
-    probes = [(x_fit, mixed.reshape(-1))] + [
+    return [(x_fit, mixed.reshape(-1))] + [
         (game_problem.ambient.project(s * rng.standard_normal(x_fit.size)), s * rng.standard_normal(x_fit.size))
         for s in (0.1, 0.3, 1.0, 10.0)
     ]
+
+
+def test_game_exact_projection_matches_scalar_bisection(game_problem):
+    game = game_problem.lower_level.game
+    players, feats, lam = game.players, game.feature_dim, game.radius
     saw_mixed = saw_active = False
-    for x, u in probes:
+    for x, u in _bisection_probes(game_problem):
         fast = game_problem.map.exact_reg_project(x, u)
         ref = _bisection_reg_project(game, x, u)
         assert np.linalg.norm(fast - ref) <= 1e-12
@@ -165,6 +181,19 @@ def test_game_exact_projection_matches_scalar_bisection(game_problem):
         saw_mixed |= bool(np.any(~active) and np.any(active))
         saw_active |= bool(np.all(active))
     assert saw_mixed and saw_active
+
+
+def test_game_exact_projection_batched(game_problem):
+    # a stacked (n, dim) batch, inactive, mixed and all-active rows together,
+    # solves each row as a single call does
+    game = game_problem.lower_level.game
+    probes = _bisection_probes(game_problem)
+    xs, us = np.stack([x for x, _ in probes]), np.stack([u for _, u in probes])
+    batch = game_problem.map.exact_reg_project(xs, us)
+    assert batch.shape == xs.shape
+    for row, (x, u) in zip(batch, probes):
+        assert np.linalg.norm(row - game_problem.map.exact_reg_project(x, u)) <= 1e-13
+        assert np.linalg.norm(row - _bisection_reg_project(game, x, u)) <= 1e-12
 
 
 def test_game_audit_values_pinned(game_problem):

@@ -291,6 +291,22 @@ def test_summary_reports_inner_work(tmp_path):
     assert entry["inner_consumed"] < entry["inner_scheduled"]
 
 
+@pytest.mark.parametrize(
+    "schedule, rho", [("deterministic", None), ("increasing", None), ("increasing", 0.95), ("damped", None)]
+)
+def test_outputs_record_effective_rho(tmp_path, schedule, rho):
+    # an omitted rho is max(1 - q + 0.05, 0.9); damped budgets have no rho
+    cfg = parse_config(json.dumps(dict(MINIMAL, eta=0.64, alpha=0.9, b=2.0, T=2, schedule=schedule, rho=rho)))
+    art = run_experiment(cfg, out_dir=str(tmp_path / "r"))
+    q = cfg.validated.params.q
+    expected = {"damped": None}.get(schedule, rho or max(1.0 - q + 0.05, 0.9))
+    with open(art.manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["config"]["rho"] == rho
+    assert manifest["derived"]["rho"] == art.summary["rho"] == expected
+    assert open(art.trace_paths[0]).readline().strip() == runner.CSV_HEADER
+
+
 def test_preset_run_end_to_end(tmp_path):
     cfg = parse_config(json.dumps({"preset": "table1-synthetic", "T": 3, "seed": 2}))
     art = run_experiment(cfg, out_dir=str(tmp_path / "p"))
