@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .errors import SqviError
 from .sets import AffineSet, Ball, Box, Halfspaces, ProductSet, Simplex, SimpleSet
 from .operators import (
-    BatchEval,
     OperatorSpec,
     check_monotone,
     estimate_lipschitz,

@@ -61,21 +61,16 @@ class RateFit(NamedTuple):
     samples: int
 
 
-def fit_linear_rate(trace_or_series, metric: Optional[str] = None, window: Optional[tuple] = None) -> RateFit:
-    """Least-squares fit of log10(metric) against iteration index.
+def fit_linear_rate(values, window: Optional[tuple] = None) -> RateFit:
+    """Least-squares fit of log10(values[k]) against the iteration index k.
 
-    Accepts an IterationTrace (with a metric id) or a plain value sequence.
     The fit uses values above 1e-14 and above 1e-12 times the largest value
-    of the whole series inside the inclusive window, and needs at least five
-    of them. Returns the slope per iteration in log10 and the
+    of the whole series inside the inclusive window of k, and needs at least
+    five of them. Returns the slope per iteration in log10 and the
     coefficient of determination.
     """
-    if metric is not None and hasattr(trace_or_series, "metric_series"):
-        values = trace_or_series.metric_series(metric)
-        ks = trace_or_series.iterations().astype(float)
-    else:
-        values = np.asarray(trace_or_series, dtype=float)
-        ks = np.arange(values.shape[0], dtype=float)
+    values = np.asarray(values, dtype=float)
+    ks = np.arange(values.shape[0], dtype=float)
     largest = float(np.max(values, where=np.isfinite(values), initial=0.0))
     floor = max(_VALUE_FLOOR, _RELATIVE_FLOOR * largest)
     if window is not None:

@@ -1,7 +1,7 @@
 """Stochastic operator model: mean field, mini-batch sampling, audits.
 
-An operator is a mapping F on R^n available either through a closed-form
-mean field, through a stochastic sampler whose draws average to F, or both.
+An operator is a mapping F on R^n available through a closed-form mean
+field, through a draw of the mean of a batch of stochastic samples, or both.
 All randomness flows through seeded generator streams so that every batch
 is a pure function of (point, batch size, stream).
 """
@@ -21,12 +21,8 @@ from .errors import (
 
 Array = np.ndarray
 MeanEval = Callable[[Array], Array]
-# sampler(x, rng, count) -> (count, dim) array of draws G(x, xi_j)
-Sampler = Callable[[Array, np.random.Generator, int], Array]
 # batch_mean(x, rng, count) -> dim vector equal in law to the mean of `count` draws
 BatchMean = Callable[[Array, np.random.Generator, int], Array]
-
-_CHUNK = 1 << 16  # draws per chunk when materializing large batches
 
 
 def _check_point(x, dim) -> Array:
@@ -46,19 +42,15 @@ class OperatorSpec:
     lipschitz : L, a Lipschitz bound for F on the feasible region.
     qg_mu : quadratic-growth modulus of F relative to the solution set.
     mean_eval : closed-form F(x), when the expectation is available.
-    sampler : draws of the stochastic map; averaged to estimate F(x).
-    batch_mean : optional direct draw of a batch mean (same law as averaging
-        ``count`` sampler draws); used to keep very large batches cheap.
-    noise_level : per-sample standard-deviation bound (nu); 0 = deterministic.
+    batch_mean : draw of the mean of ``count`` stochastic samples G(x, xi_j);
+        None for a noise-free operator.
     """
 
     dim: int
     lipschitz: float
     qg_mu: float
     mean_eval: Optional[MeanEval] = None
-    sampler: Optional[Sampler] = None
     batch_mean: Optional[BatchMean] = None
-    noise_level: float = 0.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -72,17 +64,8 @@ class OperatorSpec:
             raise InvalidConstants(
                 f"qg_mu={self.qg_mu} exceeds lipschitz={self.lipschitz}"
             )
-        if self.noise_level < 0:
-            raise InvalidConstants("noise_level must be nonnegative")
-        if self.mean_eval is None and self.sampler is None and self.batch_mean is None:
-            raise InvalidConstants("operator needs a mean field or a sampler")
-
-
-class BatchEval(NamedTuple):
-    """Mini-batch average of operator draws at a fixed point."""
-
-    mean_estimate: Array
-    batch_size: int
+        if self.mean_eval is None and self.batch_mean is None:
+            raise InvalidConstants("operator needs a mean field or a batch mean")
 
 
 def stream_key(stream) -> tuple:
@@ -103,36 +86,21 @@ def evaluate_mean(op: OperatorSpec, x) -> Array:
     return out
 
 
-def sample_batch(op: OperatorSpec, x, n: int, stream) -> BatchEval:
-    """Average of ``n`` fresh operator draws at ``x`` from ``stream``.
+def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
+    """Mean of ``n`` fresh operator draws at ``x`` from ``stream``.
 
     Deterministic in (x, n, stream): replaying the same triple reproduces the
-    batch bit for bit. Zero-noise operators short-circuit to the mean field.
+    batch bit for bit. Noise-free operators short-circuit to the mean field.
     """
     x = _check_point(x, op.dim)
     if n < 1:
         raise DimensionMismatch("batch size must be >= 1")
-    key = stream_key(stream)
-    if op.batch_mean is not None:
-        rng = np.random.default_rng(key)
-        est = np.asarray(op.batch_mean(x, rng, n), dtype=float)
-    elif op.sampler is not None:
-        rng = np.random.default_rng(key)
-        total = np.zeros(op.dim)
-        done = 0
-        while done < n:
-            take = min(_CHUNK, n - done)
-            draws = np.asarray(op.sampler(x, rng, take), dtype=float)
-            if draws.shape != (take, op.dim):
-                raise DimensionMismatch(f"sampler returned shape {draws.shape}")
-            total += draws.sum(axis=0)
-            done += take
-        est = total / n
-    else:
-        est = evaluate_mean(op, x)
+    if op.batch_mean is None:
+        return evaluate_mean(op, x)
+    est = np.asarray(op.batch_mean(x, np.random.default_rng(stream_key(stream)), n), dtype=float)
     if est.shape != (op.dim,):
         raise DimensionMismatch(f"batch mean has shape {est.shape}")
-    return BatchEval(mean_estimate=est, batch_size=n)
+    return est
 
 
 def gaussian_operator(
@@ -141,24 +109,20 @@ def gaussian_operator(
     lipschitz: float,
     qg_mu: float,
     noise_level: float = 0.0,
-    materialize: bool = False,
 ) -> OperatorSpec:
     """Operator with additive zero-mean Gaussian noise around ``mean_eval``.
 
     The per-coordinate standard deviation is noise_level/sqrt(dim), so a
     single draw w satisfies E||w||^2 = noise_level^2 and a batch of N draws
-    satisfies E||w_bar||^2 = noise_level^2 / N.
-
-    With ``materialize=False`` the batch mean is drawn directly as one
-    Gaussian with standard deviation scaled by 1/sqrt(N); this is equal in
-    law to averaging N draws and keeps fast-growing batch schedules cheap.
+    satisfies E||w_bar||^2 = noise_level^2 / N. The batch mean is drawn
+    directly as one Gaussian with standard deviation scaled by 1/sqrt(N),
+    equal in law to averaging N draws, so fast-growing batches stay cheap.
     """
+    if noise_level < 0:
+        raise InvalidConstants("noise_level must be nonnegative")
     if noise_level == 0.0:
         return OperatorSpec(dim=dim, lipschitz=lipschitz, qg_mu=qg_mu, mean_eval=mean_eval)
     coord_sd = noise_level / np.sqrt(dim)
-
-    def _sampler(x, rng, count):
-        return np.asarray(mean_eval(x))[None, :] + coord_sd * rng.standard_normal((count, dim))
 
     def _batch_mean(x, rng, count):
         return np.asarray(mean_eval(x)) + (coord_sd / np.sqrt(count)) * rng.standard_normal(dim)
@@ -168,9 +132,7 @@ def gaussian_operator(
         lipschitz=lipschitz,
         qg_mu=qg_mu,
         mean_eval=mean_eval,
-        sampler=_sampler,
-        batch_mean=None if materialize else _batch_mean,
-        noise_level=noise_level,
+        batch_mean=_batch_mean,
     )
 
 

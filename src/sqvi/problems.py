@@ -404,7 +404,7 @@ _GAMMA_TRIPLES = 200
 # triples drawn and projected per batch of the gamma audit: on table1-synthetic
 # one batch of all 200 raised a run's peak memory from 47.6 to 54.1 MB, and
 # chunks of 25 build as fast as larger ones (CHANGES.md has the measurements)
-_AUDIT_CHUNK = 25
+_AUDIT_BLOCK = 25
 
 
 def make_regression_game(
@@ -544,10 +544,10 @@ def make_regression_game(
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=qg_mu, mean_eval=mean_eval)
 
     def triple_batches():
-        # drawn as the audit reads them, _AUDIT_CHUNK triples at a time; the
+        # drawn as the audit reads them, _AUDIT_BLOCK triples at a time; the
         # generator yields the numbers of one (_GAMMA_TRIPLES, 3, dim) draw
-        for start in range(0, _GAMMA_TRIPLES, _AUDIT_CHUNK):
-            batch = probe_scale * rng.standard_normal((min(_AUDIT_CHUNK, _GAMMA_TRIPLES - start), 3, dim))
+        for start in range(0, _GAMMA_TRIPLES, _AUDIT_BLOCK):
+            batch = probe_scale * rng.standard_normal((min(_AUDIT_BLOCK, _GAMMA_TRIPLES - start), 3, dim))
             batch[:, :2] = feasible.project(batch[:, :2])
             yield batch
 

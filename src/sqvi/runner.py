@@ -5,7 +5,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -14,7 +14,6 @@ import numpy as np
 from . import __version__
 from .diagnostics import fit_linear_rate, mean_metric_series
 from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
-from .operators import stream_key
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
     DerivedParams,
@@ -41,7 +40,12 @@ class Validated(NamedTuple):
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float))
+    # JSON true/false arrive as bools, which Python counts as ints
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_list_of(value, item_ok) -> bool:
@@ -99,16 +103,15 @@ class RunConfig:
             raise ConfigError(f"solver must be 'ieg' or 'ig', got {self.solver!r}")
         for name in ("T", "replicates"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if not (_is_integer(value) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("eta", "alpha", "b", "rho", "batch", "decay"):
             value = getattr(self, name)
             if not (value is None or _is_number(value)):  # a missing required value fails below
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        try:  # the key of the first replicate's sample stream
-            stream_key(self.seed if self.replicates == 1 else (self.seed, 0))
-        except (TypeError, ValueError):
-            raise ConfigError(f"seed must be an integer or a list of integers, got {self.seed!r}") from None
+        # replicate r samples from the stream (seed, r), so only a single run takes a list
+        if not (_is_integer(self.seed) or (self.replicates == 1 and _is_list_of(self.seed, _is_integer))):
+            raise ConfigError(f"seed must be an integer or a list of integers, got {self.seed!r}")
         if self.metrics is not None and not _is_list_of(self.metrics, _METRIC_COLUMNS.__contains__):
             raise ConfigError(f"metrics must be a list drawn from {_METRIC_COLUMNS}, got {self.metrics!r}")
         if not _is_list_of(self.report_epsilons, _is_number):
@@ -214,33 +217,32 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def trace_to_csv(trace: IterationTrace) -> str:
+def _csv(rows) -> str:
     lines = [CSV_HEADER]
-    for row in trace.rows:
+    for row in rows:
         cells = [str(row.k), str(row.n_k), str(row.t_k), str(row.cum_samples), str(row.cum_inner)]
-        for metric in _METRIC_COLUMNS:
-            cells.append(_fmt(row.metrics.get(metric)))
+        cells.extend(_fmt(row.metrics.get(metric)) for metric in _METRIC_COLUMNS)
         cells.append(_fmt(row.wall_ms))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
+def trace_to_csv(trace: IterationTrace) -> str:
+    return _csv(trace.rows)
+
+
 def mean_csv(traces: Sequence[IterationTrace]) -> str:
-    """Elementwise average of the metric columns across replicate traces."""
-    n = min(len(t.rows) for t in traces)
-    lines = [CSV_HEADER]
-    for i in range(n):
-        base = traces[0].rows[i]
-        cells = [str(base.k), str(base.n_k), str(base.t_k), str(base.cum_samples), str(base.cum_inner)]
+    """Elementwise average of the metric columns across replicate traces;
+    wall time is not aggregated."""
+    rows = []
+    for rows_at_k in zip(*(t.rows for t in traces)):
+        metrics = {}
         for metric in _METRIC_COLUMNS:
-            vals = [t.rows[i].metrics.get(metric) for t in traces]
-            if any(v is None for v in vals):
-                cells.append("")
-            else:
-                cells.append(_fmt(float(np.mean([float(v) for v in vals]))))
-        cells.append("")  # wall time is not aggregated
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            vals = [row.metrics.get(metric) for row in rows_at_k]
+            if all(v is not None for v in vals):
+                metrics[metric] = float(np.mean([float(v) for v in vals]))
+        rows.append(replace(rows_at_k[0], metrics=metrics, wall_ms=None))
+    return _csv(rows)
 
 
 class RunArtifacts(NamedTuple):

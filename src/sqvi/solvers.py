@@ -131,8 +131,9 @@ class ConstantMinibatch:
     exact_mean = False
 
     def values(self, q: Optional[float], k: int):
-        if self.batch is None or self.batch < 1:
-            raise InvalidSchedule("constant mini-batch schedule needs a batch size >= 1")
+        if self.batch is None or not (self.batch >= 1 and self.batch % 1 == 0):
+            # batch % 1 is nan for nan and inf
+            raise InvalidSchedule(f"constant schedule needs an integer batch size >= 1, got {self.batch}")
         if q is None or not (0.0 < q < 1.0):
             raise InvalidSchedule("constant mini-batch schedule needs q in (0,1)")
         return int(self.batch), _inner_budget(k, 1.0 - q)
@@ -162,6 +163,8 @@ class DampedInner:
     exact_mean = True
 
     def values(self, q: Optional[float], k: int):
+        if not self.decay > 0:
+            raise InvalidSchedule(f"damped schedule needs decay > 0, got {self.decay}")
         return 1, max(int(math.ceil(k * math.log(k + 1.0) ** 2 * self.decay**k)), 1)
 
 
@@ -297,9 +300,6 @@ class IterationTrace:
     def metric_series(self, metric: str) -> np.ndarray:
         return np.asarray([row.metrics.get(metric, np.nan) for row in self.rows], dtype=float)
 
-    def iterations(self) -> np.ndarray:
-        return np.asarray([row.k for row in self.rows], dtype=int)
-
 
 class ComplexityReport(NamedTuple):
     """Schedule totals up to the first iteration whose metric meets epsilon.
@@ -366,7 +366,7 @@ def _projected_step(problem, config, x, n_k, t_k, k, phase):
         fhat, drawn = evaluate_mean(problem.operator, x), 1
     else:
         key = stream_key(config.seed) + (k, phase)
-        fhat, drawn = sample_batch(problem.operator, x, n_k, key).mean_estimate, n_k
+        fhat, drawn = sample_batch(problem.operator, x, n_k, key), n_k
     res = inexact_project(
         problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient, rel_tol=_INNER_REL_TOL
     )

@@ -41,7 +41,7 @@ def test_evaluate_mean_affine():
 def test_evaluate_mean_errors():
     sampler_only = OperatorSpec(
         dim=1, lipschitz=1.0, qg_mu=1.0,
-        sampler=lambda x, rng, n: np.tile(x, (n, 1)),
+        batch_mean=lambda x, rng, n: x,
     )
     with pytest.raises(MissingMeanField):
         evaluate_mean(sampler_only, [1.0])
@@ -58,24 +58,16 @@ def test_operator_constants_validated():
 
 def test_sample_batch_zero_noise_is_exact():
     res = sample_batch(identity_op, [0.3, -0.7], 17, stream=5)
-    np.testing.assert_allclose(res.mean_estimate, [0.3, -0.7])
-    assert res.batch_size == 17
+    np.testing.assert_allclose(res, [0.3, -0.7])
 
 
 def test_sample_batch_deterministic_replay():
     op = gaussian_operator(lambda x: x, dim=4, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
     a = sample_batch(op, np.ones(4), 64, stream=(3, 2))
     b = sample_batch(op, np.ones(4), 64, stream=(3, 2))
-    assert np.array_equal(a.mean_estimate, b.mean_estimate)
+    assert np.array_equal(a, b)
     c = sample_batch(op, np.ones(4), 64, stream=(3, 3))
-    assert not np.array_equal(a.mean_estimate, c.mean_estimate)
-
-
-def test_sample_batch_materialized_matches_chunking():
-    op = gaussian_operator(lambda x: x, dim=3, lipschitz=1.0, qg_mu=1.0, noise_level=2.0, materialize=True)
-    a = sample_batch(op, np.zeros(3), 1000, stream=9)
-    b = sample_batch(op, np.zeros(3), 1000, stream=9)
-    assert np.array_equal(a.mean_estimate, b.mean_estimate)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_batch_monte_carlo_accuracy():
@@ -85,7 +77,7 @@ def test_sample_batch_monte_carlo_accuracy():
     x = np.full(n, 0.5)
     hits = 0
     for rep in range(100):
-        est = sample_batch(op, x, 10000, stream=(77, rep)).mean_estimate
+        est = sample_batch(op, x, 10000, stream=(77, rep))
         if np.linalg.norm(est - x) <= 0.05 * np.sqrt(n):
             hits += 1
     assert hits >= 95
@@ -97,7 +89,7 @@ def test_batch_mean_concentration_bound():
     op = gaussian_operator(lambda x: x, dim=n, lipschitz=1.0, qg_mu=1.0, noise_level=nu)
     x = np.zeros(n)
     hits = sum(
-        np.linalg.norm(sample_batch(op, x, m_draws, stream=(5, rep)).mean_estimate - x)
+        np.linalg.norm(sample_batch(op, x, m_draws, stream=(5, rep)) - x)
         <= 4 * nu / np.sqrt(m_draws)
         for rep in range(100)
     )

@@ -59,6 +59,13 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
     # a ratio above 1 would shrink the inner budgets
     with pytest.raises(ConfigError, match=r"rho must lie in \(0,1\)"):
         parse_config(json.dumps(dict(MINIMAL, rho=1.5)))
+    # a fractional batch would run with its integer part
+    with pytest.raises(ConfigError, match="integer batch size"):
+        parse_config(json.dumps(dict(MINIMAL, schedule="constant", batch=2.5)))
+    # a decay of zero or below would floor every inner budget to 1
+    for decay in (-0.5, 0):
+        with pytest.raises(ConfigError, match="decay > 0"):
+            parse_config(json.dumps(dict(MINIMAL, schedule="damped", decay=decay)))
 
 
 @pytest.mark.parametrize(
@@ -73,6 +80,10 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
         ("floor", {"metric": "dist", "value": "x"}),
         ("floor", {"metric": "lower_subopt", "value": 1e-3}),  # the box records no lower_subopt
         ("metrics", 5),
+        # JSON booleans are not numbers, though Python counts them as ints
+        ("T", True),
+        ("eta", True),
+        ("seed", True),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
