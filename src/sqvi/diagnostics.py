@@ -1,6 +1,7 @@
 """Solution-quality metrics and convergence-rate fitting."""
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,8 @@ def dist_to_solution(problem, x) -> float:
     if problem.reference_projector is None:
         raise NoReferenceSolution(f"problem {problem.name!r} has no reference solution set")
     x = np.asarray(x, dtype=float)
-    return float(np.linalg.norm(x - np.asarray(problem.reference_projector(x), dtype=float)))
+    d = x - np.asarray(problem.reference_projector(x), dtype=float)
+    return math.sqrt(d @ d)
 
 
 class Residual(NamedTuple):
@@ -39,8 +41,8 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
         eta = problem.suggested_eta
     target = x - eta * evaluate_mean(problem.operator, x)
     if problem.map.exact:
-        proj = reference_project(problem.map, x, target)
-        return Residual(value=float(np.linalg.norm(x - proj)), error_bound=0.0)
+        d = x - reference_project(problem.map, x, target)
+        return Residual(value=math.sqrt(d @ d), error_bound=0.0)
     budget = budget or 2000
     res = inexact_project(problem.map, x, target, t=budget, ambient=problem.ambient)
     return Residual(value=float(np.linalg.norm(x - res.point)), error_bound=res.error_bound)

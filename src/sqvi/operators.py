@@ -3,10 +3,13 @@
 An operator is a mapping F on R^n available through a closed-form mean
 field, through a draw of the mean of a batch of stochastic samples, or both.
 All randomness flows through seeded generator streams so that every batch
-is a pure function of (point, batch size, stream).
+is a pure function of (point, batch size, stream). A stream key whose parts
+all lie in [0, 2**32) seeds its generator from a uint32 array, the entropy
+words numpy derives from those ints itself, so the stream is the same.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -16,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     InvalidConstants,
+    InvalidParameters,
     MissingMeanField,
 )
 
@@ -26,7 +30,9 @@ BatchMean = Callable[[Array, np.random.Generator, int], Array]
 
 
 def _check_point(x, dim) -> Array:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        x = np.atleast_1d(x)
     if x.shape != (dim,):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({dim},)")
     return x
@@ -69,10 +75,14 @@ class OperatorSpec:
 
 
 def stream_key(stream) -> tuple:
-    """A seed or a tuple of seeds as a tuple of ints, the key of a generator stream."""
-    if isinstance(stream, (int, np.integer)):
-        return (int(stream),)
-    return tuple(int(s) for s in stream)
+    """A seed or a sequence of seeds as a tuple of ints, the key of a generator
+    stream. Raises InvalidParameters for a part that is not an integer: a
+    string, float, bool or None."""
+    parts = stream if isinstance(stream, (tuple, list, np.ndarray)) else (stream,)
+    for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (int, np.integer)):
+            raise InvalidParameters(f"seeds must be integers, got {part!r}")
+    return tuple(map(int, parts))
 
 
 def evaluate_mean(op: OperatorSpec, x) -> Array:
@@ -97,7 +107,12 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
         raise DimensionMismatch("batch size must be >= 1")
     if op.batch_mean is None:
         return evaluate_mean(op, x)
-    est = np.asarray(op.batch_mean(x, np.random.default_rng(stream_key(stream)), n), dtype=float)
+    key = stream_key(stream)
+    if key and min(key) >= 0 and max(key) < 2**32:
+        # numpy reads each such part as one uint32 word; an array skips its
+        # per-int conversion (numpy 1.x would wrap a negative part silently)
+        key = np.array(key, dtype=np.uint32)
+    est = np.asarray(op.batch_mean(x, np.random.default_rng(key), n), dtype=float)
     if est.shape != (op.dim,):
         raise DimensionMismatch(f"batch mean has shape {est.shape}")
     return est
@@ -122,10 +137,10 @@ def gaussian_operator(
         raise InvalidConstants("noise_level must be nonnegative")
     if noise_level == 0.0:
         return OperatorSpec(dim=dim, lipschitz=lipschitz, qg_mu=qg_mu, mean_eval=mean_eval)
-    coord_sd = noise_level / np.sqrt(dim)
+    coord_sd = noise_level / math.sqrt(dim)
 
     def _batch_mean(x, rng, count):
-        return np.asarray(mean_eval(x)) + (coord_sd / np.sqrt(count)) * rng.standard_normal(dim)
+        return np.asarray(mean_eval(x)) + (coord_sd / math.sqrt(count)) * rng.standard_normal(dim)
 
     return OperatorSpec(
         dim=dim,

@@ -356,8 +356,9 @@ _RESIDUAL_BUDGET_SCALE = 10
 _INNER_REL_TOL = 1e-2
 
 
-def _projected_step(problem, config, x, n_k, t_k, k, phase):
-    """Project the batch-operator step at x onto K(x) with budget at most t_k.
+def _projected_step(problem, config, seed_key, x, n_k, t_k, k, phase):
+    """Project the batch-operator step at x onto K(x) with budget at most t_k;
+    a batch is drawn from the stream ``seed_key + (k, phase)``.
 
     Returns the projected point, the inner iterations run and the operator
     draws spent (an exact mean evaluation counts as one draw).
@@ -365,8 +366,7 @@ def _projected_step(problem, config, x, n_k, t_k, k, phase):
     if config.schedule.exact_mean:
         fhat, drawn = evaluate_mean(problem.operator, x), 1
     else:
-        key = stream_key(config.seed) + (k, phase)
-        fhat, drawn = sample_batch(problem.operator, x, n_k, key), n_k
+        fhat, drawn = sample_batch(problem.operator, x, n_k, seed_key + (k, phase)), n_k
     res = inexact_project(
         problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient, rel_tol=_INNER_REL_TOL
     )
@@ -398,6 +398,7 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
             f"metric floor references {config.metric_floor[0]!r}, which is not recorded"
         )
     solver = "ieg" if extra_gradient else "ig"
+    seed_key = stream_key(config.seed)
     x = np.asarray(problem.x0, dtype=float).copy()
     trace = IterationTrace(
         problem_name=problem.name,
@@ -411,16 +412,16 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     for k in range(config.max_outer):
         tic = time.perf_counter()
         n_k, t_k = schedule_values(config.schedule, params.q, k)
-        point, inner, drawn = _projected_step(problem, config, x, n_k, t_k, k, 0)
+        point, inner, drawn = _projected_step(problem, config, seed_key, x, n_k, t_k, k, 0)
         cum_inner += inner
         cum_samples += drawn
         if extra_gradient:
             u = (1.0 - config.b) * x + config.b * point
-            point, inner, drawn = _projected_step(problem, config, u, n_k, t_k, k, 1)
+            point, inner, drawn = _projected_step(problem, config, seed_key, u, n_k, t_k, k, 1)
             cum_inner += inner
             cum_samples += drawn
         x_new = (1.0 - config.alpha) * x + config.alpha * point
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             raise NonfiniteIterate(f"iterate became nonfinite at iteration {k}", trace)
         x = x_new
         row_metrics = _eval_metrics(problem, x, metrics, config, t_k=t_k)

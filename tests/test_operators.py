@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqvi.errors import DimensionMismatch, EmptySample, InvalidConstants, MissingMeanField
+from sqvi.errors import DimensionMismatch, EmptySample, InvalidConstants, InvalidParameters, MissingMeanField
 from sqvi.operators import (
     OperatorSpec,
     check_monotone,
@@ -11,6 +11,7 @@ from sqvi.operators import (
     evaluate_mean,
     gaussian_operator,
     sample_batch,
+    stream_key,
 )
 
 identity_op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=1.0, mean_eval=lambda x: x)
@@ -147,3 +148,42 @@ def test_strong_monotonicity_estimates(rng):
     pts = list(rng.standard_normal((3, 2)))
     assert abs(estimate_strong_monotonicity(identity_op, pts) - 1.0) <= 1e-6
     assert abs(estimate_strong_monotonicity(rotation_op, pts)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "key, fast",
+    [((0,), True), ((11, 299, 54, 1), True), ((2**32 - 1, 0), True), ((2**32, 3), False), ((2**70,), False)],
+)
+def test_sample_batch_stream_matches_default_rng(monkeypatch, key, fast):
+    # keys with every part below 2**32 seed from a uint32 array, the others
+    # from the tuple; both must give the stream np.random.default_rng(key) gives
+    op = OperatorSpec(
+        dim=3, lipschitz=1.0, qg_mu=1.0, batch_mean=lambda x, rng, n: x + rng.standard_normal(3)
+    )
+    expected = np.random.default_rng(key).standard_normal(3)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    got = sample_batch(op, np.zeros(3), 5, stream=key)
+    assert got.tobytes() == expected.tobytes()
+    assert isinstance(seeds[0], np.ndarray) == fast
+    if fast:
+        assert seeds[0].dtype == np.uint32 and seeds[0].tolist() == list(key)
+
+
+def test_sample_batch_negative_stream_part_raises():
+    op = gaussian_operator(lambda x: x, dim=2, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
+    with pytest.raises(ValueError):
+        sample_batch(op, np.zeros(2), 3, stream=(-1, 4))
+
+
+@pytest.mark.parametrize("bad", ["12", 1.5, True, None, (3, "4"), (np.bool_(True),)])
+def test_stream_key_rejects_non_integer_parts(bad):
+    with pytest.raises(InvalidParameters, match="seeds must be integers"):
+        stream_key(bad)
+    assert stream_key(np.int64(7)) == (7,) and stream_key([1, np.uint32(2)]) == (1, 2)

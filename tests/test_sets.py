@@ -126,3 +126,37 @@ def test_anchors_are_members():
                 s.anchor()
             continue
         assert s.contains(s.anchor(), 1e-9), name
+
+
+def _clip_parity(box, u):
+    got = box.project(u)
+    want = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), box.lo, box.hi)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (u, got, want)
+
+
+def test_box_projection_is_np_clip_bit_for_bit(rng):
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5, -2.5]
+    for lo, hi in [(-1.0, 1.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (-1.0, -0.0)]:
+        box = Box(np.full(len(special), lo), np.full(len(special), hi))
+        _clip_parity(box, special)
+        _clip_parity(box, special[::-1])
+    # random points, per-coordinate bounds, and lo == hi coordinates
+    lo = rng.standard_normal(40)
+    hi = np.where(rng.random(40) < 0.25, lo, lo + rng.random(40))
+    box = Box(lo, hi)
+    for _ in range(50):
+        _clip_parity(box, 2.0 * rng.standard_normal(40))
+    point = Box([0.5, -0.0], [0.5, -0.0])
+    _clip_parity(point, [3.0, 0.0])
+    # a 0-d input to a one-dimensional box
+    _clip_parity(Box([-1.0], [1.0]), np.float64(-0.0))
+    _clip_parity(Box([-1.0], [1.0]), 7.0)
+
+
+def test_box_projection_shape_errors():
+    box = Box(-np.ones(3), np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        box.project(np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch):
+        box.project(np.zeros(4))

@@ -330,3 +330,21 @@ def test_game_projection_certificates_sound_along_run(game_problem, monkeypatch)
     run_ieg_sqvi(game_problem, cfg, metrics=("lower_subopt",))
     assert len(calls) == 12
     assert any(ran < t for ran, t in calls)
+
+
+@pytest.mark.parametrize("seed", ["12", 1.5, True])
+@pytest.mark.parametrize("runner", [run_ieg_sqvi, run_ig_sqvi])
+def test_non_integer_seed_raises_before_any_work(noisy_box_problem, monkeypatch, seed, runner):
+    # a string seed once sampled from the stream of its characters, "12" from (1, 2)
+    import sqvi.solvers as solvers
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run evaluated a metric before rejecting its seed")
+
+    monkeypatch.setattr(solvers, "_eval_metrics", no_work)
+    cfg = SolverConfig(
+        eta=noisy_box_problem.suggested_eta, alpha=0.8, b=1.0,
+        schedule=IncreasingSample(0.9), max_outer=3, seed=seed,
+    )
+    with pytest.raises(InvalidParameters, match="seeds must be integers"):
+        runner(noisy_box_problem, cfg)

@@ -1,12 +1,14 @@
 """The benchmark's span tracer (perfbench/tracer.py) still finds every name it patches.
 
 The tracer wraps sqvi functions at the module attribute their caller looks
-up; a name that moves or is renamed breaks traced benchmark runs. This test
-only reads perfbench/.
+up; a name that moves or is renamed breaks traced benchmark runs, and so
+does a change in how often those names are called per replicate. These
+tests only read perfbench/.
 """
 import importlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from sqvi import diagnostics, problems, runner, solvers
@@ -52,3 +54,34 @@ def test_tracer_patches_and_restores_every_name(monkeypatch, tmp_path):
         "diagnostics", "diagnostics.residual_projection", "runner.format",
         "maps.contractivity_audit", "operators.estimate_qg",
     } <= spans
+
+
+def test_traced_counters_match_csv_sums(monkeypatch, tmp_path):
+    # perfbench/worker.py fails every traced run whose counters differ from
+    # the work its CSVs record; a change that calls the traced names once per
+    # replicate stack instead of once per replicate would fail here first
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer_mod = importlib.import_module("tracer")
+    worker = importlib.import_module("worker")
+    tracer = tracer_mod.Tracer()
+    work = Counter()
+    restore = tracer_mod.install(tracer)
+    try:
+        for solver in ("ieg", "ig"):
+            cfg = {
+                "problem": "translated_box", "problem_params": {"n": 5, "seed": 3, "noise_level": 0.5},
+                "solver": solver, "eta": 0.5, "alpha": 0.9, "b": 2.0, "schedule": "increasing",
+                "rho": 0.9, "T": 6, "seed": 3, "replicates": 3,
+            }
+            cfg = runner.parse_config(json.dumps(cfg))
+            artifacts = runner.run_experiment(cfg, out_dir=str(tmp_path / solver))
+            assert isinstance(artifacts.trace_paths, tuple) and len(artifacts.trace_paths) == 3
+            for path in artifacts.trace_paths:
+                work.update(worker._csv_work(path, 2 if solver == "ieg" else 1))
+    finally:
+        restore()
+    layers = tracer_mod.layer_metrics(tracer, 0)
+    assert work["outer_iters"] == 2 * 3 * 6 and work["cum_samples"] > 0
+    for counter, column in worker._CSV_CHECKS.items():
+        assert layers[counter] == work[column], (counter, column)
