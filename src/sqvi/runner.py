@@ -109,6 +109,15 @@ class RunConfig:
             value = getattr(self, name)
             if not (value is None or _is_number(value)):  # a missing required value fails below
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+        # a string such as "false" is truthy, so only JSON booleans may set a flag
+        for name in ("allow_out_of_range", "record_timing"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
+        for name in ("label", "out"):
+            value = getattr(self, name)
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(f"{name} must be a string or null, got {value!r}")
         # replicate r samples from the stream (seed, r), so only a single run takes a list
         if not (_is_integer(self.seed) or (self.replicates == 1 and _is_list_of(self.seed, _is_integer))):
             raise ConfigError(f"seed must be an integer or a list of integers, got {self.seed!r}")
@@ -198,8 +207,10 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
 
 def default_metrics(problem: ProblemInstance) -> tuple:
     """Every metric the problem can compute: ``dist`` needs a reference
-    solution set, which the coupled saddle point lacks (its solutions can
-    form a continuum), and ``lower_subopt`` a lower-level objective."""
+    solution set, which only the translated box has (the coupled saddle
+    point's solutions can form a continuum, and the regression game's are
+    not known in closed form), and ``lower_subopt`` a lower-level
+    objective, which only the regression game has."""
     out = []
     if problem.reference_projector is not None:
         out.append("dist")

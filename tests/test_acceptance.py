@@ -335,14 +335,14 @@ def test_c09_regression_game_convergence(game_problem):
     )
 
 
-def test_c10_non_strong_monotonicity_exhibit(game_problem):
+def test_c10_non_strong_monotonicity_exhibit(game_problem, training_minimizer_projector):
     p = game_problem
     rng = np.random.default_rng(4)
     dim = p.operator.dim
     pts = [p.ambient.project(rng.standard_normal(dim)) for _ in range(2)]
     modulus = estimate_strong_monotonicity(p.operator, pts)
     probes = [p.ambient.project(0.8 * rng.standard_normal(dim) / 5.0) for _ in range(50)]
-    qg = estimate_qg(p.operator, p.reference_projector, probes)
+    qg = estimate_qg(p.operator, training_minimizer_projector, probes)
     ok = modulus <= 1e-8 and qg >= 1e-3
     announce(
         "C10",

@@ -92,19 +92,17 @@ def test_game_monotone_but_not_strongly(game_problem, rng):
     assert modulus <= 1e-8
 
 
-def test_game_quadratic_growth_positive(game_problem, rng):
+def test_game_quadratic_growth_positive(game_problem, training_minimizer_projector, rng):
     dim = game_problem.operator.dim
     pts = [game_problem.ambient.project(0.8 * rng.standard_normal(dim) / np.sqrt(25)) for _ in range(50)]
-    qg = estimate_qg(game_problem.operator, game_problem.reference_projector, pts)
+    qg = estimate_qg(game_problem.operator, training_minimizer_projector, pts)
     assert qg >= 1e-3
 
 
-def test_game_reference_projector_lands_on_training_optimum(game_problem, rng):
-    z = game_problem.ambient.project(rng.standard_normal(game_problem.operator.dim))
-    proj = game_problem.reference_projector(z)
-    data = game_problem.lower_level.game
-    assert np.max(np.abs(data.train_matrix @ proj - data.train_rhs)) <= 1e-7
-    assert game_problem.ambient.contains(proj, 1e-8)
+def test_game_has_no_reference_solution_set(game_problem):
+    assert game_problem.reference_projector is None
+    assert game_problem.constants.qg_mu == game_problem.operator.qg_mu == 0.0
+    assert "qg_audit" not in game_problem.metadata
 
 
 def test_game_exact_projection_matches_long_fista(game_problem, rng):
@@ -199,7 +197,6 @@ def test_game_exact_projection_batched(game_problem):
 def test_game_audit_values_pinned(game_problem):
     # table1-synthetic at seed 1; the projection solver must not move these
     assert game_problem.metadata["gamma_audit"] == pytest.approx(1.2566508583700173, rel=1e-10)
-    assert game_problem.metadata["qg_audit"] == pytest.approx(0.6319003842449055, rel=1e-10)
 
 
 def test_game_instance_audits(game_problem):

@@ -84,6 +84,12 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
         ("T", True),
         ("eta", True),
         ("seed", True),
+        # a truthy string would bypass the parameter checks or record timings
+        ("allow_out_of_range", "false"),
+        ("record_timing", "no"),
+        # a non-string label or output directory would crash the run
+        ("label", 5),
+        ("out", 7),
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, key, value):
@@ -149,8 +155,13 @@ COUPLED = {
 
 @pytest.mark.parametrize(
     "base, metrics",
-    [(COUPLED, ["residual", "lower_subopt"]), (COUPLED, ["dist"]), (MINIMAL, ["dist", "lower_subopt"])],
-    ids=["coupled-lower_subopt", "coupled-dist", "box-lower_subopt"],
+    [
+        (COUPLED, ["residual", "lower_subopt"]),
+        (COUPLED, ["dist"]),
+        (MINIMAL, ["dist", "lower_subopt"]),
+        ({"preset": "table1-synthetic", "T": 3}, ["dist"]),
+    ],
+    ids=["coupled-lower_subopt", "coupled-dist", "box-lower_subopt", "game-dist"],
 )
 def test_metrics_the_problem_cannot_compute_are_config_errors(tmp_path, base, metrics):
     text = json.dumps(dict(base, metrics=metrics))
@@ -325,8 +336,9 @@ def test_preset_run_end_to_end(tmp_path):
     assert len(lines) == 4
     header = lines[0].split(",")
     first = lines[1].split(",")
-    # dist, residual, and lower_subopt are all available on the game
-    for col in ("dist", "residual", "lower_subopt"):
+    # the game has residual and lower_subopt; it has no reference solution set, so no dist
+    assert first[header.index("dist")] == ""
+    for col in ("residual", "lower_subopt"):
         assert first[header.index(col)] != ""
 
 

@@ -41,8 +41,8 @@ def test_tracer_patches_and_restores_every_name(monkeypatch, tmp_path):
             "schedule": "increasing", "rho": 0.9, "T": 3, "seed": 1, "metrics": ["dist", "residual"],
         }
         runner.run_experiment(runner.parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
-        # a small game build reaches the audits that maps.contractivity_audit_s
-        # and operators.estimate_qg_s time
+        # a small game build reaches the audit that maps.contractivity_audit_s
+        # times; estimate_qg stays patched though no build calls it
         runner.build_problem("regression_game", {"players": 2, "points": 40, "features": 4})
     finally:
         restore()
@@ -52,7 +52,7 @@ def test_tracer_patches_and_restores_every_name(monkeypatch, tmp_path):
     assert {
         "problems.build", "solvers.run", "solvers.schedule", "projection", "operators",
         "diagnostics", "diagnostics.residual_projection", "runner.format",
-        "maps.contractivity_audit", "operators.estimate_qg",
+        "maps.contractivity_audit",
     } <= spans
 
 
