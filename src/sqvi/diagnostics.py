@@ -33,8 +33,9 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     """Fixed-point violation ||x - P_K(x)(x - eta F(x))|| with a certified projection.
 
     Uses the exact projection where a closed form (or closed-form surrogate)
-    exists and an iterative solve with ``budget`` inner iterations otherwise;
-    the projection's error bound certifies the residual to within that bound.
+    exists and an iterative solve with ``budget`` inner iterations otherwise
+    (2000 when None; a budget below 1 raises InvalidParameters); the
+    projection's error bound certifies the residual to within that bound.
     """
     x = np.asarray(x, dtype=float)
     if eta is None:
@@ -43,7 +44,8 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     if problem.map.exact:
         d = x - reference_project(problem.map, x, target)
         return Residual(value=math.sqrt(d @ d), error_bound=0.0)
-    budget = budget or 2000
+    if budget is None:
+        budget = 2000
     res = inexact_project(problem.map, x, target, t=budget, ambient=problem.ambient)
     return Residual(value=float(np.linalg.norm(x - res.point)), error_bound=res.error_bound)
 

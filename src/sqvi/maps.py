@@ -15,7 +15,7 @@ does not import this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -34,6 +34,12 @@ def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
 def _capped(bound: float, domain: SimpleSet) -> float:
     diam = domain.diameter()
     return min(bound, diam) if np.isfinite(diam) else bound
+
+
+def _block_times(mat: Array) -> Callable[[Array], Array]:
+    """y -> the block-diagonal product of a (blocks, b, b) stack with y, as one matmul."""
+    shape = mat.shape[:2] + (1,)
+    return lambda y: np.matmul(mat, y.reshape(shape)).reshape(-1)
 
 
 # FISTA iterations behind ArgminSet.min_value, the membership test's reference
@@ -178,30 +184,48 @@ class NonlinearConvex:
 
 @dataclass(frozen=True, eq=False)
 class ArgminSet:
-    """K(x) = argmin of a parametric convex objective over a feasible set.
+    """K(x) = argmin over a feasible set of a parametric convex quadratic in y.
 
-    objective(x, y) is convex in y. ``grad(x)`` returns its gradient in y as
-    a function of y, so that the x-dependent part is computed once per
-    projection; ``curvature`` bounds that gradient's Lipschitz constant in
-    y. Projections onto this set are computed through a Tikhonov-regularized
-    surrogate with weight 1/``regularization`` on the lower objective;
-    ``exact_reg_project``, when supplied by a problem constructor, solves
-    that surrogate in closed form and serves as the reference projector.
+    The lower objective's gradient in y is ``hessian @ y + linear(x)``.
+    ``hessian`` is a symmetric positive semidefinite ``(blocks, b, b)``
+    stack acting on consecutive length-b blocks of y (a ``(dim, dim)`` array
+    is one block), and ``linear(x)`` is the gradient at y = 0. The objective
+    is thus known up to a constant in y, which neither projection nor
+    membership needs. ``curvature`` is derived as the largest eigenvalue of
+    the hessian. Projections onto this set are computed through a
+    Tikhonov-regularized surrogate with weight 1/``regularization`` on the
+    lower objective; ``exact_reg_project``, when supplied by a problem
+    constructor, solves that surrogate in closed form and serves as the
+    reference projector.
     """
 
     feasible: SimpleSet
-    objective: Callable[[Array, Array], float]
-    grad: Callable[[Array], Callable[[Array], Array]]
-    curvature: float
+    hessian: Array
+    linear: Callable[[Array], Array]
     regularization: float
     gamma: float = 0.0
     exact_reg_project: Optional[Callable[[Array, Array], Array]] = None
+    curvature: float = field(init=False)
+    # I + hessian/regularization: the surrogate's hessian
+    _surrogate: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.regularization > 0):
             raise DimensionMismatch("regularization weight must be positive")
-        if not (self.curvature >= 0):
-            raise DimensionMismatch("curvature bound must be nonnegative")
+        h = np.asarray(self.hessian, dtype=float)
+        h = h[None] if h.ndim == 2 else h
+        if h.ndim != 3 or h.shape[1] != h.shape[2] or h.shape[0] * h.shape[1] != self.feasible.dim:
+            raise DimensionMismatch(
+                f"hessian has shape {np.shape(self.hessian)}, expected (blocks, b, b) with "
+                f"blocks*b = {self.feasible.dim}"
+            )
+        eigs = np.linalg.eigvalsh(h)
+        size = max(1.0, float(np.max(np.abs(h))))
+        if not (np.max(np.abs(h - h.transpose(0, 2, 1))) <= 1e-12 * size and np.min(eigs) >= -1e-10 * size):
+            raise DimensionMismatch("hessian must be symmetric positive semidefinite")
+        object.__setattr__(self, "hessian", h)
+        object.__setattr__(self, "curvature", float(np.max(eigs)))
+        object.__setattr__(self, "_surrogate", np.eye(h.shape[1]) + h / self.regularization)
 
     @property
     def dim(self) -> int:
@@ -214,6 +238,13 @@ class ArgminSet:
     def exact_project(self, x: Array, u: Array) -> Array:
         return np.asarray(self.exact_reg_project(x, u), dtype=float)
 
+    def surrogate_grad(self, x: Array, u: Array) -> Callable[[Array], Array]:
+        """Gradient in y of the surrogate 0.5||y-u||^2 + objective/regularization:
+        y -> (I + H/sigma) y - c with c = u - linear(x)/sigma computed once."""
+        c = u - np.asarray(self.linear(x), dtype=float) / self.regularization
+        times = _block_times(self._surrogate)
+        return lambda y: times(y) - c
+
     def project(
         self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
     ) -> ProjectionResult:
@@ -224,11 +255,9 @@ class ArgminSet:
         ``rel_tol`` times the distance from x to the current iterate, so
         ``inner_iterations`` may fall below the cap t; with 0 it runs t steps.
         """
-        w = 1.0 / self.regularization
-        inner_grad = self.grad(x)
         res = fista_solve(
-            grad=lambda y: (y - u) + w * np.asarray(inner_grad(y), dtype=float),
-            curvature=1.0 + w * self.curvature,
+            grad=self.surrogate_grad(x, u),
+            curvature=1.0 + self.curvature / self.regularization,
             strong_convexity=1.0,
             feasible=self.feasible,
             y0=self.feasible.project(u),
@@ -242,23 +271,29 @@ class ArgminSet:
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         if not self.feasible.contains(y, tol):
             return False
-        return float(self.objective(x, y)) - self.min_value(x) <= tol
+        return self.lower_value(x, y) - self.min_value(x) <= tol
+
+    def lower_value(self, x: Array, y: Array) -> float:
+        """The lower objective 0.5 y'Hy + linear(x)'y, which omits the constant in y."""
+        return float(y @ (0.5 * _block_times(self.hessian)(y) + np.asarray(self.linear(x), dtype=float)))
 
     def min_value(self, x: Array) -> float:
-        """High-accuracy minimum of the lower objective at parameter x."""
+        """High-accuracy minimum of :meth:`lower_value` at parameter x."""
         try:
             y0 = self.feasible.anchor()
         except UnsupportedSet:
             y0 = np.zeros(self.dim)
+        lin = np.asarray(self.linear(x), dtype=float)
+        times = _block_times(self.hessian)
         res = fista_solve(
-            grad=self.grad(x),
+            grad=lambda y: times(y) + lin,
             curvature=max(self.curvature, 1e-12),
             strong_convexity=0.0,
             feasible=self.feasible,
             y0=y0,
             t=_MIN_VALUE_BUDGET,
         )
-        return float(self.objective(x, res.point))
+        return self.lower_value(x, res.point)
 
 
 SetValuedMap = Union[FixedSet, TranslatedSet, NonlinearConvex, ArgminSet]

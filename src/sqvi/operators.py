@@ -157,7 +157,11 @@ class MonotoneReport(NamedTuple):
 
 
 def check_monotone(op: OperatorSpec, pairs: Sequence) -> MonotoneReport:
-    """Minimum of <F(x)-F(y), x-y> over the supplied pairs."""
+    """Minimum of <F(x)-F(y), x-y> over the supplied pairs; raises
+    EmptySample when there are none."""
+    pairs = list(pairs)
+    if not pairs:
+        raise EmptySample("no probe pairs supplied")
     worst = np.inf
     for x, y in pairs:
         fx = evaluate_mean(op, x)

@@ -18,6 +18,7 @@ from .errors import (
     ConstructionFailed,
     DimensionMismatch,
     EmptyFile,
+    InvalidParameters,
     ParseError,
 )
 from .maps import (
@@ -127,6 +128,9 @@ class BlockBalls(SimpleSet):
         """Projection of one point, or of each row of a stack ``(..., dim)``."""
         u = np.asarray(u, dtype=float)
         mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
+        # every row inside (nearly every FISTA step on the game): unscaled
+        if ((mat * mat).sum(axis=-1) <= self.radius * self.radius).all():
+            return u.copy()
         nrm = np.linalg.norm(mat, axis=-1)
         scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
         return (mat * scale[..., None]).reshape(u.shape)
@@ -417,7 +421,6 @@ def make_regression_game(
     dim = players * feats
     blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
     grams_tr = np.stack([blk.T @ blk for blk in blocks])
-    at_tensor = a_tr.T.reshape(players, feats, -1)  # (players, feats, rows), a view, not a copy of a_tr
     eig_vals, eig_vecs = np.linalg.eigh(grams_tr)  # (players, feats), (players, feats, feats)
 
     x_interp, *_ = np.linalg.lstsq(a_tr, b_tr, rcond=None)
@@ -445,36 +448,14 @@ def make_regression_game(
 
     min_value = train_value(x_interp)
 
-    # best-response objective: sum over players of the training loss with
-    # only player i's block replaced by y_i
-    def map_objective(x, y):
-        base = a_tr @ x - b_tr
-        xm = x.reshape(players, feats)
-        ym = y.reshape(players, feats)
-        total = 0.0
-        for i in range(players):
-            r = base + blocks[i] @ (ym[i] - xm[i])
-            total += 0.5 * float(r @ r)
-        return total
-
     def _block_residual_grads(x):
-        # per player: A_i^T (base - A_i x_i) precomputed once per projection,
-        # for one point or each row of a stack (..., dim); on one point
-        # x @ a_tr.T runs the same matrix-vector product as a_tr @ x
+        # the training loss's gradient in y at y = 0 with player i's block of x
+        # replaced by y_i: A_i^T (base - A_i x_i) per player, for one point or
+        # each row of a stack (..., dim); on one point x @ a_tr.T runs the same
+        # matrix-vector product as a_tr @ x
         base = x @ a_tr.T - b_tr
-        xm = x.reshape(x.shape[:-1] + (players, feats))
-        return np.einsum("pfr,...r->...pf", at_tensor, base) - np.einsum("pfg,...pg->...pf", grams_tr, xm)
-
-    def map_grad(x):
-        cross = _block_residual_grads(x)
-
-        def grad(y):
-            ym = y.reshape(players, feats)
-            return (np.einsum("pfg,pg->pf", grams_tr, ym) + cross).reshape(-1)
-
-        return grad
-
-    curvature = float(np.max(eig_vals))
+        xm = x.reshape(x.shape[:-1] + (players, feats, 1))
+        return (base @ a_tr).reshape(x.shape) - np.matmul(grams_tr, xm).reshape(x.shape)
 
     def exact_reg_project(x, u):
         # Per-player ridge solve in the eigenbasis of A_i^T A_i, all players at
@@ -488,7 +469,8 @@ def make_regression_game(
         w = 1.0 / sigma
         u = np.asarray(u, dtype=float)
         um = u.reshape(u.shape[:-1] + (players, feats))
-        rhs = np.einsum("pgf,...pg->...pf", eig_vecs, um - w * _block_residual_grads(x))
+        cross = _block_residual_grads(x).reshape(x.shape[:-1] + (players, feats))
+        rhs = np.einsum("pgf,...pg->...pf", eig_vecs, um - w * cross)
         denom = 1.0 + w * eig_vals
         active = np.sum((rhs / denom) ** 2, axis=-1) > lam * lam
         r2, d = rhs[active] ** 2, np.broadcast_to(denom, rhs.shape)[active]
@@ -508,9 +490,8 @@ def make_regression_game(
 
     mapping = ArgminSet(
         feasible=feasible,
-        objective=map_objective,
-        grad=map_grad,
-        curvature=curvature,
+        hessian=grams_tr,
+        linear=_block_residual_grads,
         regularization=sigma,
         gamma=0.0,
         exact_reg_project=exact_reg_project,
@@ -699,7 +680,13 @@ class InstanceAudit(NamedTuple):
 
 
 def audit_instance(problem: ProblemInstance, probes: int = 1000, seed: int = 0) -> InstanceAudit:
-    """Empirical checks of the declared constants on random feasible probes."""
+    """Empirical checks of the declared constants on random feasible probes.
+
+    ``probes`` must be at least 3, so that the audit sees one monotonicity
+    pair and one contractivity triple.
+    """
+    if probes < 3:
+        raise InvalidParameters(f"audit_instance needs probes >= 3, got {probes}")
     rng = np.random.default_rng((seed, 301))
     dim = problem.operator.dim
     anchor = problem.ambient.anchor()

@@ -95,23 +95,26 @@ def fista_solve(
     root = math.sqrt(L / strong_convexity)
     momentum = (root - 1.0) / (root + 1.0)
     scale = 2.0 * L / strong_convexity
-    best, best_bound = y, float("inf")
+    # the loop compares squared certificates: cert <= rel_tol ||anchor - y+||
+    # reads ||z - y+||^2 <= stop2 ||anchor - y+||^2
+    stop2 = (rel_tol / scale) ** 2
+    best, best_d2 = y, math.inf
     for it in range(1, t + 1):
         y_new = feasible.project(z - step * np.asarray(grad(z), dtype=float))
         d = z - y_new
-        cert = scale * math.sqrt(d @ d)
+        d2 = float(d @ d)
         # any nonfinite entry of y_new makes the certificate nonfinite
-        if not math.isfinite(cert):
+        if not math.isfinite(d2):
             raise NonfiniteValue("iterate left the finite floats; check problem scaling")
-        if cert < best_bound:
-            best, best_bound = y_new, cert
+        if d2 < best_d2:
+            best, best_d2 = y_new, d2
         if rel_tol > 0:
             r = anchor - y_new
-            if cert <= rel_tol * math.sqrt(r @ r):
+            if d2 <= stop2 * float(r @ r):
                 break
         z = y_new + momentum * (y_new - y)
         y = y_new
-    return FistaResult(point=best, dist_bound=best_bound, iterations=it)
+    return FistaResult(point=best, dist_bound=scale * math.sqrt(best_d2), iterations=it)
 
 
 class ApdResult(NamedTuple):

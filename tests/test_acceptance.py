@@ -117,9 +117,8 @@ def test_c03_inner_solver_contract():
     c = b_mat @ rng.standard_normal(n)
     argmin_map = ArgminSet(
         feasible=Ball(np.zeros(n), 3.0),
-        objective=lambda x, y: 0.5 * float(np.sum((b_mat @ y - c) ** 2)),
-        grad=lambda x: lambda y: b_mat.T @ (b_mat @ y - c),
-        curvature=float(np.linalg.norm(b_mat, 2) ** 2),
+        hessian=b_mat.T @ b_mat,
+        linear=lambda x: -b_mat.T @ c,
         regularization=1e-2,
     )
     fista_audit = projection_rate_audit(

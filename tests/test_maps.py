@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqvi.errors import UnsupportedBaseSet
+from sqvi.errors import DimensionMismatch, UnsupportedBaseSet
 from sqvi.maps import (
     ArgminSet,
     FixedSet,
@@ -46,13 +46,35 @@ def test_member_argmin_set():
     # lower objective 0.5*(y-2)^2 over [0,1]: argmin is {1}
     m = ArgminSet(
         feasible=Box([0.0], [1.0]),
-        objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
-        grad=lambda x: lambda y: y - 2.0,
-        curvature=1.0,
+        hessian=[[1.0]],
+        linear=lambda x: np.array([-2.0]),
         regularization=1e-2,
     )
     assert member(m, np.zeros(1), np.array([1.0]), tol=1e-8)
     assert not member(m, np.zeros(1), np.array([0.4]), tol=1e-3)
+
+
+def test_argmin_set_derives_curvature_from_hessian():
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((3, 5, 4))
+    stack = b.transpose(0, 2, 1) @ b
+    top = max(float(np.linalg.eigvalsh(h)[-1]) for h in stack)
+    lin = lambda x: np.zeros(12)
+    m = ArgminSet(feasible=BlockBalls(3, 4, 1.0), hessian=stack, linear=lin, regularization=0.1)
+    assert m.curvature == pytest.approx(top, rel=1e-12)
+    # a (dim, dim) array is one block
+    one = ArgminSet(feasible=Ball(np.zeros(4), 1.0), hessian=stack[0], linear=lin, regularization=0.1)
+    assert one.hessian.shape == (1, 4, 4)
+    assert one.curvature == pytest.approx(float(np.linalg.eigvalsh(stack[0])[-1]), rel=1e-12)
+    bad = {
+        "not square": np.zeros((3, 4, 5)),
+        "wrong dim": np.zeros((2, 4, 4)),
+        "indefinite": -stack,
+        "asymmetric": stack + np.triu(np.ones((4, 4)), 1),
+    }
+    for hessian in bad.values():
+        with pytest.raises(DimensionMismatch):
+            ArgminSet(feasible=BlockBalls(3, 4, 1.0), hessian=hessian, linear=lin, regularization=0.1)
 
 
 def test_translated_projection_worked_values():
@@ -162,9 +184,8 @@ def _lower_argmin(closed_form):
     exact = lambda x, u: np.clip((u + 2.0 / sigma) / (1.0 + 1.0 / sigma), 0.0, 1.0)
     return ArgminSet(
         feasible=Box([0.0], [1.0]),
-        objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
-        grad=lambda x: lambda y: y - 2.0,
-        curvature=1.0,
+        hessian=[[1.0]],
+        linear=lambda x: np.array([-2.0]),
         regularization=sigma,
         exact_reg_project=exact if closed_form else None,
     )

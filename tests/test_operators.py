@@ -137,6 +137,12 @@ def test_check_monotone(rng):
     assert rep3.passed and abs(rep3.minimum) <= 1e-10
 
 
+def test_check_monotone_empty_sample_raises():
+    # no pairs certify nothing, as in estimate_qg
+    with pytest.raises(EmptySample):
+        check_monotone(identity_op, [])
+
+
 def test_lipschitz_audit_affine(rng):
     a = np.array([[2.0, 0.0], [0.0, 1.0]])
     op = OperatorSpec(dim=2, lipschitz=2.0, qg_mu=1.0, mean_eval=lambda x: a @ x)

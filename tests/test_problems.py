@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sqvi.diagnostics import natural_residual
-from sqvi.errors import ConstructionFailed, DimensionMismatch, EmptyFile, ParseError
+from sqvi.errors import ConstructionFailed, DimensionMismatch, EmptyFile, InvalidParameters, ParseError
 from sqvi.maps import member
 from sqvi.operators import estimate_qg, estimate_strong_monotonicity, evaluate_mean
 from sqvi.problems import (
@@ -46,6 +46,14 @@ def test_reference_is_fixed_point_for_any_eta(box_problem):
             x_star, x_star - eta * evaluate_mean(box_problem.operator, x_star)
         )
         assert np.linalg.norm(step - x_star) <= 1e-10
+
+
+@pytest.mark.parametrize("probes", [0, 1, 2])
+def test_audit_instance_needs_three_probes(box_problem, probes):
+    # fewer probes than one pair and one triple used to report
+    # monotone_min=inf and a passing gamma report on no evidence
+    with pytest.raises(InvalidParameters):
+        audit_instance(box_problem, probes=probes)
 
 
 def test_side_condition_enforced():
@@ -194,6 +202,56 @@ def test_game_exact_projection_batched(game_problem):
         assert np.linalg.norm(row - _bisection_reg_project(game, x, u)) <= 1e-12
 
 
+def test_game_surrogate_gradient_matches_training_loss(game_problem, rng):
+    # the hessian/linear pair the game declares reproduces the gradient in y of
+    # 0.5||y-u||^2 + (1/sigma) sum_i 0.5||A x - b + A_i (y_i - x_i)||^2
+    game, mapping = game_problem.lower_level.game, game_problem.map
+    feats, sigma = game.feature_dim, game.regularization
+    assert mapping.hessian.shape == (game.players, feats, feats)
+    dim = game_problem.operator.dim
+    for _ in range(3):
+        x, y, u = 0.3 * rng.standard_normal((3, dim))
+        base = game.train_matrix @ x - game.train_rhs
+        lower = np.concatenate([
+            game.train_matrix[:, i * feats : (i + 1) * feats].T
+            @ (base + game.train_matrix[:, i * feats : (i + 1) * feats] @ (y - x)[i * feats : (i + 1) * feats])
+            for i in range(game.players)
+        ])
+        expected = (y - u) + lower / sigma
+        got = mapping.surrogate_grad(x, u)(y)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_block_balls_interior_points_come_back_bit_for_bit():
+    balls = BlockBalls(3, 4, 2.0)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((6, 3, 4))
+    u *= (rng.uniform(0.1, 1.9, (6, 3)) / np.linalg.norm(u, axis=-1))[..., None]
+    u = u.reshape(6, 12)
+    for point in (u, u[0]):
+        out = balls.project(point)
+        assert out.shape == point.shape and out.tobytes() == point.tobytes()
+        assert not np.shares_memory(out, point)
+
+
+def test_block_balls_exterior_and_mixed_rows():
+    balls = BlockBalls(3, 4, 2.0)
+    rng = np.random.default_rng(6)
+    u = rng.standard_normal((5, 3, 4))
+    norms = rng.uniform(0.5, 6.0, (5, 3))
+    norms[0] = [3.0, 4.0, 5.0]  # a row with every block outside
+    norms[1] = [0.5, 1.0, 1.5]  # a row with every block inside
+    u *= (norms / np.linalg.norm(u, axis=-1))[..., None]
+    out = balls.project(u.reshape(5, 12)).reshape(5, 3, 4)
+    outside = norms > 2.0
+    assert outside.any() and (~outside).any()
+    np.testing.assert_allclose(np.linalg.norm(out[outside], axis=-1), 2.0, rtol=1e-12)
+    np.testing.assert_allclose(out[outside], 2.0 * u[outside] / norms[outside][:, None], rtol=1e-12)
+    assert out[~outside].tobytes() == u[~outside].tobytes()
+    for row, point in zip(out, u):
+        np.testing.assert_array_equal(row.reshape(12), balls.project(point.reshape(12)))
+
+
 def test_game_audit_values_pinned(game_problem):
     # table1-synthetic at seed 1; the projection solver must not move these
     assert game_problem.metadata["gamma_audit"] == pytest.approx(1.2566508583700173, rel=1e-10)
@@ -249,6 +307,15 @@ def test_coupled_sp_active_constraint(point, solves):
         assert res.value <= 1e-6
     else:  # certified: the exact residual is at least value - error_bound
         assert res.value - res.error_bound >= 1e-2
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_natural_residual_budget_below_one_raises(budget):
+    # only None takes the default budget; 0 used to run 2000 iterations
+    pay = QuadraticPayoff(P=[[1.0]], Q=[[1.0]], R=[[1.0]], p=[0.0], q=[0.0])
+    p = make_coupled_sp(pay, LinearCoupling([1.0], [1.0], -0.5))
+    with pytest.raises(InvalidParameters):
+        natural_residual(p, np.zeros(2), budget=budget)
 
 
 def test_coupled_sp_rejects_nonconvex():

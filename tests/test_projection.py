@@ -29,9 +29,8 @@ def rank_deficient_argmin(rng, n=10, rows=4, radius=3.0, sigma=1e-2):
     c = b_mat @ rng.standard_normal(n)
     return ArgminSet(
         feasible=Ball(np.zeros(n), radius),
-        objective=lambda x, y: 0.5 * float(np.sum((b_mat @ y - c) ** 2)),
-        grad=lambda x: lambda y: b_mat.T @ (b_mat @ y - c),
-        curvature=float(np.linalg.norm(b_mat, 2) ** 2),
+        hessian=b_mat.T @ b_mat,
+        linear=lambda x: -b_mat.T @ c,
         regularization=sigma,
     )
 
@@ -207,9 +206,8 @@ def test_inexact_project_nonlinear_ball(rng):
 def test_inexact_project_singleton_argmin():
     m = ArgminSet(
         feasible=Box([0.0], [1.0]),
-        objective=lambda x, y: 0.5 * float((y[0] - 2.0) ** 2),
-        grad=lambda x: lambda y: y - 2.0,
-        curvature=1.0,
+        hessian=[[1.0]],
+        linear=lambda x: np.array([-2.0]),
         regularization=1e-2,
     )
     res = inexact_project(m, np.array([2.0]), np.array([-0.3]), t=400)

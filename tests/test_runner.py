@@ -313,6 +313,18 @@ def test_summary_reports_inner_work(tmp_path):
     assert entry["inner_consumed"] < entry["inner_scheduled"]
 
 
+def test_game_inner_work_pinned(tmp_path):
+    # table1-synthetic, T=80, seed 1 under both solvers: a rewrite of the
+    # projection arithmetic must not move FISTA's stopping points
+    consumed = {}
+    for solver in ("ieg", "ig"):
+        cfg = parse_config(json.dumps({"preset": "table1-synthetic", "T": 80, "seed": 1, "solver": solver}))
+        art = run_experiment(cfg, out_dir=str(tmp_path / solver))
+        last = open(art.trace_paths[0]).read().strip().split("\n")[-1].split(",")
+        consumed[solver] = (int(last[3]), int(last[4]))
+    assert consumed == {"ieg": (160, 18627), "ig": (80, 9032)}
+
+
 @pytest.mark.parametrize(
     "schedule, rho", [("deterministic", None), ("increasing", None), ("increasing", 0.95), ("damped", None)]
 )
