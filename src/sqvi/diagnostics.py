@@ -6,7 +6,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, NoReferenceSolution, WrongProblemKind
+from .errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
 from .operators import evaluate_mean
 from .projection import inexact_project, reference_project
 
@@ -34,9 +34,12 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
 
     Uses the exact projection where a closed form (or closed-form surrogate)
     exists and an iterative solve with ``budget`` inner iterations otherwise
-    (2000 when None; a budget below 1 raises InvalidParameters); the
-    projection's error bound certifies the residual to within that bound.
+    (2000 when None); the projection's error bound certifies the residual to
+    within that bound. A budget below 1 raises InvalidParameters on every
+    map, exact or not.
     """
+    if budget is not None and not budget >= 1:
+        raise InvalidParameters(f"inner budget must be >= 1, got {budget}")
     x = np.asarray(x, dtype=float)
     if eta is None:
         eta = problem.suggested_eta

@@ -1,7 +1,8 @@
 """Set-valued constraint maps K(x): projection, membership, exactness, audits.
 
-Four map shapes are supported: a fixed set, a translated set m(x) + K, a
-set cut out by convex inequalities g(x, y) <= 0 inside an ambient set, and
+Four map shapes are supported: a fixed set with a closed-form projection,
+a translated set m(x) + K, a set cut out by convex inequalities
+g(x, y) <= 0 inside an ambient set (a system of halfspaces among them), and
 the solution set of a parametric convex lower-level problem. Every map
 carries a declared contractivity constant ``gamma`` bounding how fast the
 projection onto K(x) moves with x.
@@ -10,8 +11,8 @@ Each map owns its projection: ``project(x, u, t, ambient, rel_tol)`` runs
 its solver path (closed form, accelerated primal-dual or FISTA) for at most
 t inner iterations with a certified error bound, ``exact`` says whether
 ``exact_project(x, u)`` is a closed form, and ``contains(x, y, tol)``
-tests membership. The inner solvers live in :mod:`sqvi.projection`, which
-does not import this module.
+tests membership without an inner solve. The inner solvers live in
+:mod:`sqvi.projection`, which does not import this module.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedBaseSet, UnsupportedSet
 from .projection import ProjectionResult, apd_solve, feasibility_witness, fista_solve
-from .sets import Array, Halfspaces, SimpleSet
+from .sets import Array, SimpleSet
 
 
 def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
@@ -42,19 +43,26 @@ def _block_times(mat: Array) -> Callable[[Array], Array]:
     return lambda y: np.matmul(mat, y.reshape(shape)).reshape(-1)
 
 
-# FISTA iterations behind ArgminSet.min_value, the membership test's reference
-_MIN_VALUE_BUDGET = 20000
-
-
 @dataclass(frozen=True, eq=False)
 class FixedSet:
     """K(x) = base_set for every x; gamma is 0 by definition.
 
-    Closed-form bases are projected exactly; a system of several halfspaces
-    runs the accelerated primal-dual scheme.
+    The base set must have a closed-form projection, else construction
+    raises UnsupportedSet. A system of halfspaces {y : A y <= b} is the map
+    ``NonlinearConvex(ambient, constraint=lambda x, y: A @ y - b,
+    jacobian=lambda x, y: A)``.
     """
 
     base_set: SimpleSet
+
+    exact = True
+
+    def __post_init__(self):
+        if not self.base_set.closed_form:
+            raise UnsupportedSet(
+                "a fixed set needs a closed-form base set; write a system of halfspaces "
+                "A y <= b as NonlinearConvex(constraint=A @ y - b, jacobian=A)"
+            )
 
     @property
     def gamma(self) -> float:
@@ -64,29 +72,14 @@ class FixedSet:
     def dim(self) -> int:
         return self.base_set.dim
 
-    @property
-    def exact(self) -> bool:
-        return self.base_set.closed_form
-
     def exact_project(self, x: Array, u: Array) -> Array:
         return self.base_set.project(u)
 
     def project(
         self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
     ) -> ProjectionResult:
-        """Closed form for closed-form bases, else ``t`` primal-dual iterations;
-        ``rel_tol`` is ignored, since the primal-dual scheme has no a-posteriori
-        certificate to stop on."""
-        if self.exact:
-            return ProjectionResult(_snap(self.base_set.project(u), ambient), 0.0, 0, 0.0)
-        if not isinstance(self.base_set, Halfspaces):
-            raise UnsupportedSet("iterative path for fixed sets requires halfspace systems")
-        hs = self.base_set
-        res = apd_solve(
-            u, constraint=lambda y: hs.normals @ y - hs.offsets, jacobian=lambda y: hs.normals, t=t,
-            ambient=ambient, jacobian_bound=float(np.linalg.norm(hs.normals, 2)),
-        )
-        return ProjectionResult(res.point, res.dist_bound, t, res.violation)
+        """The closed form; ``t`` and ``rel_tol`` are ignored."""
+        return ProjectionResult(_snap(self.base_set.project(u), ambient), 0.0, 0, 0.0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         return self.base_set.contains(y, tol)
@@ -269,31 +262,17 @@ class ArgminSet:
         return ProjectionResult(_snap(res.point, ambient), bound, res.iterations, 0.0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
+        """Whether y lies in the feasible set up to ``tol`` and one projected
+        gradient step y -> P(y - (H y + linear(x))/L), with L the curvature
+        floored at 1e-15 as in FISTA, moves it by at most ``tol``. A point is
+        a lower-level minimizer exactly when that step fixes it (Beck 2017,
+        First-Order Methods in Optimization, Thm 10.7), so ``tol`` 0 is exact.
+        """
         if not self.feasible.contains(y, tol):
             return False
-        return self.lower_value(x, y) - self.min_value(x) <= tol
-
-    def lower_value(self, x: Array, y: Array) -> float:
-        """The lower objective 0.5 y'Hy + linear(x)'y, which omits the constant in y."""
-        return float(y @ (0.5 * _block_times(self.hessian)(y) + np.asarray(self.linear(x), dtype=float)))
-
-    def min_value(self, x: Array) -> float:
-        """High-accuracy minimum of :meth:`lower_value` at parameter x."""
-        try:
-            y0 = self.feasible.anchor()
-        except UnsupportedSet:
-            y0 = np.zeros(self.dim)
-        lin = np.asarray(self.linear(x), dtype=float)
-        times = _block_times(self.hessian)
-        res = fista_solve(
-            grad=lambda y: times(y) + lin,
-            curvature=max(self.curvature, 1e-12),
-            strong_convexity=0.0,
-            feasible=self.feasible,
-            y0=y0,
-            t=_MIN_VALUE_BUDGET,
-        )
-        return self.lower_value(x, res.point)
+        grad = _block_times(self.hessian)(y) + np.asarray(self.linear(x), dtype=float)
+        step = y - self.feasible.project(y - grad / max(self.curvature, 1e-15))
+        return float(np.linalg.norm(step)) <= tol
 
 
 SetValuedMap = Union[FixedSet, TranslatedSet, NonlinearConvex, ArgminSet]
@@ -303,8 +282,10 @@ def member(mapping: SetValuedMap, x, y, tol: float = 0.0) -> bool:
     """Whether y lies in K(x) up to tol.
 
     For inequality-constrained maps the test is componentwise g(x, y) <= tol
-    inside the ambient set; for argmin maps it is lower-objective
-    suboptimality <= tol inside the feasible set.
+    inside the ambient set. For argmin maps y must lie in the feasible set
+    up to tol, and ``tol`` bounds how far one projected gradient step of the
+    lower objective (step 1/curvature) moves y: the step fixes exactly the
+    lower-level minimizers.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -5,13 +5,13 @@ which argmin-set maps run on a Tikhonov regularized surrogate, and an
 accelerated primal-dual scheme on the Lagrangian of the projection
 subproblem, which inequality-constrained maps run. Both return a
 certificate: a bound on the distance from the returned point to the target
-projection. On the strongly convex surrogate FISTA reports the a-posteriori
-gradient-mapping certificate and, given a relative tolerance, stops as soon
-as that certificate meets it, so the inner budget t is a cap and the
-iterations actually run are reported. The primal-dual scheme reports the
-a-priori C/t bound and always runs t iterations. Called with a forced budget
-(relative tolerance 0), both paths run exactly t iterations and their error
-decays at least like 1/t.
+projection. FISTA needs a strongly convex objective: it reports the
+a-posteriori gradient-mapping certificate and, given a relative tolerance,
+stops as soon as that certificate meets it, so the inner budget t is a cap
+and the iterations actually run are reported. The primal-dual scheme
+reports the a-priori C/t bound and always runs t iterations. Called with a
+forced budget (relative tolerance 0), both paths run exactly t iterations
+and their error decays at least like 1/t.
 
 The entry points ``inexact_project`` and ``reference_project`` delegate to
 the map, which owns its projection, membership test and exactness (see
@@ -61,37 +61,30 @@ def fista_solve(
     rel_tol: float = 0.0,
     anchor: Optional[Array] = None,
 ) -> FistaResult:
-    """Accelerated proximal-gradient minimization over a simple set.
+    """Accelerated proximal-gradient minimization of a strongly convex
+    objective over a simple set.
 
     Runs at most t projected accelerated gradient steps on a smooth objective
-    with gradient Lipschitz constant ``curvature``. With a positive
-    ``strong_convexity`` mu the momentum is the constant
+    with gradient Lipschitz constant ``curvature`` L and strong convexity
+    modulus ``strong_convexity`` mu > 0. The momentum is the constant
     (sqrt(L/mu) - 1)/(sqrt(L/mu) + 1), and each step y+ = P(z - grad(z)/L)
     yields the gradient-mapping certificate 2 L ||z - y+|| / mu, which bounds
     ||y+ - y*|| at no extra gradient (Nesterov 2013, Math. Program. 140).
     The iterate with the smallest certificate is returned, with that
     certificate as ``dist_bound``. When ``rel_tol`` is positive the loop
     stops as soon as the certificate is at most ``rel_tol`` times
-    ||anchor - y+||; with ``rel_tol`` 0 it runs exactly t steps. With mu = 0
-    the momentum is Nesterov's, the loop runs t steps and the distance bound
-    is infinite. ``iterations`` counts the steps run.
+    ||anchor - y+||; with ``rel_tol`` 0 it runs exactly t steps.
+    ``iterations`` counts the steps run. A modulus mu <= 0 raises
+    InvalidParameters: without one there is no certificate.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
+    if not strong_convexity > 0:
+        raise InvalidParameters(f"strong convexity modulus must be positive, got {strong_convexity}")
     L = max(float(curvature), 1e-15)
     step = 1.0 / L
     y = np.asarray(y0, dtype=float)
     z = y.copy()
-    if strong_convexity <= 0:
-        s = 1.0
-        for _ in range(t):
-            y_new = feasible.project(z - step * np.asarray(grad(z), dtype=float))
-            if not np.all(np.isfinite(y_new)):
-                raise NonfiniteValue("iterate left the finite floats; check problem scaling")
-            s_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * s * s))
-            z = y_new + ((s - 1.0) / s_new) * (y_new - y)
-            y, s = y_new, s_new
-        return FistaResult(point=y, dist_bound=float("inf"), iterations=t)
     root = math.sqrt(L / strong_convexity)
     momentum = (root - 1.0) / (root + 1.0)
     scale = 2.0 * L / strong_convexity

@@ -4,8 +4,8 @@ Concrete carriers for constraint sets: balls, boxes, the probability
 simplex, halfspace systems, affine sets, and block products of those.
 Projections are exact up to floating point, except for intersections of
 two or more halfspaces, which have no closed form: such sets report
-``closed_form`` false and are projected by the iterative engine in
-:mod:`sqvi.projection`.
+``closed_form`` false, and a map projects onto them as a
+:class:`sqvi.maps.NonlinearConvex` with linear constraints.
 """
 from __future__ import annotations
 
@@ -187,7 +187,7 @@ class Halfspaces(SimpleSet):
         if not self.closed_form:
             raise UnsupportedSet(
                 "no closed-form projection onto an intersection of halfspaces; "
-                "use the iterative projection engine"
+                "write it as a NonlinearConvex map"
             )
         a = self.normals[0]
         viol = float(a @ u - self.offsets[0])

@@ -33,14 +33,21 @@ from .projection import inexact_project
 # parameter algebra
 
 
+def _check_constants(lipschitz: float, mu: float, gamma: float) -> None:
+    # every comparison with NaN is false, so a NaN constant fails too
+    if not (lipschitz > 0 and 0 <= mu <= lipschitz * (1 + 1e-12) and gamma >= 0):
+        raise InvalidConstants(
+            f"need L > 0, 0 <= mu <= L and gamma >= 0, got L={lipschitz}, mu={mu}, gamma={gamma}"
+        )
+
+
 def derive_beta(lipschitz: float, mu: float, gamma: float, eta: float) -> float:
     """Per-step expansion factor gamma + sqrt(1 + L^2 eta^2 - 2 eta mu).
 
     The radicand equals (1 - eta*mu)^2 + eta^2 (L^2 - mu^2), hence is
     nonnegative whenever mu <= L.
     """
-    if mu > lipschitz * (1 + 1e-12):
-        raise InvalidConstants(f"mu={mu} exceeds lipschitz={lipschitz}")
+    _check_constants(lipschitz, mu, gamma)
     radicand = 1.0 + (lipschitz * eta) ** 2 - 2.0 * eta * mu
     return gamma + math.sqrt(max(radicand, 0.0))
 
@@ -52,8 +59,7 @@ def admissible_eta_interval(lipschitz: float, mu: float, gamma: float):
     gamma + sqrt(1 - mu^2/L^2) < 1. At either endpoint the expansion factor
     equals exactly 1.
     """
-    if mu > lipschitz * (1 + 1e-12):
-        raise InvalidConstants(f"mu={mu} exceeds lipschitz={lipschitz}")
+    _check_constants(lipschitz, mu, gamma)
     l2 = lipschitz * lipschitz
     disc = mu * mu - l2 * (2.0 * gamma - gamma * gamma)
     side = gamma + math.sqrt(max(1.0 - (mu * mu) / l2, 0.0))
@@ -190,13 +196,20 @@ def schedule_values(schedule: Schedule, q: Optional[float], k: int):
 
 
 def schedule_from_name(name: str, **params) -> Schedule:
-    """The schedule called ``name``, given those of ``params`` it declares
-    that are not None; the schedule's ``values`` reports a missing one."""
+    """The schedule called ``name``, given the ``params`` that are not None.
+
+    A param the schedule has no field for raises InvalidSchedule, rather
+    than being dropped; the schedule's ``values`` reports a missing one.
+    """
     try:
         cls = _SCHEDULE_NAMES[name]
     except KeyError:
         raise InvalidSchedule(f"unknown schedule name {name!r}") from None
-    return cls(**{f.name: params[f.name] for f in fields(cls) if params.get(f.name) is not None})
+    given = {key: value for key, value in params.items() if value is not None}
+    unused = sorted(given.keys() - {f.name for f in fields(cls)})
+    if unused:
+        raise InvalidSchedule(f"schedule {name!r} takes no {', '.join(unused)}")
+    return cls(**given)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ from sqvi.diagnostics import (
     lower_level_subopt,
     natural_residual,
 )
-from sqvi.errors import InsufficientData, NoReferenceSolution, WrongProblemKind
+from sqvi.errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
 from sqvi.maps import FixedSet
 from sqvi.operators import OperatorSpec
-from sqvi.problems import Constants, ProblemInstance
+from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
 from sqvi.sets import AffineSet, Box
 
 
@@ -42,6 +42,15 @@ def test_dist_requires_reference():
     p = small_problem(lambda x: x)
     with pytest.raises(NoReferenceSolution):
         dist_to_solution(p, np.zeros(2))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_natural_residual_rejects_budget_below_one_on_exact_maps(budget):
+    # the exact branch never uses the budget, but it is checked all the same
+    p = make_translated_box_qvi(n=4, seed=1)
+    assert p.map.exact
+    with pytest.raises(InvalidParameters):
+        natural_residual(p, np.zeros(4), budget=budget)
 
 
 def test_natural_residual_fixed_interval():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqvi.errors import DimensionMismatch, UnsupportedBaseSet
+from sqvi.errors import DimensionMismatch, UnsupportedBaseSet, UnsupportedSet
 from sqvi.maps import (
     ArgminSet,
     FixedSet,
@@ -52,6 +52,33 @@ def test_member_argmin_set():
     )
     assert member(m, np.zeros(1), np.array([1.0]), tol=1e-8)
     assert not member(m, np.zeros(1), np.array([0.4]), tol=1e-3)
+
+
+def test_member_argmin_rank_deficient_block_quadratic():
+    # each 3-dim block's hessian has rank 1, so the minimizers are the
+    # minimizer c plus the null space of H, cut by the balls
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2, 1, 3))
+    stack = rows.transpose(0, 2, 1) @ rows
+    c = np.array([0.2, -0.1, 0.3, -0.3, 0.1, 0.2])
+    h = np.zeros((6, 6))
+    h[:3, :3], h[3:, 3:] = stack
+    m = ArgminSet(
+        feasible=BlockBalls(2, 3, 1.0), hessian=stack, linear=lambda x: -h @ c, regularization=1e-2
+    )
+    null = np.linalg.svd(h)[2][2:]  # the last four right singular vectors span the null space
+    n = 0.15 * null.T @ rng.standard_normal(4)
+    assert m.feasible.contains(c + n) and np.linalg.norm(h @ n) <= 1e-12
+    x = np.zeros(6)
+    assert member(m, x, c + n, tol=1e-10)
+    v = 0.1 * rows.reshape(2, 3).ravel()  # in the range of H, inside the balls
+    assert m.feasible.contains(c + v)
+    assert not member(m, x, c + v, tol=1e-3)
+
+
+def test_fixed_set_needs_a_closed_form_base():
+    with pytest.raises(UnsupportedSet, match="NonlinearConvex"):
+        FixedSet(Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25]))
 
 
 def test_argmin_set_derives_curvature_from_hessian():
@@ -191,10 +218,21 @@ def _lower_argmin(closed_form):
     )
 
 
+def _halfspace_system():
+    # a system of halfspaces has no closed form; it is a NonlinearConvex map
+    hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])
+    return NonlinearConvex(
+        ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),
+        constraint=lambda x, y: hs.normals @ y - hs.offsets,
+        jacobian=lambda x, y: hs.normals,
+        jacobian_bound=1.0,
+    )
+
+
 PROTOCOL_CASES = {
     # name: (map factory, exact, solver path is a closed form)
     "fixed-ball": (lambda: FixedSet(unit_ball), True, True),
-    "fixed-halfspaces": (lambda: FixedSet(Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])), False, False),
+    "fixed-halfspaces": (_halfspace_system, False, False),
     "translated-ball": (half_shift_ball, True, True),
     "fixed-block-balls": (lambda: FixedSet(BlockBalls(2, 2, 1.0)), True, True),
     "translated-block-balls": (

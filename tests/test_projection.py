@@ -73,11 +73,25 @@ def test_fista_single_step_bound():
     assert abs(float(res.point[0])) <= res.dist_bound
 
 
-@pytest.mark.parametrize("strong_convexity", [1.0, 0.0])
+@pytest.mark.parametrize("strong_convexity", [1.0])
 def test_fista_nonfinite_gradient_raises(strong_convexity):
     with pytest.raises(NonfiniteValue):
         fista_solve(
             grad=lambda y: np.full_like(y, np.nan),
+            curvature=1.0,
+            strong_convexity=strong_convexity,
+            feasible=Box([-1.0], [1.0]),
+            y0=np.array([1.0]),
+            t=5,
+        )
+
+
+@pytest.mark.parametrize("strong_convexity", [0.0, -1.0, np.nan])
+def test_fista_needs_positive_strong_convexity(strong_convexity):
+    # without a modulus there is no certificate, so there is no loop to run
+    with pytest.raises(InvalidParameters, match="strong convexity"):
+        fista_solve(
+            grad=lambda y: y,
             curvature=1.0,
             strong_convexity=strong_convexity,
             feasible=Box([-1.0], [1.0]),
@@ -217,7 +231,12 @@ def test_inexact_project_singleton_argmin():
 
 def test_inexact_project_multi_halfspace_fixed_set():
     hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])
-    m = FixedSet(hs)
+    m = NonlinearConvex(
+        ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),
+        constraint=lambda x, y: hs.normals @ y - hs.offsets,
+        jacobian=lambda x, y: hs.normals,
+        jacobian_bound=1.0,
+    )
     res = inexact_project(m, np.zeros(2), np.array([2.0, 2.0]), t=800)
     np.testing.assert_allclose(res.point, [0.5, 0.25], atol=1e-6)
 

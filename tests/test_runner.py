@@ -66,6 +66,11 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
     for decay in (-0.5, 0):
         with pytest.raises(ConfigError, match="decay > 0"):
             parse_config(json.dumps(dict(MINIMAL, schedule="damped", decay=decay)))
+    # a value the named schedule has no field for would be dropped unseen
+    with pytest.raises(ConfigError, match="'damped' takes no batch, rho"):
+        parse_config(json.dumps(dict(MINIMAL, schedule="damped", rho=0.9, batch=7)))
+    with pytest.raises(ConfigError, match="'increasing' takes no decay"):
+        parse_config(json.dumps(dict(MINIMAL, schedule="increasing", rho=0.9, decay=0.5)))
 
 
 @pytest.mark.parametrize(
@@ -363,6 +368,25 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("{not json")
     assert cli_main(["validate", str(bad)]) == 1
     assert cli_main(["derive", "--L", "1", "--mu", "1", "--gamma", "0.1"]) == 0
+
+
+@pytest.mark.parametrize(
+    "L, mu, gamma",
+    [
+        ("0", "0", "0"),
+        ("-1", "-2", "0.1"),
+        ("1", "-0.5", "0"),
+        ("1", "0.5", "-0.1"),
+        ("nan", "0.5", "0"),
+        ("1", "nan", "0"),
+        ("1", "0.5", "nan"),
+    ],
+)
+def test_cli_derive_rejects_invalid_constants(capsys, L, mu, gamma):
+    assert cli_main(["derive", "--L", L, "--mu", mu, "--gamma", gamma]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("runtime error:") and captured.err.count("\n") == 1
 
 
 def test_fitted_rate_ignores_rounding_noise(tmp_path):
