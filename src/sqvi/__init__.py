@@ -30,7 +30,6 @@ from .maps import (
     TranslatedSet,
     contractivity_audit,
     member,
-    stacked_projector,
 )
 from .projection import (
     ProjectionResult,

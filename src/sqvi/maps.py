@@ -17,7 +17,7 @@ tests membership without an inner solve. The inner solvers live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -301,41 +301,31 @@ class ContractivityReport(NamedTuple):
     skipped: int
 
 
-def stacked_projector(projector: Callable[[Array, Array], Array]) -> Callable[[Array, Array], Array]:
-    """The projector that :func:`contractivity_audit` calls, ``(xs, us)`` with
-    one point per row, made from one that takes a single point ``(x, u)``."""
-    return lambda xs, us: np.stack([np.asarray(projector(x, u), float) for x, u in zip(xs, us)])
-
-
 def contractivity_audit(
     mapping: SetValuedMap,
     projector: Callable[[Array, Array], Array],
-    batches: Iterable,
+    triples: Sequence,
     declared: Optional[float] = None,
 ) -> ContractivityReport:
     """Max over triples (x, y, u) of ||P_K(x)[u] - P_K(y)[u]|| / ||x - y||.
 
-    ``batches`` yields arrays of shape (n, 3, dim), one triple (x, y, u) per
-    row. ``projector(xs, us)`` must return a high-accuracy projection of each
-    row of ``us`` onto K at the matching row of ``xs``; it is called once per
-    batch, on the batch's x and y stacked. :func:`stacked_projector` adapts a
-    single-point projector. Triples with ||x - y|| < 1e-12 are degenerate:
-    they are skipped before projecting and counted. Passes when the ratio
-    does not exceed the declared gamma plus 1e-6.
+    ``projector(x, u)`` must be a high-accuracy projection of u onto K(x).
+    Triples with ||x - y|| < 1e-12 are degenerate: they are skipped before
+    projecting and counted. Passes when the ratio does not exceed the
+    declared gamma plus 1e-6.
     """
     declared = mapping.gamma if declared is None else declared
     worst = 0.0
     skipped = 0
-    for batch in batches:
-        batch = np.asarray(batch, dtype=float)
-        nrm = np.linalg.norm(batch[:, 0] - batch[:, 1], axis=-1)
-        keep = nrm >= 1e-12
-        skipped += int(np.count_nonzero(~keep))
-        x, y, u = batch[keep].transpose(1, 0, 2)
-        n = len(x)
-        if n:
-            proj = np.asarray(projector(np.concatenate([x, y]), np.concatenate([u, u])), float)
-            worst = max(worst, float(np.max(np.linalg.norm(proj[:n] - proj[n:], axis=-1) / nrm[keep])))
+    for x, y, u in triples:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        nrm = float(np.linalg.norm(x - y))
+        if nrm < 1e-12:
+            skipped += 1
+            continue
+        diff = np.asarray(projector(x, u), dtype=float) - np.asarray(projector(y, u), dtype=float)
+        worst = max(worst, float(np.linalg.norm(diff)) / nrm)
     return ContractivityReport(
         max_ratio=worst, passed=worst <= declared + 1e-6, declared=declared, skipped=skipped
     )

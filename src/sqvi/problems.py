@@ -9,7 +9,7 @@ dataset files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -29,7 +29,6 @@ from .maps import (
     SetValuedMap,
     TranslatedSet,
     contractivity_audit,
-    stacked_projector,
 )
 from .operators import (
     OperatorSpec,
@@ -388,14 +387,6 @@ def _game_arrays(source: GameSource):
     return players, feats, a_tr, b_tr, tuple(validation)
 
 
-# (x, y, u) triples of the game's gamma audit
-_GAMMA_TRIPLES = 200
-# triples drawn and projected per batch of the gamma audit: on table1-synthetic
-# one batch of all 200 raised a run's peak memory from 47.6 to 54.1 MB, and
-# chunks of 25 build as fast as larger ones (CHANGES.md has the measurements)
-_AUDIT_BLOCK = 25
-
-
 def make_regression_game(
     source: GameSource,
     lam: Optional[float] = None,
@@ -411,11 +402,18 @@ def make_regression_game(
 
     The run solves the sigma-surrogate of that map: projecting u onto K(x)
     minimizes 0.5||y - u||^2 plus 1/``sigma`` times the training loss over
-    the balls. The solver, the ``residual`` metric and the gamma audit all
+    the balls. The solver, the ``residual`` metric and the declared gamma all
     use this surrogate. The QVI's solution set is not known in closed form,
     so the instance has no ``reference_projector``, offers no ``dist``
     metric and declares ``qg_mu = 0`` (merely monotone); ``lower_subopt``
     measures the training loss against its minimum.
+
+    The declared gamma is a certified bound. The surrogate's solution is the
+    projection of M^-1 c onto the balls in the M-norm, with M = I + H/sigma,
+    c = u - linear(x)/sigma and linear(x) = D x - A'b, where D is A'A with
+    its diagonal blocks zeroed. That projection is nonexpansive in the
+    M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
+    slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
     """
     players, feats, a_tr, b_tr, validation = _game_arrays(source)
     dim = players * feats
@@ -488,34 +486,27 @@ def make_regression_game(
         theta[active] = th
         return np.einsum("pfg,...pg->...pf", eig_vecs, rhs / (denom + theta)).reshape(u.shape)
 
+    # M^-1/2 D, one block row per player; M^-1/2 is block diagonal, so
+    # zeroing the diagonal blocks of M^-1/2 A'A zeroes those of A'A. Each
+    # dim x dim temporary is freed before the next is formed.
+    m_isqrt = (eig_vecs / np.sqrt(1.0 + eig_vals / sigma)[:, None, :]) @ eig_vecs.transpose(0, 2, 1)
+    s = np.concatenate([m_isqrt[i] @ blocks[i].T for i in range(players)]) @ a_tr
+    for i in range(players):
+        s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
+    gram = s @ s.T
+    del s
+    gamma = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) / sigma
+    del gram
+
     mapping = ArgminSet(
         feasible=feasible,
         hessian=grams_tr,
         linear=_block_residual_grads,
         regularization=sigma,
-        gamma=0.0,
+        gamma=gamma,
         exact_reg_project=exact_reg_project,
     )
-
-    seed = source.seed if isinstance(source, SyntheticGame) else 7
-    rng = np.random.default_rng((seed, 205))
-    probe_scale = 0.5 * lam / math.sqrt(feats)
-    # discarded: the gamma triples below, and so gamma and every game trace,
-    # are pinned to the stream that follows this (64, dim) draw
-    rng.standard_normal((64, dim))
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=0.0, mean_eval=mean_eval)
-
-    def triple_batches():
-        # drawn as the audit reads them, _AUDIT_BLOCK triples at a time; the
-        # generator yields the numbers of one (_GAMMA_TRIPLES, 3, dim) draw
-        for start in range(0, _GAMMA_TRIPLES, _AUDIT_BLOCK):
-            batch = probe_scale * rng.standard_normal((min(_AUDIT_BLOCK, _GAMMA_TRIPLES - start), 3, dim))
-            batch[:, :2] = feasible.project(batch[:, :2])
-            yield batch
-
-    audit = contractivity_audit(mapping, exact_reg_project, triple_batches(), declared=np.inf)
-    gamma = 1.5 * audit.max_ratio + 1e-9
-    mapping = replace(mapping, gamma=gamma)
 
     game = RegressionGameData(
         players=players,
@@ -526,9 +517,12 @@ def make_regression_game(
         radius=lam,
         regularization=sigma,
     )
-    src_tag = (
-        f"synthetic(seed={source.seed})" if isinstance(source, SyntheticGame) else f"dataset({source.path})"
-    )
+    metadata = {"players": players, "feature_dim": feats, "radius": lam, "regularization": sigma}
+    if isinstance(source, SyntheticGame):
+        src_tag = f"synthetic(seed={source.seed})"
+        metadata["seed"] = source.seed
+    else:
+        src_tag = f"dataset({source.path})"
     return ProblemInstance(
         name=f"regression_game[{src_tag},N={players},d={feats}]",
         operator=operator,
@@ -538,14 +532,7 @@ def make_regression_game(
         constants=Constants(lipschitz=lip, qg_mu=0.0, gamma=gamma, noise=0.0),
         suggested_eta=1e-2,
         lower_level=LowerLevelData(value=train_value, min_value=min_value, game=game),
-        metadata={
-            "players": players,
-            "feature_dim": feats,
-            "radius": lam,
-            "regularization": sigma,
-            "gamma_audit": audit.max_ratio,
-            "seed": seed,
-        },
+        metadata=metadata,
     )
 
 
@@ -708,8 +695,8 @@ def audit_instance(problem: ProblemInstance, probes: int = 1000, seed: int = 0) 
         ]
         gamma_rep = contractivity_audit(
             problem.map,
-            stacked_projector(lambda x, u: reference_project(problem.map, x, u, budget=4000)),
-            [np.reshape(triples, (-1, 3, dim))],
+            lambda x, u: reference_project(problem.map, x, u, budget=4000),
+            triples,
         )
     return InstanceAudit(
         monotone_min=mono.minimum,

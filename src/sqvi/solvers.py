@@ -55,20 +55,25 @@ def derive_beta(lipschitz: float, mu: float, gamma: float, eta: float) -> float:
 def admissible_eta_interval(lipschitz: float, mu: float, gamma: float):
     """Open interval of step sizes for which the expansion factor stays below 1.
 
-    Requires mu^2 > L^2 (2 gamma - gamma^2), equivalently
-    gamma + sqrt(1 - mu^2/L^2) < 1. At either endpoint the expansion factor
-    equals exactly 1.
+    Requires mu^2 > L^2 (2 gamma - gamma^2) and gamma + sqrt(1 - mu^2/L^2) < 1.
+    The two conditions agree when gamma < 1; for gamma >= 1 the second
+    always fails, while the first holds for every gamma > 2. At either endpoint
+    the expansion factor equals exactly 1. The error names only the
+    conditions that fail.
     """
     _check_constants(lipschitz, mu, gamma)
     l2 = lipschitz * lipschitz
     disc = mu * mu - l2 * (2.0 * gamma - gamma * gamma)
     side = gamma + math.sqrt(max(1.0 - (mu * mu) / l2, 0.0))
-    if disc <= 0.0 or side >= 1.0:
-        raise NoAdmissibleStep(
-            "no admissible step size: need mu^2 > L^2(2*gamma - gamma^2) "
-            f"(got {mu * mu:.6g} vs {l2 * (2 * gamma - gamma * gamma):.6g}) and "
-            f"gamma + sqrt(1 - mu^2/L^2) < 1 (got {side:.6g})"
+    failed = []
+    if disc <= 0.0:
+        failed.append(
+            f"mu^2 > L^2(2*gamma - gamma^2) (got {mu * mu:.6g} vs {l2 * (2 * gamma - gamma * gamma):.6g})"
         )
+    if side >= 1.0:
+        failed.append(f"gamma + sqrt(1 - mu^2/L^2) < 1 (got {side:.6g})")
+    if failed:
+        raise NoAdmissibleStep("no admissible step size: need " + " and ".join(failed))
     delta = math.sqrt(disc)
     return ((mu - delta) / l2, (mu + delta) / l2)
 

@@ -9,7 +9,6 @@ from sqvi.maps import (
     TranslatedSet,
     contractivity_audit,
     member,
-    stacked_projector,
 )
 from sqvi.problems import BlockBalls
 from sqvi.projection import inexact_project, reference_project
@@ -138,14 +137,14 @@ def test_gamma_defaults_to_twice_shift_constant():
 def test_contractivity_fixed_set_is_zero(rng):
     m = FixedSet(unit_ball)
     triples = rng.standard_normal((50, 3, 2))
-    rep = contractivity_audit(m, stacked_projector(lambda x, u: unit_ball.project(u)), [triples])
+    rep = contractivity_audit(m, lambda x, u: unit_ball.project(u), triples)
     assert rep.max_ratio == 0.0 and rep.passed
 
 
 def test_contractivity_translated_bound(rng):
     m = TranslatedSet(base_set=unit_ball, shift=lambda x: 0.1 * x, shift_lipschitz=0.1)
     triples = [tuple(3.0 * rng.standard_normal((3, 2))) for _ in range(10000)]
-    rep = contractivity_audit(m, stacked_projector(m.exact_project), [triples])
+    rep = contractivity_audit(m, m.exact_project, triples)
     assert rep.max_ratio <= 0.2 + 1e-9
     assert rep.passed
 
@@ -156,7 +155,7 @@ def test_contractivity_collinear_far_query():
     m = TranslatedSet(base_set=unit_ball, shift=lambda x: 0.1 * x, shift_lipschitz=0.1)
     e = np.array([1.0, 0.0])
     triples = [(0.5 * e, 1.5 * e, 1e6 * e)]
-    rep = contractivity_audit(m, stacked_projector(m.exact_project), [triples])
+    rep = contractivity_audit(m, m.exact_project, triples)
     assert abs(rep.max_ratio - 0.1) <= 1e-5
 
 
@@ -164,30 +163,8 @@ def test_contractivity_skips_degenerate_triples(rng):
     m = FixedSet(unit_ball)
     x = rng.standard_normal(2)
     triples = [(x, x.copy(), rng.standard_normal(2))]
-    rep = contractivity_audit(m, stacked_projector(lambda x, u: unit_ball.project(u)), [triples])
+    rep = contractivity_audit(m, lambda x, u: unit_ball.project(u), triples)
     assert rep.skipped == 1
-
-
-def test_contractivity_same_report_for_any_chunking(rng):
-    # the report does not depend on how the triples are split into batches,
-    # and a degenerate triple in one chunk is counted, not projected
-    m = TranslatedSet(base_set=unit_ball, shift=lambda x: 0.3 * x, shift_lipschitz=0.3)
-    triples = 2.0 * rng.standard_normal((40, 3, 2))
-    triples[13, 1] = triples[13, 0]
-    triples[29, 1] = triples[29, 0] + 1e-13
-    calls = []
-
-    def projector(xs, us):
-        calls.append(len(xs))
-        return stacked_projector(m.exact_project)(xs, us)
-
-    whole = contractivity_audit(m, projector, [triples])
-    assert calls == [2 * 38]
-    for size in (1, 7, 16):
-        chunks = [triples[i : i + size] for i in range(0, len(triples), size)]
-        rep = contractivity_audit(m, projector, chunks)
-        assert rep.max_ratio == whole.max_ratio and rep.skipped == whole.skipped == 2
-    assert 0.0 < whole.max_ratio <= 0.6 + 1e-12
 
 
 def test_reference_project_closed_forms():

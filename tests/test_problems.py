@@ -253,15 +253,44 @@ def test_block_balls_exterior_and_mixed_rows():
 
 
 def test_game_audit_values_pinned(game_problem):
-    # table1-synthetic at seed 1; the projection solver must not move these
-    assert game_problem.metadata["gamma_audit"] == pytest.approx(1.2566508583700173, rel=1e-10)
+    # table1-synthetic at seed 1: the certified bound ||M^-1/2 D|| / sigma
+    assert game_problem.constants.gamma == pytest.approx(9.896089785539, rel=1e-10)
+    assert "gamma_audit" not in game_problem.metadata
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_game_gamma_bounds_interior_slope_sharply(seed):
+    # where no ball is active the surrogate projection is linear in x with
+    # slope M^-1 D / sigma; a step along its top right-singular vector must
+    # move the projection by at most the declared gamma, and by at least
+    # 0.8 gamma, so the bound is also close to sharp
+    params = dict(PRESETS["table1-synthetic"]["problem_params"], seed=seed)
+    p = build_problem("regression_game", params)
+    game = p.lower_level.game
+    sigma, feats = game.regularization, game.feature_dim
+    d = game.train_matrix.T @ game.train_matrix
+    m = np.eye(p.operator.dim)
+    for i in range(game.players):
+        blk = slice(i * feats, (i + 1) * feats)
+        m[blk, blk] += d[blk, blk] / sigma
+        d[blk, blk] = 0.0
+    direction = np.linalg.svd(np.linalg.solve(m, d))[2][0]
+    x0, step = p.x0, 1e-4
+    u = p.map.linear(x0) / sigma
+    y0 = p.map.exact_reg_project(x0, u)
+    y1 = p.map.exact_reg_project(x0 + step * direction, u)
+    for y in (y0, y1):
+        assert np.max(np.linalg.norm(y.reshape(game.players, feats), axis=1)) < 0.5 * game.radius
+    ratio = np.linalg.norm(y1 - y0) / step
+    gamma = p.constants.gamma
+    assert 0.8 * gamma <= ratio <= gamma
 
 
 def test_game_instance_audits(game_problem):
     audit = audit_instance(game_problem, probes=120)
     assert audit.monotone_min >= -1e-10
     assert audit.lipschitz_ratio <= game_problem.constants.lipschitz + 1e-8
-    assert audit.gamma_report.passed  # declared gamma carries a 1.5x margin
+    assert audit.gamma_report.passed
     assert audit.x0_feasible
 
 
@@ -401,6 +430,8 @@ def test_dataset_game_roundtrip(tmp_path, rng):
     p = make_regression_game(DatasetGame(path=str(f), players=4), sigma=1e-1)
     assert p.operator.dim == 24
     assert p.lower_level.game.players == 4
+    # a dataset game's training matrix is block diagonal, so K(x) does not move
+    assert p.constants.gamma == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,19 @@ def test_admissible_interval_worked_values():
         admissible_eta_interval(1, 0.5, 0.5)
 
 
+def test_no_admissible_step_names_only_failing_conditions():
+    # gamma = 3: L^2(2 gamma - gamma^2) = -3 < mu^2 holds, gamma + 1 < 1 fails
+    with pytest.raises(NoAdmissibleStep) as err:
+        admissible_eta_interval(1, 0, 3)
+    assert "gamma + sqrt(1 - mu^2/L^2) < 1 (got 4)" in str(err.value)
+    assert "2*gamma - gamma^2" not in str(err.value)
+    # gamma = 0.5, mu = 0.5: both fail, and both are named
+    with pytest.raises(NoAdmissibleStep) as err:
+        admissible_eta_interval(1, 0.5, 0.5)
+    assert "mu^2 > L^2(2*gamma - gamma^2) (got 0.25 vs 0.75)" in str(err.value)
+    assert "gamma + sqrt(1 - mu^2/L^2) < 1" in str(err.value)
+
+
 def test_contraction_factor_worked_values():
     assert abs(contraction_factor(0.5, 0.5, 1) - 0.375) <= 1e-15
     assert abs(contraction_factor(0.5, 0.5, 0) - 0.25) <= 1e-15

@@ -41,9 +41,11 @@ def test_tracer_patches_and_restores_every_name(monkeypatch, tmp_path):
             "schedule": "increasing", "rho": 0.9, "T": 3, "seed": 1, "metrics": ["dist", "residual"],
         }
         runner.run_experiment(runner.parse_config(json.dumps(cfg)), out_dir=str(tmp_path))
-        # a small game build reaches the audit that maps.contractivity_audit_s
-        # times; estimate_qg stays patched though no build calls it
-        runner.build_problem("regression_game", {"players": 2, "points": 40, "features": 4})
+        # a small instance audit reaches the name that maps.contractivity_audit_s
+        # times, which no game build calls; estimate_qg stays patched though
+        # nothing in sqvi.problems calls it
+        game = runner.build_problem("regression_game", {"players": 2, "points": 40, "features": 4})
+        problems.audit_instance(game, probes=6)
     finally:
         restore()
     for (mod, name), original in originals.items():
