@@ -14,9 +14,8 @@ Regenerating re-baselines on purpose; a change that moves the goldens says
 by how much in CHANGES.md.
 
 Example:
-    python3 scripts/make_goldens.py [--out tests/golden]
+    python3 scripts/make_goldens.py
 """
-import argparse
 import glob
 import hashlib
 import json
@@ -87,14 +86,10 @@ def run_csvs(cfg: dict, out_dir: str) -> list:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--out", default=GOLDEN_DIR)
-    args = ap.parse_args()
-
     sums = []
     with tempfile.TemporaryDirectory() as scratch:
         for name, cfg in configs().items():
-            dest = os.path.join(args.out, name)
+            dest = os.path.join(GOLDEN_DIR, name)
             shutil.rmtree(dest, ignore_errors=True)
             os.makedirs(dest)
             for path in run_csvs(cfg, os.path.join(scratch, name)):
@@ -102,9 +97,9 @@ def main() -> int:
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 sums.append(f"{digest}  {name}/{os.path.basename(path)}\n")
-    with open(os.path.join(args.out, "SHA256SUMS"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(GOLDEN_DIR, "SHA256SUMS"), "w", encoding="utf-8") as fh:
         fh.writelines(sums)
-    print(f"wrote {len(sums)} golden CSVs to {args.out}")
+    print(f"wrote {len(sums)} golden CSVs to {GOLDEN_DIR}")
     return 0
 
 

@@ -48,6 +48,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_seed_part(value) -> bool:
+    # numpy seeds a stream only from non-negative ints
+    return _is_integer(value) and value >= 0
+
+
 def _is_list_of(value, item_ok) -> bool:
     return isinstance(value, (list, tuple)) and all(map(item_ok, value))
 
@@ -119,8 +124,8 @@ class RunConfig:
             if not (value is None or isinstance(value, str)):
                 raise ConfigError(f"{name} must be a string or null, got {value!r}")
         # replicate r samples from the stream (seed, r), so only a single run takes a list
-        if not (_is_integer(self.seed) or (self.replicates == 1 and _is_list_of(self.seed, _is_integer))):
-            raise ConfigError(f"seed must be an integer or a list of integers, got {self.seed!r}")
+        if not (_is_seed_part(self.seed) or (self.replicates == 1 and _is_list_of(self.seed, _is_seed_part))):
+            raise ConfigError(f"seed must be a non-negative integer or a list of them, got {self.seed!r}")
         if self.metrics is not None and not _is_list_of(self.metrics, _METRIC_COLUMNS.__contains__):
             raise ConfigError(f"metrics must be a list drawn from {_METRIC_COLUMNS}, got {self.metrics!r}")
         if not _is_list_of(self.report_epsilons, _is_number):

@@ -25,7 +25,7 @@ from .errors import (
     NonfiniteIterate,
     NotReached,
 )
-from .operators import evaluate_mean, sample_batch, stream_key
+from .operators import SampleStreams, evaluate_mean, sample_batch, stream_key
 from .projection import inexact_project
 
 
@@ -374,9 +374,10 @@ _RESIDUAL_BUDGET_SCALE = 10
 _INNER_REL_TOL = 1e-2
 
 
-def _projected_step(problem, config, seed_key, x, n_k, t_k, k, phase):
+def _projected_step(problem, config, streams, x, n_k, t_k, k, phase):
     """Project the batch-operator step at x onto K(x) with budget at most t_k;
-    a batch is drawn from the stream ``seed_key + (k, phase)``.
+    a batch is drawn from ``streams.generator(k, phase)``, the stream
+    ``seed + (k, phase)``.
 
     Returns the projected point, the inner iterations run and the operator
     draws spent (an exact mean evaluation counts as one draw).
@@ -384,7 +385,7 @@ def _projected_step(problem, config, seed_key, x, n_k, t_k, k, phase):
     if config.schedule.exact_mean:
         fhat, drawn = evaluate_mean(problem.operator, x), 1
     else:
-        fhat, drawn = sample_batch(problem.operator, x, n_k, seed_key + (k, phase)), n_k
+        fhat, drawn = sample_batch(problem.operator, x, n_k, streams.generator(k, phase)), n_k
     res = inexact_project(
         problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient, rel_tol=_INNER_REL_TOL
     )
@@ -417,6 +418,7 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
         )
     solver = "ieg" if extra_gradient else "ig"
     seed_key = stream_key(config.seed)
+    streams = None if config.schedule.exact_mean else SampleStreams(seed_key, config.max_outer)
     x = np.asarray(problem.x0, dtype=float).copy()
     trace = IterationTrace(
         problem_name=problem.name,
@@ -430,12 +432,12 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     for k in range(config.max_outer):
         tic = time.perf_counter()
         n_k, t_k = schedule_values(config.schedule, params.q, k)
-        point, inner, drawn = _projected_step(problem, config, seed_key, x, n_k, t_k, k, 0)
+        point, inner, drawn = _projected_step(problem, config, streams, x, n_k, t_k, k, 0)
         cum_inner += inner
         cum_samples += drawn
         if extra_gradient:
             u = (1.0 - config.b) * x + config.b * point
-            point, inner, drawn = _projected_step(problem, config, seed_key, u, n_k, t_k, k, 1)
+            point, inner, drawn = _projected_step(problem, config, streams, u, n_k, t_k, k, 1)
             cum_inner += inner
             cum_samples += drawn
         x_new = (1.0 - config.alpha) * x + config.alpha * point

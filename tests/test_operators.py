@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sqvi.errors import DimensionMismatch, EmptySample, InvalidConstants, InvalidParameters, MissingMeanField
+from sqvi import operators
 from sqvi.operators import (
     OperatorSpec,
+    SampleStreams,
     check_monotone,
     estimate_lipschitz,
     estimate_qg,
@@ -186,6 +188,40 @@ def test_sample_batch_negative_stream_part_raises():
     op = gaussian_operator(lambda x: x, dim=2, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
     with pytest.raises(ValueError):
         sample_batch(op, np.zeros(2), 3, stream=(-1, 4))
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [(), (0,), (11,), (11, 0), (11, 299), (0, 0), (2**32 - 1, 5), (5, 6, 7), (1, 2, 3, 4),
+     (7, 8, 9, 10, 11), (2**32, 3), (2**70,)],
+)
+def test_sample_streams_match_default_rng(prefix):
+    # 18 bytes leave half of a PCG64 output buffered; the next stream must not see it
+    streams = SampleStreams(prefix, 60)
+    for k in range(60):
+        for phase in (0, 1):
+            expected = np.random.default_rng(prefix + (k, phase))
+            got = streams.generator(k, phase)
+            assert got.bytes(18) == expected.bytes(18), (k, phase)
+            assert got.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes(), (k, phase)
+
+
+def test_sample_batch_uses_a_positioned_generator():
+    op = gaussian_operator(lambda x: x, dim=3, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
+    got = sample_batch(op, np.ones(3), 8, SampleStreams((11, 4), 10).generator(7, 1))
+    assert got.tobytes() == sample_batch(op, np.ones(3), 8, (11, 4, 7, 1)).tobytes()
+
+
+@pytest.mark.parametrize("prefix", [(-1,), (3, -2)])
+def test_sample_streams_negative_part_raises(prefix):
+    with pytest.raises(ValueError):
+        SampleStreams(prefix, 3)
+
+
+def test_sample_streams_check_their_first_state(monkeypatch):
+    monkeypatch.setattr(operators, "_INIT_B", operators._INIT_B ^ 1)
+    with pytest.raises(RuntimeError, match="differently from numpy"):
+        SampleStreams((11,), 3)
 
 
 @pytest.mark.parametrize("bad", ["12", 1.5, True, None, (3, "4"), (np.bool_(True),)])

@@ -89,6 +89,9 @@ def test_validate_rejects_schedules_the_run_cannot_evaluate():
         ("T", True),
         ("eta", True),
         ("seed", True),
+        # numpy cannot seed a stream from a negative part
+        ("seed", -1),
+        ("seed", [1, -2]),
         # a truthy string would bypass the parameter checks or record timings
         ("allow_out_of_range", "false"),
         ("record_timing", "no"),
