@@ -2,9 +2,10 @@
 """Regenerate the golden traces that tests/test_golden.py compares against.
 
 Runs small versions of the three benchmark workloads at seed 11 through
-parse_config and run_experiment, keeps each run's trace and mean CSVs in
-tests/golden/<run>/, and lists their sha256 digests in
-tests/golden/SHA256SUMS (checkable with `sha256sum -c` from that directory):
+parse_config and run_experiment, keeps each run's trace and mean CSVs (and
+the box-sampled run's summary.json) in tests/golden/<run>/, and lists their
+sha256 digests in tests/golden/SHA256SUMS (checkable with `sha256sum -c`
+from that directory):
 
 - box-sampled: the noisy translated box, 5 replicates, T = 20;
 - game-fista-ieg, game-fista-ig: the table1-synthetic regression game, T = 20;
@@ -28,6 +29,7 @@ from sqvi.problems import make_translated_box_qvi
 from sqvi.runner import parse_config, run_experiment
 
 SEED = 11
+KEEP_SUMMARY = ("box-sampled",)  # runs whose summary.json is a golden too
 GOLDEN_DIR = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "golden"))
 
 
@@ -79,27 +81,29 @@ def configs() -> dict:
     }
 
 
-def run_csvs(cfg: dict, out_dir: str) -> list:
-    """Run ``cfg`` into ``out_dir``; its trace and mean CSV paths, sorted."""
-    run_experiment(parse_config(json.dumps(cfg)), out_dir=out_dir)
-    return sorted(glob.glob(os.path.join(out_dir, "trace_*.csv")))
+def run_outputs(name: str, out_dir: str) -> list:
+    """Run config ``name`` into ``out_dir``; the paths of its golden files:
+    the trace and mean CSVs, sorted, then summary.json if it is kept."""
+    art = run_experiment(parse_config(json.dumps(configs()[name])), out_dir=out_dir)
+    paths = sorted(glob.glob(os.path.join(out_dir, "trace_*.csv")))
+    return paths + [art.summary_path] if name in KEEP_SUMMARY else paths
 
 
 def main() -> int:
     sums = []
     with tempfile.TemporaryDirectory() as scratch:
-        for name, cfg in configs().items():
+        for name in configs():
             dest = os.path.join(GOLDEN_DIR, name)
             shutil.rmtree(dest, ignore_errors=True)
             os.makedirs(dest)
-            for path in run_csvs(cfg, os.path.join(scratch, name)):
+            for path in run_outputs(name, os.path.join(scratch, name)):
                 shutil.copy(path, dest)
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 sums.append(f"{digest}  {name}/{os.path.basename(path)}\n")
     with open(os.path.join(GOLDEN_DIR, "SHA256SUMS"), "w", encoding="utf-8") as fh:
         fh.writelines(sums)
-    print(f"wrote {len(sums)} golden CSVs to {GOLDEN_DIR}")
+    print(f"wrote {len(sums)} golden files to {GOLDEN_DIR}")
     return 0
 
 

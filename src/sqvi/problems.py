@@ -331,17 +331,13 @@ def load_libsvm(path) -> Tuple[Array, Array]:
     return mat, np.asarray(labels, dtype=float)
 
 
-def _game_arrays(source: GameSource):
-    """Training matrix, rhs, and per-player validation pairs for a game source."""
-    if isinstance(source, SyntheticGame):
-        players, points, feats = source.players, source.points, source.features
-        rng = np.random.default_rng((source.seed, 202))
-        design = rng.standard_normal((points, feats))
-        targets = None
-    else:
-        design, targets = load_libsvm(source.path)
-        players = source.players
-        points, feats = design.shape
+def _split_game(design: Array, players: int):
+    """Block-diagonal training matrix, its scale, and per player the
+    validation rows and their scaled design, then the validation scale.
+
+    The first 80 % of the design rows train and the rest validate; each
+    player gets an equal share of both, scaled by 1/sqrt(its share)."""
+    points, feats = design.shape
     if points < players:
         raise DimensionMismatch(f"dataset has {points} rows but {players} players")
     train_count = int(0.8 * points)
@@ -351,40 +347,50 @@ def _game_arrays(source: GameSource):
         raise DimensionMismatch(
             f"too few rows per player (train {rows_tr}, validation {rows_val})"
         )
-    dim = players * feats
-    a_tr = np.zeros((players * rows_tr, dim))
-    b_tr = np.zeros(players * rows_tr)
+    a_tr = np.zeros((players * rows_tr, players * feats))
     scale = 1.0 / math.sqrt(rows_tr)
+    for i in range(players):
+        shard = design[i * rows_tr : (i + 1) * rows_tr] * scale
+        a_tr[i * rows_tr : (i + 1) * rows_tr, i * feats : (i + 1) * feats] = shard
+    val_rows = [slice(train_count + i * rows_val, train_count + (i + 1) * rows_val) for i in range(players)]
+    vscale = 1.0 / math.sqrt(rows_val)
+    return a_tr, scale, val_rows, [design[sl] * vscale for sl in val_rows], vscale
+
+
+def _game_arrays(source: GameSource):
+    """Training matrix, rhs, and per-player validation pairs for a game source.
+
+    A synthetic game draws its design from the stream (seed, 202), its
+    planted weights, cross-player coupling and training noise from (seed,
+    203), and player i's validation noise from (seed, 204, i); a dataset
+    game reads design and targets from its file.
+    """
+    players = source.players
     if isinstance(source, SyntheticGame):
+        feats = source.features
+        design = np.random.default_rng((source.seed, 202)).standard_normal((source.points, feats))
+        a_tr, scale, _, a_val, vscale = _split_game(design, players)
+        rows_tr = a_tr.shape[0] // players
         rng = np.random.default_rng((source.seed, 203))
         planted = rng.standard_normal((players, feats)) / math.sqrt(feats)
-        for i in range(players):
-            shard = design[i * rows_tr : (i + 1) * rows_tr] * scale
-            a_tr[i * rows_tr : (i + 1) * rows_tr, i * feats : (i + 1) * feats] = shard
-            if source.coupling > 0:
-                cross = rng.standard_normal((rows_tr, dim)) * (source.coupling * scale)
+        if source.coupling > 0:
+            for i in range(players):
+                cross = rng.standard_normal((rows_tr, a_tr.shape[1])) * (source.coupling * scale)
                 cross[:, i * feats : (i + 1) * feats] = 0.0
                 a_tr[i * rows_tr : (i + 1) * rows_tr] += cross
         b_tr = a_tr @ planted.reshape(-1)
         b_tr += source.target_noise * scale * rng.standard_normal(b_tr.shape[0])
-    else:
-        for i in range(players):
-            shard = design[i * rows_tr : (i + 1) * rows_tr] * scale
-            a_tr[i * rows_tr : (i + 1) * rows_tr, i * feats : (i + 1) * feats] = shard
-            b_tr[i * rows_tr : (i + 1) * rows_tr] = targets[i * rows_tr : (i + 1) * rows_tr] * scale
-    validation = []
-    val_start = train_count
-    vscale = 1.0 / math.sqrt(rows_val)
-    for i in range(players):
-        sl = slice(val_start + i * rows_val, val_start + (i + 1) * rows_val)
-        a_val = design[sl] * vscale
-        if isinstance(source, SyntheticGame):
+        b_val = []
+        for i, a in enumerate(a_val):
             rng_v = np.random.default_rng((source.seed, 204, i))
-            b_val = a_val @ planted[i] + source.target_noise * vscale * rng_v.standard_normal(rows_val)
-        else:
-            b_val = targets[sl] * vscale
-        validation.append((a_val, b_val))
-    return players, feats, a_tr, b_tr, tuple(validation)
+            b_val.append(a @ planted[i] + source.target_noise * vscale * rng_v.standard_normal(a.shape[0]))
+    else:
+        design, targets = load_libsvm(source.path)
+        feats = design.shape[1]
+        a_tr, scale, val_rows, a_val, vscale = _split_game(design, players)
+        b_tr = targets[: a_tr.shape[0]] * scale
+        b_val = [targets[sl] * vscale for sl in val_rows]
+    return players, feats, a_tr, b_tr, tuple(zip(a_val, b_val))
 
 
 def make_regression_game(

@@ -247,18 +247,45 @@ def trace_to_csv(trace: IterationTrace) -> str:
     return _csv(trace.rows)
 
 
-def mean_csv(traces: Sequence[IterationTrace]) -> str:
-    """Elementwise average of the metric columns across replicate traces;
-    wall time is not aggregated."""
-    rows = []
-    for rows_at_k in zip(*(t.rows for t in traces)):
-        metrics = {}
-        for metric in _METRIC_COLUMNS:
-            vals = [row.metrics.get(metric) for row in rows_at_k]
-            if all(v is not None for v in vals):
-                metrics[metric] = float(np.mean([float(v) for v in vals]))
-        rows.append(replace(rows_at_k[0], metrics=metrics, wall_ms=None))
-    return _csv(rows)
+class ReplicateRecord(NamedTuple):
+    """What a finished replicate leaves once its trace CSV is written."""
+
+    series: dict  # recorded metric -> float64 array, one value per trace row
+    entry: dict  # the replicate's entry in summary.json
+
+    def metric_series(self, metric: str) -> np.ndarray:
+        # as IterationTrace.metric_series, so mean_metric_series takes records
+        return self.series[metric]
+
+
+def _record(trace: IterationTrace, metrics, projections: int) -> ReplicateRecord:
+    rows = trace.rows
+    entry = {
+        "final_metrics": trace.summary["final_metrics"],
+        "iterations": trace.summary["iterations"],
+        # inner iterations the schedule allowed, and those the projections ran
+        "inner_scheduled": projections * sum(row.t_k for row in rows),
+        "inner_consumed": rows[-1].cum_inner if rows else 0,
+    }
+    return ReplicateRecord({metric: trace.metric_series(metric) for metric in metrics}, entry)
+
+
+def mean_csv(rows: Sequence, records: Sequence[ReplicateRecord]) -> str:
+    """Elementwise average of the metric columns across replicates, cut to
+    the shortest; ``rows`` (the first replicate's trace rows) give the
+    integer columns, and wall time is not aggregated."""
+    n = min(rec.entry["iterations"] for rec in records)
+    # row k of a table holds the replicates' values at k, contiguous, so that
+    # each cell is one 1-D pairwise np.mean
+    tables = {}
+    for metric in records[0].series:
+        table = tables[metric] = np.empty((n, len(records)))
+        for r, rec in enumerate(records):
+            table[:, r] = rec.series[metric][:n]
+    return _csv(
+        replace(row, metrics={metric: float(np.mean(table[k])) for metric, table in tables.items()}, wall_ms=None)
+        for k, row in enumerate(rows[:n])
+    )
 
 
 class RunArtifacts(NamedTuple):
@@ -284,7 +311,11 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     os.makedirs(out_dir, exist_ok=True)
     metrics = cfg.metrics or default_metrics(problem)
     runner = run_ieg_sqvi if cfg.solver == "ieg" else run_ig_sqvi
-    traces = []
+    projections = 2 if cfg.solver == "ieg" else 1  # per outer iteration
+    # only the first replicate's trace outlives its CSV: the mean CSV takes
+    # its integer columns and the summary its theory values and crossings
+    first = None
+    records = []
     trace_paths = []
     solve_s = []
     for rep in range(cfg.replicates):
@@ -292,14 +323,15 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         tic = time.perf_counter()
         trace = runner(problem, cfg.solver_config(seed=seed), metrics=metrics)
         solve_s.append(time.perf_counter() - tic)
-        traces.append(trace)
         path = os.path.join(out_dir, f"trace_rep{rep:02d}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(trace_to_csv(trace))
         trace_paths.append(path)
+        first = first or trace
+        records.append(_record(trace, metrics, projections))
     mean_path = os.path.join(out_dir, "trace_mean.csv")
     with open(mean_path, "w", encoding="utf-8") as fh:
-        fh.write(mean_csv(traces))
+        fh.write(mean_csv(first.rows, records))
 
     manifest = {
         "version": __version__,
@@ -312,7 +344,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    summary = _summarize(cfg, metrics, traces)
+    summary = _summarize(cfg, metrics, first, records)
     if cfg.record_timing:  # timings vary run to run; by default the summary repeats exactly
         summary["timing"] = {"build_s": build_s, "solve_s": solve_s}
     summary_path = os.path.join(out_dir, "summary.json")
@@ -329,26 +361,15 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     )
 
 
-def _summarize(cfg: RunConfig, metrics, traces) -> dict:
-    per_rep = []
-    projections = 2 if cfg.solver == "ieg" else 1
-    for trace in traces:
-        entry = {
-            "final_metrics": trace.summary["final_metrics"],
-            "iterations": trace.summary["iterations"],
-            # inner iterations the schedule allowed, and those the projections ran
-            "inner_scheduled": projections * sum(row.t_k for row in trace.rows),
-            "inner_consumed": trace.rows[-1].cum_inner if trace.rows else 0,
-        }
-        per_rep.append(entry)
+def _summarize(cfg: RunConfig, metrics, first: IterationTrace, records: Sequence[ReplicateRecord]) -> dict:
     mean_finals = {}
     for metric in metrics:
-        vals = [t.summary["final_metrics"].get(metric) for t in traces]
+        vals = [rec.entry["final_metrics"].get(metric) for rec in records]
         if all(v is not None for v in vals):
             mean_finals[metric] = float(np.mean([float(v) for v in vals]))
     fits = {}
     for metric in metrics:
-        series = mean_metric_series(traces, metric)
+        series = mean_metric_series(records, metric)
         try:
             fit = fit_linear_rate(series, window=(5, series.shape[0] - 1))
             fits[metric] = {"slope_log10": fit.slope, "r_squared": fit.r_squared}
@@ -357,8 +378,8 @@ def _summarize(cfg: RunConfig, metrics, traces) -> dict:
     crossings = {}
     for eps in cfg.report_epsilons:
         try:
-            rep = oracle_complexity_report(traces[0], eps, metric=metrics[0])
-            row = traces[0].rows[rep.first_k] if rep.outer_iterations else None
+            rep = oracle_complexity_report(first, eps, metric=metrics[0])
+            row = first.rows[rep.first_k] if rep.outer_iterations else None
             crossings[_fmt(eps)] = {
                 "outer_iterations": rep.outer_iterations,
                 "total_samples": rep.total_samples,
@@ -371,10 +392,10 @@ def _summarize(cfg: RunConfig, metrics, traces) -> dict:
     return {
         "solver": cfg.solver,
         "metrics": list(metrics),
-        "replicates": per_rep,
+        "replicates": [rec.entry for rec in records],
         "mean_final_metrics": mean_finals,
         "fitted_rates": fits,
         "epsilon_crossings": crossings,
-        "beta_q": {"beta": traces[0].summary["beta"], "q": traces[0].summary["q"]},
-        "rho": traces[0].summary["rho"],
+        "beta_q": {"beta": first.summary["beta"], "q": first.summary["q"]},
+        "rho": first.summary["rho"],
     }

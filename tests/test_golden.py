@@ -2,10 +2,13 @@
 
 Each config of scripts/make_goldens.py runs through parse_config and
 run_experiment, and its CSVs must match tests/golden/ with the same header,
-every integer column exact and every float cell within 1e-12 relative.
+every integer column exact and every float cell within 1e-12 relative. A
+kept summary.json must match as parsed JSON: strings, ints and the layout
+exact, floats within the same 1e-12 relative.
 """
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -33,10 +36,28 @@ def _same_float(got: str, want: str) -> bool:
     return abs(got - want) <= REL_TOL * abs(want)
 
 
+def _assert_same_json(got, want, where: str):
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= REL_TOL * abs(want), f"{where}: {got} vs {want}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{where}[{i}]")
+    else:  # str, int, bool, None
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} vs {want!r}"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_matches_golden(name, tmp_path):
-    paths = make_goldens.run_csvs(CONFIGS[name], str(tmp_path / name))
+    paths = make_goldens.run_outputs(name, str(tmp_path / name))
     golden = sorted((GOLDEN / name).glob("trace_*.csv"))
+    if name in make_goldens.KEEP_SUMMARY:
+        got = json.loads(Path(paths.pop()).read_text())
+        _assert_same_json(got, json.loads((GOLDEN / name / "summary.json").read_text()), name)
     assert [Path(p).name for p in paths] == [p.name for p in golden]
     for path, gold in zip(paths, golden):
         header, rows = _rows(Path(path).read_text())
@@ -59,7 +80,8 @@ def test_sha256sums_list_every_golden():
     for line in (GOLDEN / "SHA256SUMS").read_text().splitlines():
         digest, name = line.split("  ")
         listed[name] = digest
-    on_disk = {str(p.relative_to(GOLDEN)): p for p in GOLDEN.glob("*/trace_*.csv")}
+    kept = [*GOLDEN.glob("*/trace_*.csv"), *GOLDEN.glob("*/summary.json")]
+    on_disk = {str(p.relative_to(GOLDEN)): p for p in kept}
     assert listed.keys() == on_disk.keys()
     for name, path in on_disk.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == listed[name], name

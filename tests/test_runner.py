@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,9 +247,68 @@ def test_mean_csv_is_elementwise_average(tmp_path):
     art = run_experiment(cfg, out_dir=str(tmp_path / "m"))
     reps = [np.genfromtxt(p, delimiter=",", names=True) for p in art.trace_paths]
     mean = np.genfromtxt(art.mean_path, delimiter=",", names=True)
-    np.testing.assert_allclose(
-        mean["dist"], np.mean([r["dist"] for r in reps], axis=0), atol=1e-12
-    )
+    # %.17g round-trips, so each cell is exactly the 1-D mean of its replicates
+    for k, cell in enumerate(mean["dist"]):
+        assert cell == float(np.mean([r["dist"][k] for r in reps])), k
+
+
+# noisy box runs that a dist floor of 0.05 stops after 16 to 19 iterations
+RAGGED = {
+    "problem": "translated_box",
+    "problem_params": {"noise_level": 0.5},
+    "solver": "ieg",
+    "eta": 0.6,
+    "alpha": 0.9,
+    "b": 2.0,
+    "schedule": "increasing",
+    "rho": 0.9,
+    "T": 60,
+    "seed": 3,
+    "replicates": 6,
+    "metrics": ["dist"],
+    "floor": {"metric": "dist", "value": 0.05},
+    "report_epsilons": [0.1],
+}
+
+
+def test_mean_csv_cut_to_shortest_replicate(tmp_path):
+    art = run_experiment(parse_config(json.dumps(RAGGED)), out_dir=str(tmp_path / "r"))
+    reps = [np.genfromtxt(p, delimiter=",", names=True) for p in art.trace_paths]
+    lengths = [r.shape[0] for r in reps]
+    assert len(set(lengths)) > 1 and max(lengths) < RAGGED["T"]
+    assert [entry["iterations"] for entry in art.summary["replicates"]] == lengths
+    mean = np.genfromtxt(art.mean_path, delimiter=",", names=True)
+    assert mean.shape[0] == min(lengths)
+    for column in ("k", "N_k", "t_k", "cum_samples", "cum_inner"):
+        np.testing.assert_array_equal(mean[column], reps[0][column][: min(lengths)])
+    for k, cell in enumerate(mean["dist"]):
+        assert cell == float(np.mean([r["dist"][k] for r in reps])), k
+    # crossings are read from the first replicate
+    first_k = int(np.argmax(reps[0]["dist"] <= 0.1))
+    (crossing,) = art.summary["epsilon_crossings"].values()
+    assert crossing["outer_iterations"] == first_k + 1
+
+
+def _run_peak_bytes(cfg, out_dir) -> int:
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, out_dir=out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_keeps_a_few_floats_per_row_between_replicates(tmp_path):
+    # a run keeps each finished replicate's metric series and summary entry,
+    # not its trace: each further replicate raises the allocation peak by
+    # about 80 bytes per row, where keeping its trace rows cost about 490
+    base = dict(RAGGED, solver="ig", T=30, floor=None, report_epsilons=[])
+    peaks = {
+        reps: _run_peak_bytes(parse_config(json.dumps(dict(base, replicates=reps))), str(tmp_path / str(reps)))
+        for reps in (5, 40)
+    }
+    per_row = (peaks[40] - peaks[5]) / (35 * base["T"])
+    assert per_row < 160, peaks
 
 
 def test_manifest_round_trip(tmp_path):
