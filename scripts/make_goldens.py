@@ -2,10 +2,11 @@
 """Regenerate the golden traces that tests/test_golden.py compares against.
 
 Runs small versions of the three benchmark workloads at seed 11 through
-parse_config and run_experiment, keeps each run's trace and mean CSVs (and
-the box-sampled run's summary.json) in tests/golden/<run>/, and lists their
-sha256 digests in tests/golden/SHA256SUMS (checkable with `sha256sum -c`
-from that directory):
+parse_config and run_experiment, keeps each run's trace and mean CSVs and
+manifest.json (and the box-sampled run's summary.json) in
+tests/golden/<run>/, and lists their sha256 digests in
+tests/golden/SHA256SUMS (checkable with `sha256sum -c` from that
+directory):
 
 - box-sampled: the noisy translated box, 5 replicates, T = 20;
 - game-fista-ieg, game-fista-ig: the table1-synthetic regression game, T = 20;
@@ -83,10 +84,11 @@ def configs() -> dict:
 
 def run_outputs(name: str, out_dir: str) -> list:
     """Run config ``name`` into ``out_dir``; the paths of its golden files:
-    the trace and mean CSVs, sorted, then summary.json if it is kept."""
+    the trace and mean CSVs, sorted, then summary.json if it is kept, then
+    manifest.json."""
     art = run_experiment(parse_config(json.dumps(configs()[name])), out_dir=out_dir)
     paths = sorted(glob.glob(os.path.join(out_dir, "trace_*.csv")))
-    return paths + [art.summary_path] if name in KEEP_SUMMARY else paths
+    return paths + ([art.summary_path] if name in KEEP_SUMMARY else []) + [art.manifest_path]
 
 
 def main() -> int:

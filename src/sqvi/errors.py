@@ -21,10 +21,6 @@ class UnsupportedSet(SqviError):
     pass
 
 
-class UnsupportedBaseSet(SqviError):
-    pass
-
-
 class InfeasibleSubproblem(SqviError):
     pass
 

@@ -1,11 +1,10 @@
 """Set-valued constraint maps K(x): projection, membership, exactness, audits.
 
-Four map shapes are supported: a fixed set with a closed-form projection,
-a translated set m(x) + K, a set cut out by convex inequalities
-g(x, y) <= 0 inside an ambient set (a system of halfspaces among them), and
-the solution set of a parametric convex lower-level problem. Every map
-carries a declared contractivity constant ``gamma`` bounding how fast the
-projection onto K(x) moves with x.
+Four map shapes are supported: a fixed set, a translated set m(x) + K, a
+set cut out by convex inequalities g(x, y) <= 0 inside an ambient set (a
+system of halfspaces among them), and the solution set of a parametric
+convex lower-level problem. Every map carries a declared contractivity
+constant ``gamma`` bounding how fast the projection onto K(x) moves with x.
 
 Each map owns its projection: ``project(x, u, t, ambient, rel_tol)`` runs
 its solver path (closed form, accelerated primal-dual or FISTA) for at most
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedBaseSet, UnsupportedSet
+from .errors import DimensionMismatch
 from .projection import ProjectionResult, apd_solve, feasibility_witness, fista_solve
 from .sets import Array, SimpleSet
 
@@ -45,24 +44,11 @@ def _block_times(mat: Array) -> Callable[[Array], Array]:
 
 @dataclass(frozen=True, eq=False)
 class FixedSet:
-    """K(x) = base_set for every x; gamma is 0 by definition.
-
-    The base set must have a closed-form projection, else construction
-    raises UnsupportedSet. A system of halfspaces {y : A y <= b} is the map
-    ``NonlinearConvex(ambient, constraint=lambda x, y: A @ y - b,
-    jacobian=lambda x, y: A)``.
-    """
+    """K(x) = base_set for every x; gamma is 0 by definition."""
 
     base_set: SimpleSet
 
     exact = True
-
-    def __post_init__(self):
-        if not self.base_set.closed_form:
-            raise UnsupportedSet(
-                "a fixed set needs a closed-form base set; write a system of halfspaces "
-                "A y <= b as NonlinearConvex(constraint=A @ y - b, jacobian=A)"
-            )
 
     @property
     def gamma(self) -> float:
@@ -113,8 +99,6 @@ class TranslatedSet:
 
     def exact_project(self, x: Array, u: Array) -> Array:
         """shift(x) + P_base(u - shift(x))."""
-        if not self.base_set.closed_form:
-            raise UnsupportedBaseSet("base set lacks a closed-form projection")
         m = np.asarray(self.shift(np.asarray(x, dtype=float)), dtype=float)
         return m + self.base_set.project(np.asarray(u, dtype=float) - m)
 

@@ -3,9 +3,7 @@
 An operator is a mapping F on R^n available through a closed-form mean
 field, through a draw of the mean of a batch of stochastic samples, or both.
 All randomness flows through seeded generator streams so that every batch
-is a pure function of (point, batch size, stream). A stream key whose parts
-all lie in [0, 2**32) seeds its generator from a uint32 array, the entropy
-words numpy derives from those ints itself, so the stream is the same.
+is a pure function of (point, batch size, stream).
 
 A sampled run draws from the streams ``prefix + (k, phase)``, and
 :class:`SampleStreams` seeds all of them at once: numpy's SeedSequence hash
@@ -211,12 +209,7 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
     if isinstance(stream, np.random.Generator):
         rng = stream
     else:
-        key = stream_key(stream)
-        if key and min(key) >= 0 and max(key) < 2**32:
-            # numpy reads each such part as one uint32 word; an array skips its
-            # per-int conversion (numpy 1.x would wrap a negative part silently)
-            key = np.array(key, dtype=np.uint32)
-        rng = np.random.default_rng(key)
+        rng = np.random.default_rng(stream_key(stream))
     est = np.asarray(op.batch_mean(x, rng, n), dtype=float)
     if est.shape != (op.dim,):
         raise DimensionMismatch(f"batch mean has shape {est.shape}")

@@ -189,24 +189,23 @@ def make_translated_box_qvi(
     lip = float(np.linalg.norm(a_mat, 2))
     if mu <= 0:
         raise ConstructionFailed("generated operator is not strongly monotone")
-    gamma = 2.0 * shift_slope
-    side = gamma + math.sqrt(max(1.0 - (mu / lip) ** 2, 0.0))
-    if side >= 1.0:
-        raise ConstructionFailed(
-            f"step-size condition violated: 2*shift_slope + sqrt(1 - (mu/L)^2) = {side:.4f} >= 1"
-        )
     lo, hi = float(box[0]), float(box[1])
     if not lo < hi:
         raise ConstructionFailed("box must have lo < hi")
-    base = Box(np.full(n, lo), np.full(n, hi))
-    scale = 1.0 / (1.0 - shift_slope)
-    ambient = Box(np.full(n, lo * scale), np.full(n, hi * scale))
     slope = shift_slope
 
     def shift(x):
         return slope * np.asarray(x, dtype=float)
 
+    base = Box(np.full(n, lo), np.full(n, hi))
     mapping = TranslatedSet(base_set=base, shift=shift, shift_lipschitz=shift_slope)
+    side = mapping.gamma + math.sqrt(max(1.0 - (mu / lip) ** 2, 0.0))
+    if side >= 1.0:
+        raise ConstructionFailed(
+            f"step-size condition violated: gamma + sqrt(1 - (mu/L)^2) = {side:.4f} >= 1"
+        )
+    scale = 1.0 / (1.0 - shift_slope)
+    ambient = Box(np.full(n, lo * scale), np.full(n, hi * scale))
 
     def mean_eval(x):
         return a_mat @ x + c_vec
@@ -237,7 +236,7 @@ def make_translated_box_qvi(
         map=mapping,
         ambient=ambient,
         x0=ambient.anchor(),
-        constants=Constants(lipschitz=lip, qg_mu=mu, gamma=gamma, noise=noise_level),
+        constants=Constants(lipschitz=lip, qg_mu=mu, gamma=mapping.gamma, noise=noise_level),
         suggested_eta=eta_star,
         reference_projector=lambda z: solution,
         metadata={
@@ -358,7 +357,8 @@ def _split_game(design: Array, players: int):
 
 
 def _game_arrays(source: GameSource):
-    """Training matrix, rhs, and per-player validation pairs for a game source.
+    """A game source's name tag and metadata, then its training matrix, rhs,
+    and per-player validation pairs.
 
     A synthetic game draws its design from the stream (seed, 202), its
     planted weights, cross-player coupling and training noise from (seed,
@@ -367,6 +367,7 @@ def _game_arrays(source: GameSource):
     """
     players = source.players
     if isinstance(source, SyntheticGame):
+        tag, origin = f"synthetic(seed={source.seed})", {"seed": source.seed}
         feats = source.features
         design = np.random.default_rng((source.seed, 202)).standard_normal((source.points, feats))
         a_tr, scale, _, a_val, vscale = _split_game(design, players)
@@ -385,12 +386,13 @@ def _game_arrays(source: GameSource):
             rng_v = np.random.default_rng((source.seed, 204, i))
             b_val.append(a @ planted[i] + source.target_noise * vscale * rng_v.standard_normal(a.shape[0]))
     else:
+        tag, origin = f"dataset({source.path})", {}
         design, targets = load_libsvm(source.path)
         feats = design.shape[1]
         a_tr, scale, val_rows, a_val, vscale = _split_game(design, players)
         b_tr = targets[: a_tr.shape[0]] * scale
         b_val = [targets[sl] * vscale for sl in val_rows]
-    return players, feats, a_tr, b_tr, tuple(zip(a_val, b_val))
+    return tag, origin, players, feats, a_tr, b_tr, tuple(zip(a_val, b_val))
 
 
 def make_regression_game(
@@ -421,7 +423,7 @@ def make_regression_game(
     M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
     slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
     """
-    players, feats, a_tr, b_tr, validation = _game_arrays(source)
+    tag, origin, players, feats, a_tr, b_tr, validation = _game_arrays(source)
     dim = players * feats
     blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
     grams_tr = np.stack([blk.T @ blk for blk in blocks])
@@ -523,14 +525,8 @@ def make_regression_game(
         radius=lam,
         regularization=sigma,
     )
-    metadata = {"players": players, "feature_dim": feats, "radius": lam, "regularization": sigma}
-    if isinstance(source, SyntheticGame):
-        src_tag = f"synthetic(seed={source.seed})"
-        metadata["seed"] = source.seed
-    else:
-        src_tag = f"dataset({source.path})"
     return ProblemInstance(
-        name=f"regression_game[{src_tag},N={players},d={feats}]",
+        name=f"regression_game[{tag},N={players},d={feats}]",
         operator=operator,
         map=mapping,
         ambient=feasible,
@@ -538,7 +534,7 @@ def make_regression_game(
         constants=Constants(lipschitz=lip, qg_mu=0.0, gamma=gamma, noise=0.0),
         suggested_eta=1e-2,
         lower_level=LowerLevelData(value=train_value, min_value=min_value, game=game),
-        metadata=metadata,
+        metadata=dict(origin, players=players, feature_dim=feats, radius=lam, regularization=sigma),
     )
 
 

@@ -1,11 +1,10 @@
 """Closed convex sets with closed-form Euclidean projections.
 
 Concrete carriers for constraint sets: balls, boxes, the probability
-simplex, halfspace systems, affine sets, and block products of those.
-Projections are exact up to floating point, except for intersections of
-two or more halfspaces, which have no closed form: such sets report
-``closed_form`` false, and a map projects onto them as a
-:class:`sqvi.maps.NonlinearConvex` with linear constraints.
+simplex, a halfspace, affine sets, and block products of those. Every set
+projects exactly up to floating point. A system of two or more halfspaces
+has no closed form, so it is not a set here but a
+:class:`sqvi.maps.NonlinearConvex` map with linear constraints.
 """
 from __future__ import annotations
 
@@ -31,14 +30,9 @@ def _vec(x, dim=None, name="vector") -> Array:
 
 
 class SimpleSet:
-    """Interface: exact projection, membership, anchor point, diameter.
-
-    ``closed_form`` says whether ``project`` is available; sets without a
-    closed form raise UnsupportedSet from it.
-    """
+    """Interface: exact projection, membership, anchor point, diameter."""
 
     dim: int
-    closed_form = True
 
     def project(self, u: Array) -> Array:
         raise NotImplementedError
@@ -161,14 +155,24 @@ class Simplex(SimpleSet):
 
 @dataclass(frozen=True, eq=False)
 class Halfspaces(SimpleSet):
-    """Intersection {y : A y <= b}. Closed-form projection only for one row."""
+    """Halfspace {y : a'y <= b}, given as one row ``normals`` and one ``offsets``.
+
+    Two or more rows have no closed-form projection and raise UnsupportedSet;
+    a system A y <= b is the map ``NonlinearConvex(ambient, constraint=lambda
+    x, y: A @ y - b, jacobian=lambda x, y: A)``.
+    """
 
     normals: Array
     offsets: Array
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        b = _vec(self.offsets, a.shape[0], "offsets")
+        if a.shape[0] != 1:
+            raise UnsupportedSet(
+                f"Halfspaces takes one row, got {a.shape[0]}: a system A y <= b has no closed-form "
+                "projection; write it as NonlinearConvex(constraint=A @ y - b, jacobian=A)"
+            )
+        b = _vec(self.offsets, 1, "offsets")
         if np.any(np.linalg.norm(a, axis=1) == 0.0):
             raise UnsupportedSet("halfspace normal must be nonzero")
         object.__setattr__(self, "normals", a)
@@ -178,17 +182,8 @@ class Halfspaces(SimpleSet):
     def dim(self) -> int:
         return self.normals.shape[1]
 
-    @property
-    def closed_form(self) -> bool:
-        return self.normals.shape[0] == 1
-
     def project(self, u: Array) -> Array:
         u = _vec(u, self.dim, "point")
-        if not self.closed_form:
-            raise UnsupportedSet(
-                "no closed-form projection onto an intersection of halfspaces; "
-                "write it as a NonlinearConvex map"
-            )
         a = self.normals[0]
         viol = float(a @ u - self.offsets[0])
         if viol <= 0.0:
@@ -246,10 +241,6 @@ class ProductSet(SimpleSet):
     @property
     def dim(self) -> int:
         return int(sum(p.dim for p in self.parts))
-
-    @property
-    def closed_form(self) -> bool:
-        return all(p.closed_form for p in self.parts)
 
     def blocks(self, y: Array):
         y = _vec(y, self.dim, "point")

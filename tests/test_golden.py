@@ -2,9 +2,9 @@
 
 Each config of scripts/make_goldens.py runs through parse_config and
 run_experiment, and its CSVs must match tests/golden/ with the same header,
-every integer column exact and every float cell within 1e-12 relative. A
-kept summary.json must match as parsed JSON: strings, ints and the layout
-exact, floats within the same 1e-12 relative.
+every integer column exact and every float cell within 1e-12 relative. Its
+manifest.json and a kept summary.json must match as parsed JSON: strings,
+ints and the layout exact, floats within the same 1e-12 relative.
 """
 import hashlib
 import importlib.util
@@ -53,14 +53,14 @@ def _assert_same_json(got, want, where: str):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_run_matches_golden(name, tmp_path):
-    paths = make_goldens.run_outputs(name, str(tmp_path / name))
-    golden = sorted((GOLDEN / name).glob("trace_*.csv"))
-    if name in make_goldens.KEEP_SUMMARY:
-        got = json.loads(Path(paths.pop()).read_text())
-        _assert_same_json(got, json.loads((GOLDEN / name / "summary.json").read_text()), name)
-    assert [Path(p).name for p in paths] == [p.name for p in golden]
-    for path, gold in zip(paths, golden):
-        header, rows = _rows(Path(path).read_text())
+    paths = [Path(p) for p in make_goldens.run_outputs(name, str(tmp_path / name))]
+    assert sorted(p.name for p in paths) == sorted(p.name for p in (GOLDEN / name).iterdir())
+    for path in paths:
+        gold = GOLDEN / name / path.name
+        if path.suffix == ".json":
+            _assert_same_json(json.loads(path.read_text()), json.loads(gold.read_text()), f"{name}/{gold.name}")
+            continue
+        header, rows = _rows(path.read_text())
         gold_header, gold_rows = _rows(gold.read_text())
         assert header == gold_header
         assert len(rows) == len(gold_rows), gold.name
@@ -80,8 +80,7 @@ def test_sha256sums_list_every_golden():
     for line in (GOLDEN / "SHA256SUMS").read_text().splitlines():
         digest, name = line.split("  ")
         listed[name] = digest
-    kept = [*GOLDEN.glob("*/trace_*.csv"), *GOLDEN.glob("*/summary.json")]
-    on_disk = {str(p.relative_to(GOLDEN)): p for p in kept}
+    on_disk = {str(p.relative_to(GOLDEN)): p for p in GOLDEN.glob("*/*")}
     assert listed.keys() == on_disk.keys()
     for name, path in on_disk.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == listed[name], name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sqvi.errors import DimensionMismatch, UnsupportedBaseSet, UnsupportedSet
+from sqvi.errors import DimensionMismatch
 from sqvi.maps import (
     ArgminSet,
     FixedSet,
@@ -12,7 +12,7 @@ from sqvi.maps import (
 )
 from sqvi.problems import BlockBalls
 from sqvi.projection import inexact_project, reference_project
-from sqvi.sets import Ball, Box, Halfspaces
+from sqvi.sets import Ball, Box
 
 unit_ball = Ball(np.zeros(2), 1.0)
 
@@ -75,11 +75,6 @@ def test_member_argmin_rank_deficient_block_quadratic():
     assert not member(m, x, c + v, tol=1e-3)
 
 
-def test_fixed_set_needs_a_closed_form_base():
-    with pytest.raises(UnsupportedSet, match="NonlinearConvex"):
-        FixedSet(Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25]))
-
-
 def test_argmin_set_derives_curvature_from_hessian():
     rng = np.random.default_rng(8)
     b = rng.standard_normal((3, 5, 4))
@@ -117,16 +112,6 @@ def test_translated_projection_worked_values():
     np.testing.assert_allclose(
         box_map.exact_project(np.zeros(2), np.array([2.0, -3.0])), [1.0, -1.0]
     )
-
-
-def test_translated_projection_unsupported_base():
-    m = TranslatedSet(
-        base_set=Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
-        shift=lambda x: x,
-        shift_lipschitz=1.0,
-    )
-    with pytest.raises(UnsupportedBaseSet):
-        m.exact_project(np.zeros(2), np.ones(2))
 
 
 def test_gamma_defaults_to_twice_shift_constant():
@@ -197,11 +182,11 @@ def _lower_argmin(closed_form):
 
 def _halfspace_system():
     # a system of halfspaces has no closed form; it is a NonlinearConvex map
-    hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])
+    a, b = np.eye(2), np.array([0.5, 0.25])
     return NonlinearConvex(
         ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),
-        constraint=lambda x, y: hs.normals @ y - hs.offsets,
-        jacobian=lambda x, y: hs.normals,
+        constraint=lambda x, y: a @ y - b,
+        jacobian=lambda x, y: a,
         jacobian_bound=1.0,
     )
 

@@ -230,11 +230,11 @@ def test_inexact_project_singleton_argmin():
 
 
 def test_inexact_project_multi_halfspace_fixed_set():
-    hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.25])
+    a, b = np.eye(2), np.array([0.5, 0.25])
     m = NonlinearConvex(
         ambient=Box(np.full(2, -5.0), np.full(2, 5.0)),
-        constraint=lambda x, y: hs.normals @ y - hs.offsets,
-        jacobian=lambda x, y: hs.normals,
+        constraint=lambda x, y: a @ y - b,
+        jacobian=lambda x, y: a,
         jacobian_bound=1.0,
     )
     res = inexact_project(m, np.zeros(2), np.array([2.0, 2.0]), t=800)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqvi.errors import DimensionMismatch, UnsupportedSet
+from sqvi.problems import BlockBalls
 from sqvi.sets import (
     AffineSet,
     Ball,
@@ -19,6 +20,8 @@ KINDS = {
     "simplex": Simplex(3, scale=1.0),
     "halfspace": Halfspaces([[1.0, -2.0, 0.5]], [0.7]),
     "affine": AffineSet([[1.0, 1.0, 0.0]], [1.0]),
+    "product": ProductSet((Ball(np.array([0.5, -1.0]), 1.0), Box([-0.5], [2.0]))),
+    "block-balls": BlockBalls(3, 1, 1.5),
 }
 
 coords = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -63,10 +66,9 @@ def test_affine_projection_coordinates():
 
 
 def test_multi_halfspace_has_no_closed_form():
-    hs = Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    assert not hs.closed_form
-    with pytest.raises(UnsupportedSet):
-        hs.project(np.array([2.0, 2.0]))
+    # a system of halfspaces is a NonlinearConvex map, not a set
+    with pytest.raises(UnsupportedSet, match="NonlinearConvex"):
+        Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
 def test_product_set_blockwise():

@@ -16,7 +16,7 @@ from sqvi.errors import (
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex
 from sqvi.operators import OperatorSpec
 from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
-from sqvi.sets import Box, Halfspaces
+from sqvi.sets import Box
 from sqvi.solvers import (
     ConstantMinibatch,
     DampedInner,
@@ -163,15 +163,15 @@ def orthant_face_problem():
     shift = np.array([1.0, -0.5])
     solution = np.array([0.0, -0.5])
     op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=1.0, mean_eval=lambda x: x - shift)
-    hs = Halfspaces(np.eye(2), np.zeros(2))
+    a, b = np.eye(2), np.zeros(2)
     ambient = Box(np.full(2, -2.0), np.full(2, 2.0))
     return ProblemInstance(
         name="orthant_face",
         operator=op,
         map=NonlinearConvex(
             ambient=ambient,
-            constraint=lambda x, y: hs.normals @ y - hs.offsets,
-            jacobian=lambda x, y: hs.normals,
+            constraint=lambda x, y: a @ y - b,
+            jacobian=lambda x, y: a,
             jacobian_bound=1.0,
         ),
         ambient=ambient,
