@@ -13,7 +13,10 @@ directory):
 - coupled-apd: the coupled saddle point with the residual metric, T = 10.
 
 Regenerating re-baselines on purpose; a change that moves the goldens says
-by how much in CHANGES.md.
+by how much in CHANGES.md. Before overwriting a run's goldens the script
+prints, per file and column (per leaf of a JSON file), the largest relative
+change of a float against the committed file and how many integer cells
+or other exact values differ.
 
 Example:
     python3 scripts/make_goldens.py
@@ -30,6 +33,7 @@ from sqvi.problems import make_translated_box_qvi
 from sqvi.runner import parse_config, run_experiment
 
 SEED = 11
+INTEGER_COLUMNS = ("k", "N_k", "t_k", "cum_samples", "cum_inner")  # compared exactly
 KEEP_SUMMARY = ("box-sampled",)  # runs whose summary.json is a golden too
 GOLDEN_DIR = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "golden"))
 
@@ -91,14 +95,76 @@ def run_outputs(name: str, out_dir: str) -> list:
     return paths + ([art.summary_path] if name in KEEP_SUMMARY else []) + [art.manifest_path]
 
 
+def _rel(got: float, want: float) -> float:
+    return 0.0 if got == want else abs(got - want) / max(abs(want), 1e-300)
+
+
+def _leaves(node, where: str = "") -> dict:
+    """JSON leaf path -> [value]."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {where: [node]}
+    out = {}
+    for key, child in items:
+        out.update(_leaves(child, f"{where}.{key}" if where else str(key)))
+    return out
+
+
+def _columns(path: str) -> dict:
+    """CSV column -> its cells in row order, floats parsed except in integer
+    columns and empty cells; for a JSON file, leaf path -> [value]."""
+    with open(path, encoding="utf-8") as fh:
+        if path.endswith(".json"):
+            return _leaves(json.load(fh))
+        lines = fh.read().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return {
+        name: [float(row[i]) if row[i] and name not in INTEGER_COLUMNS else row[i] for row in rows]
+        for i, name in enumerate(header)
+    }
+
+
+def drift(old_path: str, new_path: str) -> list:
+    """What moved from the committed ``old_path`` to ``new_path``: per column,
+    the largest relative float change and the count of exact mismatches."""
+    old, new = _columns(old_path), _columns(new_path)
+    if old.keys() != new.keys():
+        return [f"columns differ: {sorted(old.keys() ^ new.keys())}"]
+    report = []
+    for column, cells in old.items():
+        if len(cells) != len(new[column]):
+            report.append(f"{column}: {len(cells)} -> {len(new[column])} rows")
+            continue
+        worst, mismatches = 0.0, 0
+        for got, want in zip(new[column], cells):
+            if isinstance(got, float) and isinstance(want, float):
+                worst = max(worst, _rel(got, want))
+            elif got != want:
+                mismatches += 1
+        if mismatches:
+            report.append(f"{column}: {mismatches} exact mismatches")
+        if worst:
+            report.append(f"{column}: largest relative change {worst:.3g}")
+    return report
+
+
 def main() -> int:
     sums = []
     with tempfile.TemporaryDirectory() as scratch:
         for name in configs():
             dest = os.path.join(GOLDEN_DIR, name)
+            paths = run_outputs(name, os.path.join(scratch, name))
+            for path in paths:
+                committed = os.path.join(dest, os.path.basename(path))
+                moved = drift(committed, path) if os.path.exists(committed) else ["new file"]
+                print(f"{name}/{os.path.basename(path)}: " + ("; ".join(moved) if moved else "unchanged"))
             shutil.rmtree(dest, ignore_errors=True)
             os.makedirs(dest)
-            for path in run_outputs(name, os.path.join(scratch, name)):
+            for path in paths:
                 shutil.copy(path, dest)
                 with open(path, "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()

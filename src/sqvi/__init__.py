@@ -32,6 +32,7 @@ from .maps import (
     member,
 )
 from .projection import (
+    BlockQuadratic,
     ProjectionResult,
     apd_solve,
     fista_solve,

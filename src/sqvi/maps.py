@@ -16,12 +16,12 @@ tests membership without an inner solve. The inner solvers live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .projection import ProjectionResult, apd_solve, feasibility_witness, fista_solve
+from .projection import BlockQuadratic, ProjectionResult, apd_solve, feasibility_witness, fista_solve
 from .sets import Array, SimpleSet
 
 
@@ -34,12 +34,6 @@ def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
 def _capped(bound: float, domain: SimpleSet) -> float:
     diam = domain.diameter()
     return min(bound, diam) if np.isfinite(diam) else bound
-
-
-def _block_times(mat: Array) -> Callable[[Array], Array]:
-    """y -> the block-diagonal product of a (blocks, b, b) stack with y, as one matmul."""
-    shape = mat.shape[:2] + (1,)
-    return lambda y: np.matmul(mat, y.reshape(shape)).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +163,13 @@ class ArgminSet:
     is one block), and ``linear(x)`` is the gradient at y = 0. The objective
     is thus known up to a constant in y, which neither projection nor
     membership needs. ``curvature`` is derived as the largest eigenvalue of
-    the hessian. Projections onto this set are computed through a
-    Tikhonov-regularized surrogate with weight 1/``regularization`` on the
-    lower objective; ``exact_reg_project``, when supplied by a problem
-    constructor, solves that surrogate in closed form and serves as the
-    reference projector.
+    the hessian, from one eigendecomposition; a caller that has it already
+    may pass it as ``hessian_eig`` (``(blocks, b)`` values and
+    ``(blocks, b, b)`` eigenvector columns), which is trusted. Projections
+    onto this set are computed through a Tikhonov-regularized surrogate
+    with weight 1/``regularization`` on the lower objective;
+    ``exact_reg_project``, when supplied by a problem constructor, solves
+    that surrogate in closed form and serves as the reference projector.
     """
 
     feasible: SimpleSet
@@ -182,9 +178,10 @@ class ArgminSet:
     regularization: float
     gamma: float = 0.0
     exact_reg_project: Optional[Callable[[Array, Array], Array]] = None
+    hessian_eig: Optional[Tuple[Array, Array]] = field(default=None, repr=False)
     curvature: float = field(init=False)
-    # I + hessian/regularization: the surrogate's hessian
-    _surrogate: Array = field(init=False, repr=False)
+    # I + hessian/regularization, the surrogate's hessian, in its eigenbasis
+    _surrogate: BlockQuadratic = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.regularization > 0):
@@ -196,13 +193,13 @@ class ArgminSet:
                 f"hessian has shape {np.shape(self.hessian)}, expected (blocks, b, b) with "
                 f"blocks*b = {self.feasible.dim}"
             )
-        eigs = np.linalg.eigvalsh(h)
+        eigs, vecs = np.linalg.eigh(h) if self.hessian_eig is None else self.hessian_eig
         size = max(1.0, float(np.max(np.abs(h))))
         if not (np.max(np.abs(h - h.transpose(0, 2, 1))) <= 1e-12 * size and np.min(eigs) >= -1e-10 * size):
             raise DimensionMismatch("hessian must be symmetric positive semidefinite")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "curvature", float(np.max(eigs)))
-        object.__setattr__(self, "_surrogate", np.eye(h.shape[1]) + h / self.regularization)
+        object.__setattr__(self, "_surrogate", BlockQuadratic(1.0 + eigs / self.regularization, vecs, 1.0))
 
     @property
     def dim(self) -> int:
@@ -215,17 +212,12 @@ class ArgminSet:
     def exact_project(self, x: Array, u: Array) -> Array:
         return np.asarray(self.exact_reg_project(x, u), dtype=float)
 
-    def surrogate_grad(self, x: Array, u: Array) -> Callable[[Array], Array]:
-        """Gradient in y of the surrogate 0.5||y-u||^2 + objective/regularization:
-        y -> (I + H/sigma) y - c with c = u - linear(x)/sigma computed once."""
-        c = u - np.asarray(self.linear(x), dtype=float) / self.regularization
-        times = _block_times(self._surrogate)
-        return lambda y: times(y) - c
-
     def project(
         self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
     ) -> ProjectionResult:
-        """FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization.
+        """FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization,
+        which is 0.5 y'My - c'y up to a constant, with M = I + H/sigma and
+        c = u - linear(x)/sigma.
 
         The error bound is FISTA's gradient-mapping certificate. A positive
         ``rel_tol`` stops the solve once that certificate is at most
@@ -233,9 +225,8 @@ class ArgminSet:
         ``inner_iterations`` may fall below the cap t; with 0 it runs t steps.
         """
         res = fista_solve(
-            grad=self.surrogate_grad(x, u),
-            curvature=1.0 + self.curvature / self.regularization,
-            strong_convexity=1.0,
+            self._surrogate,
+            u - np.asarray(self.linear(x), dtype=float) / self.regularization,
             feasible=self.feasible,
             y0=self.feasible.project(u),
             t=t,
@@ -254,7 +245,8 @@ class ArgminSet:
         """
         if not self.feasible.contains(y, tol):
             return False
-        grad = _block_times(self.hessian)(y) + np.asarray(self.linear(x), dtype=float)
+        hy = np.matmul(self.hessian, y.reshape(self.hessian.shape[:2] + (1,))).reshape(-1)
+        grad = hy + np.asarray(self.linear(x), dtype=float)
         step = y - self.feasible.project(y - grad / max(self.curvature, 1e-15))
         return float(np.linalg.norm(step)) <= tol
 

@@ -2,12 +2,13 @@
 
 Concrete carriers for constraint sets: balls, boxes, the probability
 simplex, a halfspace, affine sets, and block products of those. Every set
-projects exactly up to floating point. A system of two or more halfspaces
-has no closed form, so it is not a set here but a
-:class:`sqvi.maps.NonlinearConvex` map with linear constraints.
+projects exactly up to floating point, one point or each row of a stack. A
+system of two or more halfspaces has no closed form, so it is not a set
+here but a :class:`sqvi.maps.NonlinearConvex` map with linear constraints.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,12 +30,25 @@ def _vec(x, dim=None, name="vector") -> Array:
     return v
 
 
+def _points(u, dim: int) -> Array:
+    """One point ``(dim,)`` or a stack ``(..., dim)`` of points, as floats; a
+    0-d input is one point of a one-dimensional set."""
+    v = np.asarray(u, dtype=float)
+    if v.ndim == 0:
+        v = v.reshape(1)
+    if v.shape[-1] != dim:
+        raise DimensionMismatch(f"point has dimension {v.shape[-1]}, expected {dim}")
+    return v
+
+
 class SimpleSet:
     """Interface: exact projection, membership, anchor point, diameter."""
 
     dim: int
 
     def project(self, u: Array) -> Array:
+        """Projection of one point ``(dim,)``, or of each row of a stack
+        ``(..., dim)`` bit for bit as a lone call would project it."""
         raise NotImplementedError
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
@@ -65,12 +79,17 @@ class Ball(SimpleSet):
         return self.center.shape[0]
 
     def project(self, u: Array) -> Array:
-        u = _vec(u, self.dim, "point")
+        """A point inside comes back bit for bit."""
+        u = _points(u, self.dim)
         d = u - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return u.copy()
-        return self.center + d * (self.radius / nrm)
+        # a lone point and each row of a stack take the same sum of squares,
+        # so a row projects bit for bit as it would alone
+        if u.ndim == 1:
+            nrm = math.sqrt((d * d).sum())
+            return u.copy() if nrm <= self.radius else self.center + d * (self.radius / nrm)
+        nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
+        scale = self.radius / np.maximum(nrm, 1e-300)
+        return np.where(nrm <= self.radius, u, self.center + d * scale)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         y = _vec(y, self.dim, "point")
@@ -101,7 +120,7 @@ class Box(SimpleSet):
         return self.lo.shape[0]
 
     def project(self, u: Array) -> Array:
-        u = _vec(u, self.dim, "point")
+        u = _points(u, self.dim)
         # np.clip's result bit for bit (signed zeros and NaN included), at
         # less than half its call overhead on short vectors
         out = np.maximum(u, self.lo)
@@ -132,14 +151,14 @@ class Simplex(SimpleSet):
             raise UnsupportedSet("simplex scale must be positive")
 
     def project(self, u: Array) -> Array:
-        # Sort-based algorithm; O(n log n) and exact.
-        u = _vec(u, self.dim, "point")
-        srt = np.sort(u)[::-1]
-        css = np.cumsum(srt)
-        idx = np.arange(1, self.dim + 1)
-        cond = srt - (css - self.scale) / idx > 0
-        rho = int(np.nonzero(cond)[0][-1])
-        theta = (css[rho] - self.scale) / (rho + 1.0)
+        # sort-based, O(n log n) per row and exact
+        u = _points(u, self.dim)
+        srt = np.sort(u, axis=-1)[..., ::-1]
+        css = np.cumsum(srt, axis=-1)
+        cond = srt - (css - self.scale) / np.arange(1, self.dim + 1) > 0
+        # the last index where cond holds
+        rho = self.dim - 1 - np.argmax(cond[..., ::-1], axis=-1)[..., None]
+        theta = (np.take_along_axis(css, rho, axis=-1) - self.scale) / (rho + 1.0)
         return np.maximum(u - theta, 0.0)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
@@ -183,12 +202,10 @@ class Halfspaces(SimpleSet):
         return self.normals.shape[1]
 
     def project(self, u: Array) -> Array:
-        u = _vec(u, self.dim, "point")
+        u = _points(u, self.dim)
         a = self.normals[0]
-        viol = float(a @ u - self.offsets[0])
-        if viol <= 0.0:
-            return u.copy()
-        return u - (viol / float(a @ a)) * a
+        viol = (u * a).sum(axis=-1, keepdims=True) - self.offsets[0]
+        return np.where(viol <= 0.0, u, u - (viol / float(a @ a)) * a)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         y = _vec(y, self.dim, "point")
@@ -214,8 +231,11 @@ class AffineSet(SimpleSet):
         return self.A.shape[1]
 
     def project(self, u: Array) -> Array:
-        u = _vec(u, self.dim, "point")
-        return u - self._pinv @ (self.A @ u - self.b)
+        u = _points(u, self.dim)
+        # one (1, dim) row product per point, so a row of a stack rounds as
+        # it would alone
+        rows = u[..., None, :]
+        return u - ((rows @ self.A.T - self.b) @ self._pinv.T)[..., 0, :]
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         y = _vec(y, self.dim, "point")
@@ -243,11 +263,10 @@ class ProductSet(SimpleSet):
         return int(sum(p.dim for p in self.parts))
 
     def blocks(self, y: Array):
-        y = _vec(y, self.dim, "point")
-        return np.split(y, self._splits)
+        return np.split(_points(y, self.dim), self._splits, axis=-1)
 
     def project(self, u: Array) -> Array:
-        return np.concatenate([p.project(blk) for p, blk in zip(self.parts, self.blocks(u))])
+        return np.concatenate([p.project(blk) for p, blk in zip(self.parts, self.blocks(u))], axis=-1)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
         return all(p.contains(blk, tol) for p, blk in zip(self.parts, self.blocks(y)))

@@ -14,7 +14,7 @@ from sqvi.errors import NoAdmissibleStep
 from sqvi.maps import ArgminSet, NonlinearConvex
 from sqvi.operators import estimate_qg, estimate_strong_monotonicity
 from sqvi.problems import make_translated_box_qvi
-from sqvi.projection import fista_solve, projection_rate_audit
+from sqvi.projection import BlockQuadratic, fista_solve, projection_rate_audit
 from sqvi.runner import parse_config, run_experiment
 from sqvi.sets import AffineSet, Ball, Box, Halfspaces, Simplex
 from sqvi.solvers import (
@@ -142,11 +142,11 @@ def test_c03_inner_solver_contract():
     lin = 3.0 * rng.standard_normal(n)
     ball = Ball(np.zeros(n), 1.0)
     val = lambda y: 0.5 * float(y @ (a @ y)) + float(lin @ y)
-    grd = lambda y: a @ y + lin
+    quad = BlockQuadratic(eigs[None], q_mat[None], eigs[0])
     y0 = ball.project(rng.standard_normal(n))
-    fstar = val(fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=100000).point)
+    fstar = val(fista_solve(quad, -lin, ball, y0, t=100000).point)
     gaps = [
-        max(val(fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=t).point) - fstar, 1e-16)
+        max(val(fista_solve(quad, -lin, ball, y0, t=t).point) - fstar, 1e-16)
         for t in budgets
     ]
     gap_exponent = -float(np.polyfit(np.log10(budgets), np.log10(gaps), 1)[0])

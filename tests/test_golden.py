@@ -15,13 +15,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-INTEGER_COLUMNS = ("k", "N_k", "t_k", "cum_samples", "cum_inner")
 REL_TOL = 1e-12
 
 _spec = importlib.util.spec_from_file_location("make_goldens", ROOT / "scripts" / "make_goldens.py")
 make_goldens = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_goldens)
 CONFIGS = make_goldens.configs()
+INTEGER_COLUMNS = make_goldens.INTEGER_COLUMNS
 
 
 def _rows(text: str):

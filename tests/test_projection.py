@@ -5,7 +5,10 @@ import scipy.optimize
 from sqvi.errors import InfeasibleSubproblem, InvalidParameters, NonfiniteValue
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex, TranslatedSet
 from sqvi.operators import evaluate_mean
+from sqvi.problems import BlockBalls
 from sqvi.projection import (
+    CHUNK,
+    BlockQuadratic,
     apd_solve,
     feasibility_witness,
     fista_solve,
@@ -39,6 +42,11 @@ def rank_deficient_argmin(rng, n=10, rows=4, radius=3.0, sigma=1e-2):
 # FISTA
 
 
+def unit_quadratic(strong_convexity=1.0):
+    # f(y) = y^2/2 in one dimension: M = [[1]], whose eigenvector is 1
+    return BlockQuadratic(np.ones((1, 1)), np.ones((1, 1, 1)), strong_convexity)
+
+
 # f(y) = y^2/2 on [-1, 1] from y0 = 1 with L = mu = 1: the momentum
 # (sqrt(L/mu) - 1)/(sqrt(L/mu) + 1) is 0. Step 1 from z = 1 gives
 # y+ = P(1 - 1) = 0 with certificate 2 L |z - y+| / mu = 2; step 2 from z = 0
@@ -48,9 +56,8 @@ def rank_deficient_argmin(rng, n=10, rows=4, radius=3.0, sigma=1e-2):
 
 def test_fista_box_quadratic_worked_value():
     res = fista_solve(
-        grad=lambda y: y,
-        curvature=1.0,
-        strong_convexity=1.0,
+        unit_quadratic(),
+        c=np.zeros(1),
         feasible=Box([-1.0], [1.0]),
         y0=np.array([1.0]),
         t=10,
@@ -61,9 +68,8 @@ def test_fista_box_quadratic_worked_value():
 
 def test_fista_single_step_bound():
     res = fista_solve(
-        grad=lambda y: y,
-        curvature=1.0,
-        strong_convexity=1.0,
+        unit_quadratic(),
+        c=np.zeros(1),
         feasible=Box([-1.0], [1.0]),
         y0=np.array([1.0]),
         t=1,
@@ -77,9 +83,8 @@ def test_fista_single_step_bound():
 def test_fista_nonfinite_gradient_raises(strong_convexity):
     with pytest.raises(NonfiniteValue):
         fista_solve(
-            grad=lambda y: np.full_like(y, np.nan),
-            curvature=1.0,
-            strong_convexity=strong_convexity,
+            unit_quadratic(strong_convexity),
+            c=np.full(1, np.nan),
             feasible=Box([-1.0], [1.0]),
             y0=np.array([1.0]),
             t=5,
@@ -91,9 +96,8 @@ def test_fista_needs_positive_strong_convexity(strong_convexity):
     # without a modulus there is no certificate, so there is no loop to run
     with pytest.raises(InvalidParameters, match="strong convexity"):
         fista_solve(
-            grad=lambda y: y,
-            curvature=1.0,
-            strong_convexity=strong_convexity,
+            unit_quadratic(strong_convexity),
+            c=np.zeros(1),
             feasible=Box([-1.0], [1.0]),
             y0=np.array([1.0]),
             t=5,
@@ -109,18 +113,95 @@ def test_fista_gap_decay_exponent(rng):
     c = rng.standard_normal(n) * 3.0
     ball = Ball(np.zeros(n), 1.0)
     val = lambda y: 0.5 * float(y @ (a @ y)) + float(c @ y)
-    grd = lambda y: a @ y + c
+    quad = BlockQuadratic(eigs[None], q[None], eigs[0])
     y0 = ball.project(rng.standard_normal(n))
-    ref = fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=100000).point
+    ref = fista_solve(quad, -c, ball, y0, t=100000).point
     fstar = val(ref)
     gaps = []
     budgets = [10, 20, 40, 80, 160]
     for t in budgets:
-        pt = fista_solve(grd, eigs[-1], eigs[0], ball, y0, t=t).point
+        pt = fista_solve(quad, -c, ball, y0, t=t).point
         gaps.append(max(val(pt) - fstar, 1e-16))
     slope = np.polyfit(np.log10(budgets), np.log10(gaps), 1)[0]
     assert slope <= -1.9
 
+
+
+def test_fista_positive_rel_tol_needs_an_anchor():
+    with pytest.raises(InvalidParameters, match="anchor"):
+        fista_solve(unit_quadratic(), np.zeros(1), Box([-1.0], [1.0]), np.array([1.0]), t=5, rel_tol=0.1)
+
+
+def reference_fista(eig_vals, eig_vecs, c, feasible, y0, t, rel_tol=0.0, anchor=None):
+    """FISTA one projected step per NumPy call, on M = V diag(eig_vals) V'
+    with modulus 1: the loop the chunked solver must reproduce. Also returns
+    the first step a constraint moved (0 if none)."""
+    L = max(float(np.max(eig_vals)), 1e-15)
+    matrix = (eig_vecs * eig_vals[:, None, :]) @ eig_vecs.transpose(0, 2, 1)
+    shape = eig_vals.shape + (1,)
+    momentum = (np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0)
+    scale, stop2 = 2.0 * L, (rel_tol / (2.0 * L)) ** 2
+    y = z = np.asarray(y0, dtype=float)
+    best, best_d2, first_active = y, np.inf, 0
+    for it in range(1, t + 1):
+        w = z - (np.matmul(matrix, z.reshape(shape)).reshape(-1) - c) / L
+        y_new = feasible.project(w)
+        if not first_active and np.any(y_new != w):
+            first_active = it
+        d2 = float((z - y_new) @ (z - y_new))
+        if not np.isfinite(d2):
+            raise NonfiniteValue("reference iterate left the finite floats")
+        if d2 < best_d2:
+            best, best_d2 = y_new, d2
+        if rel_tol > 0 and d2 <= stop2 * float((anchor - y_new) @ (anchor - y_new)):
+            break
+        z = y_new + momentum * (y_new - y)
+        y = y_new
+    return best, scale * np.sqrt(best_d2), it, first_active
+
+
+def _block_quadratic_problem(rng, kind):
+    # 3 blocks of 4 with eigenvalues 1 and three in [20, 400]. The
+    # unconstrained minimizer is small along the stiff directions and far out
+    # along the eigenvalue-1 one, which FISTA approaches slowly: from y0 near
+    # the center the iterates leave the set only after some unconstrained steps
+    vals = np.concatenate([np.ones((3, 1)), np.sort(rng.uniform(20.0, 400.0, (3, 3)), axis=1)], axis=1)
+    vecs = np.linalg.qr(rng.standard_normal((3, 4, 4)))[0]
+    feasible = {
+        "block-balls": BlockBalls(3, 4, 1.0),
+        "ball": Ball(np.full(12, 0.1), 1.5),
+        "box": Box(np.full(12, -0.6), np.full(12, 0.6)),
+    }[kind]
+    y_star_hat = np.concatenate([np.full((3, 1), 2.0), 0.1 * rng.standard_normal((3, 3))], axis=1)
+    c = (vals * y_star_hat)[:, None, :] @ vecs.transpose(0, 2, 1)
+    return vals, vecs, c.reshape(-1), feasible, feasible.project(0.05 * rng.standard_normal(12))
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+@pytest.mark.parametrize("t", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 5])
+def test_chunked_fista_matches_step_loop(kind, rel_tol, t):
+    rng = np.random.default_rng(17)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind)
+    anchor = 0.5 * rng.standard_normal(12)
+    want, want_bound, want_it, first_active = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
+    got = fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t, rel_tol, anchor)
+    assert got.iterations == want_it
+    assert np.linalg.norm(got.point - want) <= 1e-12 * np.linalg.norm(want)
+    # a certificate is 2L ||z - y+||: with z and y+ known to 1e-12 relative it
+    # is known to 2L 1e-12 ||y|| absolute, past 1e-12 relative once it is small
+    floor = 2.0 * float(np.max(vals)) * 1e-12 * np.linalg.norm(want)
+    assert abs(got.dist_bound - want_bound) <= 1e-12 * want_bound + floor
+    # a constraint turned active after unconstrained steps, inside a chunk
+    assert 1 < first_active <= want_it and first_active % CHUNK != 0
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
+def test_chunked_fista_nan_linear_term_raises(kind):
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(np.random.default_rng(17), kind)
+    c[5] = np.nan
+    with pytest.raises(NonfiniteValue):
+        fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t=2 * CHUNK)
 
 # ---------------------------------------------------------------------------
 # accelerated primal-dual

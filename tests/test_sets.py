@@ -162,3 +162,19 @@ def test_box_projection_shape_errors():
         box.project(np.zeros((3, 1)))
     with pytest.raises(DimensionMismatch):
         box.project(np.zeros(4))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_stacked_projection_matches_lone_rows(kind):
+    # a (4, dim) stack projects each row byte for byte as a lone call does
+    s = KINDS[kind]
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((4, s.dim)) * np.array([[0.2], [0.8], [2.0], [5.0]])
+    out = s.project(stack)
+    assert out.shape == stack.shape and not np.shares_memory(out, stack)
+    assert not (out == stack).all()
+    for row, u in zip(out, stack):
+        assert row.tobytes() == s.project(u).tobytes()
+    # a point inside a ball or box comes back untouched, in a stack too
+    if kind in ("ball", "box", "block-balls"):
+        assert (out == stack).all(axis=1).any()
