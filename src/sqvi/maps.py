@@ -16,7 +16,7 @@ tests membership without an inner solve. The inner solvers live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,13 +163,11 @@ class ArgminSet:
     is one block), and ``linear(x)`` is the gradient at y = 0. The objective
     is thus known up to a constant in y, which neither projection nor
     membership needs. ``curvature`` is derived as the largest eigenvalue of
-    the hessian, from one eigendecomposition; a caller that has it already
-    may pass it as ``hessian_eig`` (``(blocks, b)`` values and
-    ``(blocks, b, b)`` eigenvector columns), which is trusted. Projections
-    onto this set are computed through a Tikhonov-regularized surrogate
-    with weight 1/``regularization`` on the lower objective;
-    ``exact_reg_project``, when supplied by a problem constructor, solves
-    that surrogate in closed form and serves as the reference projector.
+    the hessian, from one eigendecomposition. Projections onto this set are
+    computed through a Tikhonov-regularized surrogate with weight
+    1/``regularization`` on the lower objective; ``exact_reg_project``, when
+    supplied by a problem constructor, solves that surrogate in closed form
+    and serves as the reference projector.
     """
 
     feasible: SimpleSet
@@ -178,7 +176,6 @@ class ArgminSet:
     regularization: float
     gamma: float = 0.0
     exact_reg_project: Optional[Callable[[Array, Array], Array]] = None
-    hessian_eig: Optional[Tuple[Array, Array]] = field(default=None, repr=False)
     curvature: float = field(init=False)
     # I + hessian/regularization, the surrogate's hessian, in its eigenbasis
     _surrogate: BlockQuadratic = field(init=False, repr=False)
@@ -193,7 +190,7 @@ class ArgminSet:
                 f"hessian has shape {np.shape(self.hessian)}, expected (blocks, b, b) with "
                 f"blocks*b = {self.feasible.dim}"
             )
-        eigs, vecs = np.linalg.eigh(h) if self.hessian_eig is None else self.hessian_eig
+        eigs, vecs = np.linalg.eigh(h)
         size = max(1.0, float(np.max(np.abs(h))))
         if not (np.max(np.abs(h - h.transpose(0, 2, 1))) <= 1e-12 * size and np.min(eigs) >= -1e-10 * size):
             raise DimensionMismatch("hessian must be symmetric positive semidefinite")

@@ -513,7 +513,6 @@ def make_regression_game(
         regularization=sigma,
         gamma=gamma,
         exact_reg_project=exact_reg_project,
-        hessian_eig=(eig_vals, eig_vecs),
     )
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=0.0, mean_eval=mean_eval)
 

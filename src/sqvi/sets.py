@@ -8,7 +8,6 @@ here but a :class:`sqvi.maps.NonlinearConvex` map with linear constraints.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -84,11 +83,9 @@ class Ball(SimpleSet):
         d = u - self.center
         # a lone point and each row of a stack take the same sum of squares,
         # so a row projects bit for bit as it would alone
-        if u.ndim == 1:
-            nrm = math.sqrt((d * d).sum())
-            return u.copy() if nrm <= self.radius else self.center + d * (self.radius / nrm)
         nrm = np.sqrt((d * d).sum(axis=-1, keepdims=True))
-        scale = self.radius / np.maximum(nrm, 1e-300)
+        # radius / nrm where the row is outside; 1 (and no division by 0) inside
+        scale = self.radius / np.maximum(nrm, self.radius)
         return np.where(nrm <= self.radius, u, self.center + d * scale)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:

@@ -203,7 +203,8 @@ def test_game_exact_projection_batched(game_problem):
 
 
 def test_game_surrogate_gradient_matches_training_loss(game_problem, rng):
-    # the hessian/linear pair the game declares reproduces the gradient in y of
+    # the surrogate FISTA minimizes, 0.5 y'My - c'y with M from the eigenpairs
+    # of the game's hessian, has the gradient in y of
     # 0.5||y-u||^2 + (1/sigma) sum_i 0.5||A x - b + A_i (y_i - x_i)||^2
     game, mapping = game_problem.lower_level.game, game_problem.map
     feats, sigma = game.feature_dim, game.regularization
@@ -218,8 +219,7 @@ def test_game_surrogate_gradient_matches_training_loss(game_problem, rng):
             for i in range(game.players)
         ])
         expected = (y - u) + lower / sigma
-        hy = np.matmul(mapping.hessian, y.reshape(game.players, feats, 1)).reshape(-1)
-        got = (y - u) + (hy + mapping.linear(x)) / sigma
+        got = mapping._surrogate.times(y) - (u - mapping.linear(x) / sigma)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +10,7 @@ from sqvi.operators import evaluate_mean
 from sqvi.problems import BlockBalls
 from sqvi.projection import (
     CHUNK,
+    RESUME,
     BlockQuadratic,
     apd_solve,
     feasibility_witness,
@@ -135,19 +138,18 @@ def test_fista_positive_rel_tol_needs_an_anchor():
 def reference_fista(eig_vals, eig_vecs, c, feasible, y0, t, rel_tol=0.0, anchor=None):
     """FISTA one projected step per NumPy call, on M = V diag(eig_vals) V'
     with modulus 1: the loop the chunked solver must reproduce. Also returns
-    the first step a constraint moved (0 if none)."""
+    whether a constraint moved each step's point."""
     L = max(float(np.max(eig_vals)), 1e-15)
     matrix = (eig_vecs * eig_vals[:, None, :]) @ eig_vecs.transpose(0, 2, 1)
     shape = eig_vals.shape + (1,)
     momentum = (np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0)
     scale, stop2 = 2.0 * L, (rel_tol / (2.0 * L)) ** 2
     y = z = np.asarray(y0, dtype=float)
-    best, best_d2, first_active = y, np.inf, 0
+    best, best_d2, active = y, np.inf, []
     for it in range(1, t + 1):
         w = z - (np.matmul(matrix, z.reshape(shape)).reshape(-1) - c) / L
         y_new = feasible.project(w)
-        if not first_active and np.any(y_new != w):
-            first_active = it
+        active.append(bool(np.any(y_new != w)))
         d2 = float((z - y_new) @ (z - y_new))
         if not np.isfinite(d2):
             raise NonfiniteValue("reference iterate left the finite floats")
@@ -157,14 +159,16 @@ def reference_fista(eig_vals, eig_vecs, c, feasible, y0, t, rel_tol=0.0, anchor=
             break
         z = y_new + momentum * (y_new - y)
         y = y_new
-    return best, scale * np.sqrt(best_d2), it, first_active
+    return best, scale * np.sqrt(best_d2), it, active
 
 
-def _block_quadratic_problem(rng, kind):
+def _block_quadratic_problem(rng, kind, reach=2.0, spread=0.1, opposite=False):
     # 3 blocks of 4 with eigenvalues 1 and three in [20, 400]. The
-    # unconstrained minimizer is small along the stiff directions and far out
-    # along the eigenvalue-1 one, which FISTA approaches slowly: from y0 near
-    # the center the iterates leave the set only after some unconstrained steps
+    # unconstrained minimizer is small along the stiff directions and at
+    # ``reach`` along the eigenvalue-1 one, which FISTA approaches slowly: from
+    # y0 near the center the iterates leave the set only after some
+    # unconstrained steps. From y0 on the side ``opposite`` the minimizer the
+    # stiff directions overshoot, so constraints turn on, off and on again
     vals = np.concatenate([np.ones((3, 1)), np.sort(rng.uniform(20.0, 400.0, (3, 3)), axis=1)], axis=1)
     vecs = np.linalg.qr(rng.standard_normal((3, 4, 4)))[0]
     feasible = {
@@ -172,9 +176,25 @@ def _block_quadratic_problem(rng, kind):
         "ball": Ball(np.full(12, 0.1), 1.5),
         "box": Box(np.full(12, -0.6), np.full(12, 0.6)),
     }[kind]
-    y_star_hat = np.concatenate([np.full((3, 1), 2.0), 0.1 * rng.standard_normal((3, 3))], axis=1)
+    y_star_hat = np.concatenate([np.full((3, 1), reach), spread * rng.standard_normal((3, 3))], axis=1)
     c = (vals * y_star_hat)[:, None, :] @ vecs.transpose(0, 2, 1)
-    return vals, vecs, c.reshape(-1), feasible, feasible.project(0.05 * rng.standard_normal(12))
+    if opposite:
+        y0 = -3.0 * (y_star_hat[:, None, :] @ vecs.transpose(0, 2, 1)).reshape(-1)
+    else:
+        y0 = 0.05 * rng.standard_normal(12)
+    return vals, vecs, c.reshape(-1), feasible, feasible.project(y0)
+
+
+def _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor):
+    want, want_bound, want_it, active = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
+    got = fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t, rel_tol, anchor)
+    assert got.iterations == want_it
+    assert np.linalg.norm(got.point - want) <= 1e-12 * np.linalg.norm(want)
+    # a certificate is 2L ||z - y+||: with z and y+ known to 1e-12 relative it
+    # is known to 2L 1e-12 ||y|| absolute, past 1e-12 relative once it is small
+    floor = 2.0 * float(np.max(vals)) * 1e-12 * np.linalg.norm(want)
+    assert abs(got.dist_bound - want_bound) <= 1e-12 * want_bound + floor
+    return "".join("x" if a else "." for a in active)
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
@@ -184,16 +204,22 @@ def test_chunked_fista_matches_step_loop(kind, rel_tol, t):
     rng = np.random.default_rng(17)
     vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind)
     anchor = 0.5 * rng.standard_normal(12)
-    want, want_bound, want_it, first_active = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
-    got = fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t, rel_tol, anchor)
-    assert got.iterations == want_it
-    assert np.linalg.norm(got.point - want) <= 1e-12 * np.linalg.norm(want)
-    # a certificate is 2L ||z - y+||: with z and y+ known to 1e-12 relative it
-    # is known to 2L 1e-12 ||y|| absolute, past 1e-12 relative once it is small
-    floor = 2.0 * float(np.max(vals)) * 1e-12 * np.linalg.norm(want)
-    assert abs(got.dist_bound - want_bound) <= 1e-12 * want_bound + floor
+    active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
     # a constraint turned active after unconstrained steps, inside a chunk
-    assert 1 < first_active <= want_it and first_active % CHUNK != 0
+    first_active = active.find("x") + 1
+    assert 1 < first_active and first_active % CHUNK != 0
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_chunked_fista_matches_step_loop_when_constraints_switch(kind, rel_tol):
+    rng = np.random.default_rng(1)
+    problem = _block_quadratic_problem(rng, kind, reach=1.2, spread=0.3, opposite=True)
+    anchor = 0.5 * rng.standard_normal(12)
+    active = _assert_matches_step_loop(*problem, 130, rel_tol, anchor)
+    # a constraint turns off for RESUME steps in a row, so chunking resumes,
+    # and on again inside a resumed chunk
+    assert re.search("x" + "." * RESUME + r"\.*x", active), active
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
