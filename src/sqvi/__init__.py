@@ -11,7 +11,7 @@ inner budgets geometrically.
 __version__ = "0.1.0"
 
 from .errors import SqviError
-from .sets import AffineSet, Ball, Box, Halfspaces, ProductSet, Simplex, SimpleSet
+from .sets import AffineSet, Ball, BlockBalls, Box, Halfspaces, ProductSet, Simplex, SimpleSet
 from .operators import (
     OperatorSpec,
     check_monotone,
@@ -58,7 +58,6 @@ from .solvers import (
 from .diagnostics import dist_to_solution, fit_linear_rate, lower_level_subopt, natural_residual
 from .problems import (
     PRESETS,
-    BlockBalls,
     DatasetGame,
     LinearCoupling,
     ProblemInstance,

@@ -20,9 +20,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonfiniteValue, UnsupportedSet
 from .projection import BlockQuadratic, ProjectionResult, apd_solve, feasibility_witness, fista_solve
-from .sets import Array, SimpleSet
+from .sets import Array, Ball, BlockBalls, SimpleSet
 
 
 def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
@@ -165,20 +165,23 @@ class ArgminSet:
     membership needs. ``curvature`` is derived as the largest eigenvalue of
     the hessian, from one eigendecomposition. Projections onto this set are
     computed through a Tikhonov-regularized surrogate with weight
-    1/``regularization`` on the lower objective; ``exact_reg_project``, when
-    supplied by a problem constructor, solves that surrogate in closed form
-    and serves as the reference projector.
+    1/``regularization`` on the lower objective. The map is ``exact`` when
+    its feasible set is a ball on each hessian block (a :class:`BlockBalls`
+    of block size b, or a :class:`Ball` over one block); any other set has
+    no closed form here. ``gamma`` is the declared constant, or a function
+    of the built map returning it (for a bound read from its eigenpairs).
     """
 
     feasible: SimpleSet
     hessian: Array
     linear: Callable[[Array], Array]
     regularization: float
-    gamma: float = 0.0
-    exact_reg_project: Optional[Callable[[Array, Array], Array]] = None
+    gamma: Union[float, Callable[["ArgminSet"], float]] = 0.0
     curvature: float = field(init=False)
     # I + hessian/regularization, the surrogate's hessian, in its eigenbasis
     _surrogate: BlockQuadratic = field(init=False, repr=False)
+    # the balls' radius and centre (None: the origin) when the map is exact
+    _balls: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.regularization > 0):
@@ -194,9 +197,17 @@ class ArgminSet:
         size = max(1.0, float(np.max(np.abs(h))))
         if not (np.max(np.abs(h - h.transpose(0, 2, 1))) <= 1e-12 * size and np.min(eigs) >= -1e-10 * size):
             raise DimensionMismatch("hessian must be symmetric positive semidefinite")
+        f, balls = self.feasible, None
+        if isinstance(f, BlockBalls) and f.block_dim == h.shape[1]:
+            balls = (f.radius, None)
+        elif isinstance(f, Ball) and h.shape[0] == 1:
+            balls = (f.radius, f.center)
+        object.__setattr__(self, "_balls", balls)
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "curvature", float(np.max(eigs)))
         object.__setattr__(self, "_surrogate", BlockQuadratic(1.0 + eigs / self.regularization, vecs, 1.0))
+        if callable(self.gamma):
+            object.__setattr__(self, "gamma", float(self.gamma(self)))
 
     @property
     def dim(self) -> int:
@@ -204,10 +215,44 @@ class ArgminSet:
 
     @property
     def exact(self) -> bool:
-        return self.exact_reg_project is not None
+        return self._balls is not None
 
     def exact_project(self, x: Array, u: Array) -> Array:
-        return np.asarray(self.exact_reg_project(x, u), dtype=float)
+        """The surrogate's minimizer for one point or stacks (..., dim) of x and u:
+        each block solves (M + theta I) y = c about the ball's centre in M's
+        eigenbasis (M, c as in :meth:`project`). A block whose solution at
+        theta = 0 leaves its ball solves 1/||y(theta)|| = 1/radius, concave
+        and increasing in theta, by Newton's method from 0, which rises
+        monotonically to the root (More & Sorensen 1983); one loop serves
+        every active (point, block) row.
+        """
+        if self._balls is None:
+            raise UnsupportedSet(f"no closed form over {type(self.feasible).__name__}")
+        radius, centre = self._balls
+        q = self._surrogate
+        c = np.asarray(u, dtype=float) - np.asarray(self.linear(x), dtype=float) / self.regularization
+        if centre is not None:
+            # y = centre + z minimizes 0.5 z'Mz - (c - M centre)'z over ||z|| <= radius
+            c = c - q.times(centre)
+        blocks, b = q.vecs.shape[:2]
+        rhs = np.einsum("pgf,...pg->...pf", q.vecs, c.reshape(c.shape[:-1] + (blocks, b)))
+        denom = q.eig_vals.reshape(blocks, b)
+        active = np.sum((rhs / denom) ** 2, axis=-1) > radius * radius
+        r2, d = rhs[active] ** 2, np.broadcast_to(denom, rhs.shape)[active]
+        th = np.zeros((r2.shape[0], 1))
+        for _ in range(100):
+            norm2 = np.sum(r2 / (d + th) ** 2, axis=1, keepdims=True)
+            norm = np.sqrt(norm2)
+            slope = np.sum(r2 / (d + th) ** 3, axis=1, keepdims=True)
+            th = th + (norm - radius) / radius * norm2 / slope
+            if np.all(norm - radius <= 1e-14 * radius):
+                break
+        else:
+            raise NonfiniteValue("secular equation did not converge")
+        theta = np.zeros(rhs.shape[:-1] + (1,))
+        theta[active] = th
+        y = np.einsum("pfg,...pg->...pf", q.vecs, rhs / (denom + theta)).reshape(c.shape)
+        return y if centre is None else centre + y
 
     def project(
         self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float

@@ -40,7 +40,7 @@ from .operators import (
     gaussian_operator,
 )
 from .projection import reference_project
-from .sets import Array, Box, ProductSet, SimpleSet
+from .sets import Array, BlockBalls, Box, ProductSet, SimpleSet
 
 # ---------------------------------------------------------------------------
 # instance containers
@@ -102,46 +102,6 @@ class ProblemInstance:
             "suggested_eta": self.suggested_eta,
             "metadata": dict(self.metadata),
         }
-
-
-class BlockBalls(SimpleSet):
-    """Product of ``blocks`` origin-centered balls of equal radius, vectorized."""
-
-    def __init__(self, blocks: int, block_dim: int, radius: float):
-        if blocks < 1 or block_dim < 1:
-            raise DimensionMismatch("blocks and block_dim must be >= 1")
-        if not radius > 0:
-            raise DimensionMismatch("radius must be positive")
-        self.blocks = blocks
-        self.block_dim = block_dim
-        self.radius = radius
-
-    @property
-    def dim(self) -> int:
-        return self.blocks * self.block_dim
-
-    def _norms(self, y: Array) -> Array:
-        return np.linalg.norm(y.reshape(self.blocks, self.block_dim), axis=1)
-
-    def project(self, u: Array) -> Array:
-        """Projection of one point, or of each row of a stack ``(..., dim)``."""
-        u = np.asarray(u, dtype=float)
-        mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
-        # every row inside (nearly every FISTA step on the game): unscaled
-        if ((mat * mat).sum(axis=-1) <= self.radius * self.radius).all():
-            return u.copy()
-        nrm = np.linalg.norm(mat, axis=-1)
-        scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
-        return (mat * scale[..., None]).reshape(u.shape)
-
-    def contains(self, y: Array, tol: float = 0.0) -> bool:
-        return bool(np.all(self._norms(np.asarray(y, float)) <= self.radius + tol))
-
-    def anchor(self) -> Array:
-        return np.zeros(self.dim)
-
-    def diameter(self) -> float:
-        return 2.0 * self.radius * math.sqrt(self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +355,19 @@ def _game_arrays(source: GameSource):
     return tag, origin, players, feats, a_tr, b_tr, tuple(zip(a_val, b_val))
 
 
+def _min_norm_solution(a: Array, b: Array) -> Array:
+    """The minimum-norm interpolant a' solve(a a', b), which lies in the row
+    space of a, so a zero residual certifies it; ``lstsq``'s minimum-norm
+    fit where a a' is singular or no interpolant exists."""
+    try:
+        x = a.T @ np.linalg.solve(a @ a.T, b)
+    except np.linalg.LinAlgError:  # a a' is exactly singular
+        x = None
+    if x is not None and np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b):
+        return x
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
 def make_regression_game(
     source: GameSource,
     lam: Optional[float] = None,
@@ -404,9 +377,12 @@ def make_regression_game(
 
     Each player i minimizes a validation loss over the set of minimizers of
     the shared training loss in its own block, within a ball of radius
-    ``lam`` (chosen automatically to contain an interpolating solution when
-    omitted). The operator stacks per-player validation-loss gradients; the
+    ``lam``. The operator stacks per-player validation-loss gradients; the
     constraint map is the product of per-player training-argmin sets.
+
+    An omitted ``lam`` is 1.5 times the largest block norm of the minimum-norm
+    interpolant A' solve(A A', b), checked by its residual (``lstsq``'s fit
+    where none exists), which also sets the training minimum.
 
     The run solves the sigma-surrogate of that map: projecting u onto K(x)
     minimizes 0.5||y - u||^2 plus 1/``sigma`` times the training loss over
@@ -421,15 +397,15 @@ def make_regression_game(
     c = u - linear(x)/sigma and linear(x) = D x - A'b, where D is A'A with
     its diagonal blocks zeroed. That projection is nonexpansive in the
     M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
-    slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
+    slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0);
+    M's eigenpairs are the map's own.
     """
     tag, origin, players, feats, a_tr, b_tr, validation = _game_arrays(source)
     dim = players * feats
     blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
     grams_tr = np.stack([blk.T @ blk for blk in blocks])
-    eig_vals, eig_vecs = np.linalg.eigh(grams_tr)  # (players, feats), (players, feats, feats)
 
-    x_interp, *_ = np.linalg.lstsq(a_tr, b_tr, rcond=None)
+    x_interp = _min_norm_solution(a_tr, b_tr)
     block_norms = np.linalg.norm(x_interp.reshape(players, feats), axis=1)
     if lam is None:
         lam = 1.5 * float(np.max(block_norms)) + 1e-6
@@ -442,7 +418,7 @@ def make_regression_game(
 
     grams_val = np.stack([a.T @ a for a, _ in validation])
     rhs_val = np.stack([a.T @ b for a, b in validation])
-    lip = float(max(np.linalg.eigvalsh(g)[-1] for g in grams_val))
+    lip = float(np.max(np.linalg.eigvalsh(grams_val)[:, -1]))
 
     def mean_eval(x):
         xm = x.reshape(players, feats)
@@ -463,57 +439,28 @@ def make_regression_game(
         xm = x.reshape(x.shape[:-1] + (players, feats, 1))
         return (base @ a_tr).reshape(x.shape) - np.matmul(grams_tr, xm).reshape(x.shape)
 
-    def exact_reg_project(x, u):
-        # Per-player ridge solve in the eigenbasis of A_i^T A_i, all players at
-        # once. A block whose unconstrained solution leaves the ball takes the
-        # multiplier theta >= 0 that solves the secular equation
-        # phi(theta) = 1/||y(theta)|| - 1/lam = 0, y(theta) = rhs / (denom + theta).
-        # phi is concave and increasing, so Newton's method from theta = 0
-        # rises monotonically to the root (More & Sorensen 1983). x and u are
-        # one point each or stacks (..., dim); one Newton loop serves every
-        # active (point, player) row.
-        w = 1.0 / sigma
-        u = np.asarray(u, dtype=float)
-        um = u.reshape(u.shape[:-1] + (players, feats))
-        cross = _block_residual_grads(x).reshape(x.shape[:-1] + (players, feats))
-        rhs = np.einsum("pgf,...pg->...pf", eig_vecs, um - w * cross)
-        denom = 1.0 + w * eig_vals
-        active = np.sum((rhs / denom) ** 2, axis=-1) > lam * lam
-        r2, d = rhs[active] ** 2, np.broadcast_to(denom, rhs.shape)[active]
-        th = np.zeros((r2.shape[0], 1))
-        for _ in range(100):
-            norm2 = np.sum(r2 / (d + th) ** 2, axis=1, keepdims=True)
-            norm = np.sqrt(norm2)
-            slope = np.sum(r2 / (d + th) ** 3, axis=1, keepdims=True)
-            th = th + (norm - lam) / lam * norm2 / slope
-            if np.all(norm - lam <= 1e-14 * lam):
-                break
-        else:
-            raise ConstructionFailed("secular equation did not converge")
-        theta = np.zeros(rhs.shape[:-1] + (1,))
-        theta[active] = th
-        return np.einsum("pfg,...pg->...pf", eig_vecs, rhs / (denom + theta)).reshape(u.shape)
-
-    # M^-1/2 D, one block row per player; M^-1/2 is block diagonal, so
-    # zeroing the diagonal blocks of M^-1/2 A'A zeroes those of A'A. Each
-    # dim x dim temporary is freed before the next is formed.
-    m_isqrt = (eig_vecs / np.sqrt(1.0 + eig_vals / sigma)[:, None, :]) @ eig_vecs.transpose(0, 2, 1)
-    s = np.concatenate([m_isqrt[i] @ blocks[i].T for i in range(players)]) @ a_tr
-    for i in range(players):
-        s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
-    gram = s @ s.T
-    del s
-    gamma = math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) / sigma
-    del gram
+    def certified_gamma(mapping):
+        # M^-1/2 D, one block row per player, from the map's eigenpairs of M;
+        # M^-1/2 is block diagonal, so zeroing the diagonal blocks of
+        # M^-1/2 A'A zeroes those of A'A. Each dim x dim temporary is freed
+        # before the next is formed.
+        q = mapping._surrogate
+        m_isqrt = (q.vecs / np.sqrt(q.eig_vals.reshape(players, feats))[:, None, :]) @ q.vecs_t
+        s = np.concatenate([m_isqrt[i] @ blocks[i].T for i in range(players)]) @ a_tr
+        for i in range(players):
+            s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
+        gram = s @ s.T
+        del s
+        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) / sigma
 
     mapping = ArgminSet(
         feasible=feasible,
         hessian=grams_tr,
         linear=_block_residual_grads,
         regularization=sigma,
-        gamma=gamma,
-        exact_reg_project=exact_reg_project,
+        gamma=certified_gamma,
     )
+    gamma = mapping.gamma
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=0.0, mean_eval=mean_eval)
 
     game = RegressionGameData(
@@ -586,6 +533,12 @@ def make_coupled_sp(
     Kanzow 2007), so no instance carries a reference solution set:
     ``reference_projector`` is None and runs are judged by the natural
     residual.
+
+    The declared gamma is max(||a_w|| / min_nz |a_u|, ||a_u|| / min_nz |a_w|)
+    (min_nz: the smallest nonzero magnitude). The u-block of the projection
+    is piecewise affine in the offset c - a_w'x_w, moving by a_S/||a_S||^2
+    per unit where coordinates S are free; the w-block likewise. The bound
+    is attained where one coordinate is free.
     """
     nu = payoff.P.shape[0]
     nw = payoff.Q.shape[0]
@@ -635,8 +588,10 @@ def make_coupled_sp(
         def jacobian(x, y):
             return jac_rows
 
-        gamma = float(np.linalg.norm(a_w) / max(np.linalg.norm(a_u), 1e-12))
-        gamma = max(gamma, float(np.linalg.norm(a_u) / max(np.linalg.norm(a_w), 1e-12)))
+        def smallest(a):  # a zero vector leaves its block's projection fixed
+            return float(np.min(np.abs(a), where=a != 0.0, initial=np.inf))
+
+        gamma = float(max(np.linalg.norm(a_w) / smallest(a_u), np.linalg.norm(a_u) / smallest(a_w)))
         mapping = NonlinearConvex(
             ambient=boxes,
             constraint=constraint,

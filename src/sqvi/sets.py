@@ -1,13 +1,15 @@
 """Closed convex sets with closed-form Euclidean projections.
 
-Concrete carriers for constraint sets: balls, boxes, the probability
-simplex, a halfspace, affine sets, and block products of those. Every set
-projects exactly up to floating point, one point or each row of a stack. A
-system of two or more halfspaces has no closed form, so it is not a set
-here but a :class:`sqvi.maps.NonlinearConvex` map with linear constraints.
+Concrete carriers for constraint sets: balls, products of equal
+origin-centred balls, boxes, the probability simplex, a halfspace, affine
+sets, and block products of those. Every set projects exactly up to
+floating point, one point or each row of a stack. A system of two or more
+halfspaces has no closed form, so it is not a set here but a
+:class:`sqvi.maps.NonlinearConvex` map with linear constraints.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -97,6 +99,46 @@ class Ball(SimpleSet):
 
     def diameter(self) -> float:
         return 2.0 * self.radius
+
+
+@dataclass(frozen=True, eq=False)
+class BlockBalls(SimpleSet):
+    """Product of ``blocks`` origin-centred balls of equal ``radius``, one on
+    each consecutive length-``block_dim`` block of y."""
+
+    blocks: int
+    block_dim: int
+    radius: float
+
+    def __post_init__(self):
+        if self.blocks < 1 or self.block_dim < 1:
+            raise DimensionMismatch("blocks and block_dim must be >= 1")
+        if not self.radius > 0:
+            raise DimensionMismatch("radius must be positive")
+
+    @property
+    def dim(self) -> int:
+        return self.blocks * self.block_dim
+
+    def project(self, u: Array) -> Array:
+        u = np.asarray(u, dtype=float)
+        mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
+        # every row inside (nearly every FISTA step on the game): unscaled
+        if ((mat * mat).sum(axis=-1) <= self.radius * self.radius).all():
+            return u.copy()
+        nrm = np.linalg.norm(mat, axis=-1)
+        scale = np.where(nrm > self.radius, self.radius / np.maximum(nrm, 1e-300), 1.0)
+        return (mat * scale[..., None]).reshape(u.shape)
+
+    def contains(self, y: Array, tol: float = 0.0) -> bool:
+        norms = np.linalg.norm(np.asarray(y, float).reshape(self.blocks, self.block_dim), axis=1)
+        return bool(np.all(norms <= self.radius + tol))
+
+    def anchor(self) -> Array:
+        return np.zeros(self.dim)
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius * math.sqrt(self.blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,7 +144,10 @@ def test_c03_inner_solver_contract():
     val = lambda y: 0.5 * float(y @ (a @ y)) + float(lin @ y)
     quad = BlockQuadratic(eigs[None], q_mat[None], eigs[0])
     y0 = ball.project(rng.standard_normal(n))
-    fstar = val(fista_solve(quad, -lin, ball, y0, t=100000).point)
+    # the minimizer in closed form: the argmin map's surrogate at u = 0 with
+    # regularization 1 and lower hessian A - I is 0.5 y'Ay + lin'y
+    exact_map = ArgminSet(feasible=ball, hessian=a - np.eye(n), linear=lambda x: lin, regularization=1.0)
+    fstar = val(exact_map.exact_project(np.zeros(n), np.zeros(n)))
     gaps = [
         max(val(fista_solve(quad, -lin, ball, y0, t=t).point) - fstar, 1e-16)
         for t in budgets

@@ -10,9 +10,8 @@ from sqvi.maps import (
     contractivity_audit,
     member,
 )
-from sqvi.problems import BlockBalls
 from sqvi.projection import inexact_project, reference_project
-from sqvi.sets import Ball, Box
+from sqvi.sets import Ball, BlockBalls, Box
 
 unit_ball = Ball(np.zeros(2), 1.0)
 
@@ -166,17 +165,25 @@ def test_reference_project_closed_forms():
 # the map protocol: project, exact, exact_project, contains
 
 
-def _lower_argmin(closed_form):
+def _lower_argmin(feasible):
     # lower objective 0.5*(y-2)^2 over [0,1]; the surrogate
     # 0.5*(y-u)^2 + 0.5*(y-2)^2/sigma solves to clip((u + 2/sigma)/(1 + 1/sigma), 0, 1)
-    sigma = 1e-2
-    exact = lambda x, u: np.clip((u + 2.0 / sigma) / (1.0 + 1.0 / sigma), 0.0, 1.0)
     return ArgminSet(
-        feasible=Box([0.0], [1.0]),
+        feasible=feasible,
         hessian=[[1.0]],
         linear=lambda x: np.array([-2.0]),
-        regularization=sigma,
-        exact_reg_project=exact if closed_form else None,
+        regularization=1e-2,
+    )
+
+
+def _mismatched_block_balls():
+    # lower objective 0.5||y - (2, 2)||^2 over [-1, 1]^2, written as two
+    # one-dimensional balls under one 2 x 2 hessian block: no closed form
+    return ArgminSet(
+        feasible=BlockBalls(2, 1, 1.0),
+        hessian=np.eye(2),
+        linear=lambda x: np.full(2, -2.0),
+        regularization=1e-2,
     )
 
 
@@ -211,9 +218,11 @@ PROTOCOL_CASES = {
         False,
         False,
     ),
-    "argmin": (lambda: _lower_argmin(closed_form=False), False, False),
-    # the closed-form surrogate makes references exact; the solver still runs FISTA
-    "argmin-closed-form": (lambda: _lower_argmin(closed_form=True), True, False),
+    "argmin": (lambda: _lower_argmin(Box([0.0], [1.0])), False, False),
+    # over a ball the surrogate has a closed form, so references are exact;
+    # the solver still runs FISTA. [0, 1] is the ball about 0.5 of radius 0.5
+    "argmin-closed-form": (lambda: _lower_argmin(Ball([0.5], 0.5)), True, False),
+    "argmin-block-size-mismatch": (_mismatched_block_balls, False, False),
 }
 
 
@@ -236,3 +245,43 @@ def test_map_protocol_contract(name):
         else:
             np.testing.assert_array_equal(long_run.point, ref)
     assert member(m, x, ref, tol=1e-6)
+
+
+def _argmin_over_balls(kind):
+    # lower objective 0.5||B_i (y_i - c_i)||^2 + y'Dx per block, each B_i of
+    # rank b - 2, over one ball about a nonzero centre or over block balls of
+    # radius 1; the minimizers c_i lie 0.5, 4 and 1.5 from the centre
+    rng = np.random.default_rng(21)
+    blocks, b = (1, 6) if kind == "centred-ball" else (3, 4)
+    rows = rng.standard_normal((blocks, b - 2, b))
+    stack = rows.transpose(0, 2, 1) @ rows
+    feasible = Ball(np.full(b, 0.4), 1.0) if kind == "centred-ball" else BlockBalls(blocks, b, 1.0)
+    c = rng.standard_normal((blocks, b))
+    c *= (np.array([0.5, 4.0, 1.5])[:blocks] / np.linalg.norm(c, axis=1))[:, None]
+    hc = (stack @ (c.reshape(-1) + feasible.anchor()).reshape(blocks, b, 1)).reshape(-1)
+    d = 0.1 * rng.standard_normal((blocks * b, blocks * b))
+    m = ArgminSet(feasible=feasible, hessian=stack, linear=lambda x: x @ d.T - hc, regularization=0.1)
+    return m, rng
+
+
+@pytest.mark.parametrize("kind", ["centred-ball", "block-balls"])
+def test_argmin_closed_form_within_long_fista_certificate(kind):
+    m, rng = _argmin_over_balls(kind)
+    assert m.exact
+    xs, us = 0.3 * rng.standard_normal((2, 4, m.dim))
+    batch = m.exact_project(xs, us)
+    assert batch.shape == xs.shape
+    saw_active = saw_inactive = False
+    for x, u, y in zip(xs, us, batch):
+        np.testing.assert_allclose(m.exact_project(x, u), y, rtol=0, atol=1e-13)
+        res = inexact_project(m, x, u, t=3000)
+        assert res.error_bound <= 1e-10
+        assert np.linalg.norm(y - res.point) <= res.error_bound + 1e-12
+        if isinstance(m.feasible, Ball):
+            norms = np.array([np.linalg.norm(y - m.feasible.center)])
+        else:
+            norms = np.linalg.norm(y.reshape(3, 4), axis=1)
+        assert np.all(norms <= 1.0 + 1e-12)
+        saw_active |= bool(np.any(norms >= 1.0 - 1e-12))
+        saw_inactive |= bool(np.any(norms < 1.0 - 1e-3))
+    assert saw_active and saw_inactive

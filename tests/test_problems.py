@@ -7,11 +7,11 @@ from sqvi.maps import member
 from sqvi.operators import estimate_qg, estimate_strong_monotonicity, evaluate_mean
 from sqvi.problems import (
     PRESETS,
-    BlockBalls,
     DatasetGame,
     LinearCoupling,
     QuadraticPayoff,
     SyntheticGame,
+    _min_norm_solution,
     audit_instance,
     build_problem,
     load_libsvm,
@@ -19,6 +19,7 @@ from sqvi.problems import (
     make_regression_game,
     make_translated_box_qvi,
 )
+from sqvi.sets import BlockBalls
 
 # ---------------------------------------------------------------------------
 # translated box
@@ -119,7 +120,7 @@ def test_game_exact_projection_matches_long_fista(game_problem, rng):
     dim = game_problem.operator.dim
     x = game_problem.ambient.project(0.3 * rng.standard_normal(dim))
     u = game_problem.ambient.project(0.3 * rng.standard_normal(dim))
-    exact = game_problem.map.exact_reg_project(x, u)
+    exact = game_problem.map.exact_project(x, u)
     iterative = inexact_project(game_problem.map, x, u, t=30000).point
     assert np.linalg.norm(exact - iterative) <= 1e-6
 
@@ -176,7 +177,7 @@ def test_game_exact_projection_matches_scalar_bisection(game_problem):
     players, feats, lam = game.players, game.feature_dim, game.radius
     saw_mixed = saw_active = False
     for x, u in _bisection_probes(game_problem):
-        fast = game_problem.map.exact_reg_project(x, u)
+        fast = game_problem.map.exact_project(x, u)
         ref = _bisection_reg_project(game, x, u)
         assert np.linalg.norm(fast - ref) <= 1e-12
         ref_norms = np.linalg.norm(ref.reshape(players, feats), axis=1)
@@ -195,10 +196,10 @@ def test_game_exact_projection_batched(game_problem):
     game = game_problem.lower_level.game
     probes = _bisection_probes(game_problem)
     xs, us = np.stack([x for x, _ in probes]), np.stack([u for _, u in probes])
-    batch = game_problem.map.exact_reg_project(xs, us)
+    batch = game_problem.map.exact_project(xs, us)
     assert batch.shape == xs.shape
     for row, (x, u) in zip(batch, probes):
-        assert np.linalg.norm(row - game_problem.map.exact_reg_project(x, u)) <= 1e-13
+        assert np.linalg.norm(row - game_problem.map.exact_project(x, u)) <= 1e-13
         assert np.linalg.norm(row - _bisection_reg_project(game, x, u)) <= 1e-12
 
 
@@ -257,6 +258,43 @@ def test_game_audit_values_pinned(game_problem):
     # table1-synthetic at seed 1: the certified bound ||M^-1/2 D|| / sigma
     assert game_problem.constants.gamma == pytest.approx(9.896089785539, rel=1e-10)
     assert "gamma_audit" not in game_problem.metadata
+    # the Lipschitz constant is the largest validation-gram eigenvalue, to the
+    # bit as one eigvalsh call per player gives it
+    grams = [a.T @ a for a, _ in game_problem.lower_level.game.validation]
+    assert game_problem.operator.lipschitz == max(float(np.linalg.eigvalsh(g)[-1]) for g in grams)
+
+
+def _dataset_game(tmp_path, rng):
+    # 40 rows of 6 features for 4 players: 8 training rows per player, more
+    # than its 6 features, so A A' is singular and no interpolant exists
+    lines = []
+    for i in range(40):
+        feats = rng.standard_normal(6)
+        toks = " ".join(f"{j + 1}:{feats[j]:.6f}" for j in range(6))
+        lines.append(f"{rng.standard_normal():.6f} {toks}")
+    f = tmp_path / "game.txt"
+    f.write_text("\n".join(lines) + "\n")
+    return make_regression_game(DatasetGame(path=str(f), players=4), sigma=1e-1)
+
+
+@pytest.mark.parametrize("kind", ["synthetic-1", "synthetic-11", "dataset", "zero-row"])
+def test_game_interpolant_matches_lstsq(kind, tmp_path, rng):
+    if kind == "zero-row":
+        # a training row of all-zero features: A A' is exactly singular, yet
+        # an interpolant exists
+        a, b = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]), np.array([1.0, 0.0])
+    else:
+        if kind == "dataset":
+            game = _dataset_game(tmp_path, rng).lower_level.game
+        else:
+            game = make_regression_game(SyntheticGame(seed=int(kind.split("-")[1]))).lower_level.game
+        a, b = game.train_matrix, game.train_rhs
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    got = _min_norm_solution(a, b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # only the dataset game's fit leaves a residual
+    residual = np.linalg.norm(a @ got - b) / np.linalg.norm(b)
+    assert (residual > 1e-3) if kind == "dataset" else (residual <= 1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 11])
@@ -278,8 +316,8 @@ def test_game_gamma_bounds_interior_slope_sharply(seed):
     direction = np.linalg.svd(np.linalg.solve(m, d))[2][0]
     x0, step = p.x0, 1e-4
     u = p.map.linear(x0) / sigma
-    y0 = p.map.exact_reg_project(x0, u)
-    y1 = p.map.exact_reg_project(x0 + step * direction, u)
+    y0 = p.map.exact_project(x0, u)
+    y1 = p.map.exact_project(x0 + step * direction, u)
     for y in (y0, y1):
         assert np.max(np.linalg.norm(y.reshape(game.players, feats), axis=1)) < 0.5 * game.radius
     ratio = np.linalg.norm(y1 - y0) / step
@@ -346,6 +384,40 @@ def test_natural_residual_budget_below_one_raises(budget):
     p = make_coupled_sp(pay, LinearCoupling([1.0], [1.0], -0.5))
     with pytest.raises(InvalidParameters):
         natural_residual(p, np.zeros(2), budget=budget)
+
+
+def test_coupled_gamma_bounds_two_coordinate_slope():
+    # two coordinates per block, a = (1, 0.05): at this x the box clips u_1
+    # and the coupling is active, so u_2 alone absorbs a move of the offset
+    # c - a_w'x_w, at a rate of 1/0.05 = 20 per unit of x_w1
+    eye = np.eye(2).tolist()
+    pay = QuadraticPayoff(P=eye, Q=eye, R=eye, p=[0.0, 0.0], q=[0.0, 0.0])
+    a, c = np.array([1.0, 0.05]), -0.5
+    p = make_coupled_sp(pay, LinearCoupling(a, a, c))
+
+    def project_u(x, u):
+        # the u-block of P_K(x)(u): clip(u - theta a) with a'y = c - a'x_w
+        offset = c - a @ x[2:]
+        y = lambda th: np.clip(u[:2] - th * a, -1.0, 1.0)
+        lo, hi = 0.0, 1.0
+        if a @ y(0.0) <= offset:
+            return y(0.0)
+        while a @ y(hi) > offset:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if a @ y(mid) > offset else (lo, mid)
+        return y(hi)
+
+    x, u, step = np.array([0.0, 0.0, 0.475, 0.0]), np.array([-5.0, 5.0, 0.0, 0.0]), 1e-3
+    y0 = project_u(x, u)
+    np.testing.assert_allclose(y0, [-1.0, 0.5], rtol=1e-12)
+    # the map's u-row of the coupling is active there
+    assert abs(p.map.constraint(x, np.concatenate([y0, u[2:]]))[0]) <= 1e-12
+    ratio = np.linalg.norm(project_u(x + step * np.eye(4)[2], u) - y0) / step
+    gamma = p.constants.gamma
+    assert gamma == p.map.gamma == pytest.approx(np.linalg.norm(a) / 0.05, rel=1e-15)
+    assert 0.99 * gamma <= ratio <= gamma
 
 
 def test_coupled_sp_rejects_nonconvex():
@@ -421,14 +493,7 @@ def test_libsvm_roundtrip_property(tmp_path):
 
 
 def test_dataset_game_roundtrip(tmp_path, rng):
-    lines = []
-    for i in range(40):
-        feats = rng.standard_normal(6)
-        toks = " ".join(f"{j + 1}:{feats[j]:.6f}" for j in range(6))
-        lines.append(f"{rng.standard_normal():.6f} {toks}")
-    f = tmp_path / "game.txt"
-    f.write_text("\n".join(lines) + "\n")
-    p = make_regression_game(DatasetGame(path=str(f), players=4), sigma=1e-1)
+    p = _dataset_game(tmp_path, rng)
     assert p.operator.dim == 24
     assert p.lower_level.game.players == 4
     # a dataset game's training matrix is block diagonal, so K(x) does not move

@@ -7,7 +7,6 @@ import scipy.optimize
 from sqvi.errors import InfeasibleSubproblem, InvalidParameters, NonfiniteValue
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex, TranslatedSet
 from sqvi.operators import evaluate_mean
-from sqvi.problems import BlockBalls
 from sqvi.projection import (
     CHUNK,
     RESUME,
@@ -19,7 +18,7 @@ from sqvi.projection import (
     projection_rate_audit,
     reference_project,
 )
-from sqvi.sets import Ball, Box, Halfspaces
+from sqvi.sets import Ball, BlockBalls, Box, Halfspaces
 
 
 def ball_constraint_map(bound=5.0):
@@ -107,6 +106,14 @@ def test_fista_needs_positive_strong_convexity(strong_convexity):
         )
 
 
+def _closed_form_minimizer(a, c, ball):
+    # argmin of 0.5 y'Ay + c'y over a ball: the argmin map's surrogate at u = 0
+    # with regularization 1 and lower hessian A - I, solved in closed form
+    zero = np.zeros(a.shape[0])
+    m = ArgminSet(feasible=ball, hessian=a - np.eye(a.shape[0]), linear=lambda x: c, regularization=1.0)
+    return m.exact_project(zero, zero)
+
+
 def test_fista_gap_decay_exponent(rng):
     # random strongly convex quadratic over the unit ball
     n = 10
@@ -118,8 +125,7 @@ def test_fista_gap_decay_exponent(rng):
     val = lambda y: 0.5 * float(y @ (a @ y)) + float(c @ y)
     quad = BlockQuadratic(eigs[None], q[None], eigs[0])
     y0 = ball.project(rng.standard_normal(n))
-    ref = fista_solve(quad, -c, ball, y0, t=100000).point
-    fstar = val(ref)
+    fstar = val(_closed_form_minimizer(a, c, ball))
     gaps = []
     budgets = [10, 20, 40, 80, 160]
     for t in budgets:

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqvi.errors import DimensionMismatch, UnsupportedSet
-from sqvi.problems import BlockBalls
 from sqvi.sets import (
     AffineSet,
     Ball,
+    BlockBalls,
     Box,
     Halfspaces,
     ProductSet,

@@ -336,7 +336,7 @@ def test_game_projection_certificates_sound_along_run(game_problem, monkeypatch)
 
     def checked(self, x, u, t, ambient, rel_tol):
         res = original(self, x, u, t, ambient, rel_tol)
-        dist = float(np.linalg.norm(res.point - self.exact_reg_project(x, u)))
+        dist = float(np.linalg.norm(res.point - self.exact_project(x, u)))
         assert dist <= res.error_bound + 1e-12
         calls.append((res.inner_iterations, t))
         return res
