@@ -168,20 +168,18 @@ class ArgminSet:
     1/``regularization`` on the lower objective. The map is ``exact`` when
     its feasible set is a ball on each hessian block (a :class:`BlockBalls`
     of block size b, or a :class:`Ball` over one block); any other set has
-    no closed form here. ``gamma`` is the declared constant, or a function
-    of the built map returning it (for a bound read from its eigenpairs).
+    no closed form here.
     """
 
     feasible: SimpleSet
     hessian: Array
     linear: Callable[[Array], Array]
     regularization: float
-    gamma: Union[float, Callable[["ArgminSet"], float]] = 0.0
+    gamma: float = 0.0
     curvature: float = field(init=False)
+    exact: bool = field(init=False)
     # I + hessian/regularization, the surrogate's hessian, in its eigenbasis
     _surrogate: BlockQuadratic = field(init=False, repr=False)
-    # the balls' radius and centre (None: the origin) when the map is exact
-    _balls: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.regularization > 0):
@@ -197,25 +195,16 @@ class ArgminSet:
         size = max(1.0, float(np.max(np.abs(h))))
         if not (np.max(np.abs(h - h.transpose(0, 2, 1))) <= 1e-12 * size and np.min(eigs) >= -1e-10 * size):
             raise DimensionMismatch("hessian must be symmetric positive semidefinite")
-        f, balls = self.feasible, None
-        if isinstance(f, BlockBalls) and f.block_dim == h.shape[1]:
-            balls = (f.radius, None)
-        elif isinstance(f, Ball) and h.shape[0] == 1:
-            balls = (f.radius, f.center)
-        object.__setattr__(self, "_balls", balls)
+        f = self.feasible
+        balls = isinstance(f, BlockBalls) and f.block_dim == h.shape[1]
+        object.__setattr__(self, "exact", balls or (isinstance(f, Ball) and h.shape[0] == 1))
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "curvature", float(np.max(eigs)))
         object.__setattr__(self, "_surrogate", BlockQuadratic(1.0 + eigs / self.regularization, vecs, 1.0))
-        if callable(self.gamma):
-            object.__setattr__(self, "gamma", float(self.gamma(self)))
 
     @property
     def dim(self) -> int:
         return self.feasible.dim
-
-    @property
-    def exact(self) -> bool:
-        return self._balls is not None
 
     def exact_project(self, x: Array, u: Array) -> Array:
         """The surrogate's minimizer for one point or stacks (..., dim) of x and u:
@@ -226,9 +215,9 @@ class ArgminSet:
         monotonically to the root (More & Sorensen 1983); one loop serves
         every active (point, block) row.
         """
-        if self._balls is None:
+        if not self.exact:
             raise UnsupportedSet(f"no closed form over {type(self.feasible).__name__}")
-        radius, centre = self._balls
+        radius, centre = self.feasible.radius, getattr(self.feasible, "center", None)
         q = self._surrogate
         c = np.asarray(u, dtype=float) - np.asarray(self.linear(x), dtype=float) / self.regularization
         if centre is not None:

@@ -9,7 +9,7 @@ dataset files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -93,12 +93,7 @@ class ProblemInstance:
         return {
             "name": self.name,
             "dim": int(self.operator.dim),
-            "constants": {
-                "lipschitz": self.constants.lipschitz,
-                "qg_mu": self.constants.qg_mu,
-                "gamma": self.constants.gamma,
-                "noise": self.constants.noise,
-            },
+            "constants": asdict(self.constants),
             "suggested_eta": self.suggested_eta,
             "metadata": dict(self.metadata),
         }
@@ -356,15 +351,17 @@ def _game_arrays(source: GameSource):
 
 
 def _min_norm_solution(a: Array, b: Array) -> Array:
-    """The minimum-norm interpolant a' solve(a a', b), which lies in the row
-    space of a, so a zero residual certifies it; ``lstsq``'s minimum-norm
-    fit where a a' is singular or no interpolant exists."""
-    try:
-        x = a.T @ np.linalg.solve(a @ a.T, b)
-    except np.linalg.LinAlgError:  # a a' is exactly singular
-        x = None
-    if x is not None and np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b):
-        return x
+    """The minimum-norm least-squares solution. Where a has no more rows
+    than columns it is a' solve(a a', b), in the row space of a, so a zero
+    residual certifies it; ``lstsq`` serves a taller a, where a a' is
+    singular, and a wide one with no interpolant or an exactly singular a a'."""
+    if a.shape[0] <= a.shape[1]:
+        try:
+            x = a.T @ np.linalg.solve(a @ a.T, b)
+            if np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b):
+                return x
+        except np.linalg.LinAlgError:
+            pass
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
@@ -377,12 +374,11 @@ def make_regression_game(
 
     Each player i minimizes a validation loss over the set of minimizers of
     the shared training loss in its own block, within a ball of radius
-    ``lam``. The operator stacks per-player validation-loss gradients; the
-    constraint map is the product of per-player training-argmin sets.
-
-    An omitted ``lam`` is 1.5 times the largest block norm of the minimum-norm
-    interpolant A' solve(A A', b), checked by its residual (``lstsq``'s fit
-    where none exists), which also sets the training minimum.
+    ``lam``, 1.5 times the largest block norm of the minimum-norm training
+    fit when omitted (see :func:`_min_norm_solution`; the fit also sets the
+    training minimum). The operator stacks per-player validation-loss
+    gradients; the constraint map is the product of per-player
+    training-argmin sets.
 
     The run solves the sigma-surrogate of that map: projecting u onto K(x)
     minimizes 0.5||y - u||^2 plus 1/``sigma`` times the training loss over
@@ -397,13 +393,13 @@ def make_regression_game(
     c = u - linear(x)/sigma and linear(x) = D x - A'b, where D is A'A with
     its diagonal blocks zeroed. That projection is nonexpansive in the
     M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
-    slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0);
-    M's eigenpairs are the map's own.
+    slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
     """
     tag, origin, players, feats, a_tr, b_tr, validation = _game_arrays(source)
     dim = players * feats
-    blocks = [a_tr[:, i * feats : (i + 1) * feats] for i in range(players)]
-    grams_tr = np.stack([blk.T @ blk for blk in blocks])
+    # player i's training columns, transposed: (players, feats, rows)
+    cols = a_tr.reshape(-1, players, feats).transpose(1, 2, 0)
+    grams_tr = np.stack([c @ c.T for c in cols])
 
     x_interp = _min_norm_solution(a_tr, b_tr)
     block_norms = np.linalg.norm(x_interp.reshape(players, feats), axis=1)
@@ -439,28 +435,21 @@ def make_regression_game(
         xm = x.reshape(x.shape[:-1] + (players, feats, 1))
         return (base @ a_tr).reshape(x.shape) - np.matmul(grams_tr, xm).reshape(x.shape)
 
-    def certified_gamma(mapping):
-        # M^-1/2 D, one block row per player, from the map's eigenpairs of M;
-        # M^-1/2 is block diagonal, so zeroing the diagonal blocks of
-        # M^-1/2 A'A zeroes those of A'A. Each dim x dim temporary is freed
-        # before the next is formed.
-        q = mapping._surrogate
-        m_isqrt = (q.vecs / np.sqrt(q.eig_vals.reshape(players, feats))[:, None, :]) @ q.vecs_t
-        s = np.concatenate([m_isqrt[i] @ blocks[i].T for i in range(players)]) @ a_tr
-        for i in range(players):
-            s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
-        gram = s @ s.T
-        del s
-        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)) / sigma
-
+    # ||M^-1/2 D|| is ||L^-1 D|| with M = LL' (L^-1 M^1/2 is orthogonal); one
+    # block row per player, and L^-1 is block diagonal, so zeroing the
+    # diagonal blocks of L^-1 A'A zeroes those of A'A
+    chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(feats) + grams_tr / sigma))
+    s = (chol_inv @ cols).reshape(dim, -1) @ a_tr
+    for i in range(players):
+        s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
+    gamma = math.sqrt(max(float(np.linalg.eigvalsh(s @ s.T)[-1]), 0.0)) / sigma
     mapping = ArgminSet(
         feasible=feasible,
         hessian=grams_tr,
         linear=_block_residual_grads,
         regularization=sigma,
-        gamma=certified_gamma,
+        gamma=gamma,
     )
-    gamma = mapping.gamma
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=0.0, mean_eval=mean_eval)
 
     game = RegressionGameData(
@@ -588,10 +577,9 @@ def make_coupled_sp(
         def jacobian(x, y):
             return jac_rows
 
-        def smallest(a):  # a zero vector leaves its block's projection fixed
-            return float(np.min(np.abs(a), where=a != 0.0, initial=np.inf))
-
-        gamma = float(max(np.linalg.norm(a_w) / smallest(a_u), np.linalg.norm(a_u) / smallest(a_w)))
+        # min_nz of an all-zero vector is inf: that block's projection stays fixed
+        nz_u, nz_w = (np.min(np.abs(a), where=a != 0.0, initial=np.inf) for a in (a_u, a_w))
+        gamma = float(max(np.linalg.norm(a_w) / nz_u, np.linalg.norm(a_u) / nz_w))
         mapping = NonlinearConvex(
             ambient=boxes,
             constraint=constraint,

@@ -278,7 +278,7 @@ def _dataset_game(tmp_path, rng):
 
 
 @pytest.mark.parametrize("kind", ["synthetic-1", "synthetic-11", "dataset", "zero-row"])
-def test_game_interpolant_matches_lstsq(kind, tmp_path, rng):
+def test_game_interpolant_matches_lstsq(kind, tmp_path, rng, monkeypatch):
     if kind == "zero-row":
         # a training row of all-zero features: A A' is exactly singular, yet
         # an interpolant exists
@@ -290,8 +290,14 @@ def test_game_interpolant_matches_lstsq(kind, tmp_path, rng):
             game = make_regression_game(SyntheticGame(seed=int(kind.split("-")[1]))).lower_level.game
         a, b = game.train_matrix, game.train_rhs
     want = np.linalg.lstsq(a, b, rcond=None)[0]
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
     got = _min_norm_solution(a, b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # the dataset game's training matrix is tall (32 x 24): its A A' is
+    # singular, so no normal-equations solve is formed at all
+    assert len(solves) == (0 if kind == "dataset" else 1)
     # only the dataset game's fit leaves a residual
     residual = np.linalg.norm(a @ got - b) / np.linalg.norm(b)
     assert (residual > 1e-3) if kind == "dataset" else (residual <= 1e-12)
