@@ -1,7 +1,6 @@
 """Solution-quality metrics and convergence-rate fitting."""
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -9,19 +8,28 @@ import numpy as np
 from .errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
 from .operators import evaluate_mean
 from .projection import inexact_project, reference_project
+from .sets import Array, squared_norms
 
 # values at or below either floor are rounding noise and excluded from fits
 _VALUE_FLOOR = 1e-14
 _RELATIVE_FLOOR = 1e-12  # times the largest value of the series
 
 
-def dist_to_solution(problem, x) -> float:
-    """Distance from x to the problem's reference solution set."""
+def _lone_or_rows(values: Array):
+    # a float for one point, as callers of a lone call expect; an array for a stack
+    return float(values) if values.ndim == 0 else values
+
+
+def dist_to_solution(problem, x):
+    """Distance from x to the problem's reference solution set, for one point
+    (a float) or each row of a stack ``(..., dim)`` (an array), each row bit
+    for bit as a lone call; the reference projector must map stacks row by
+    row."""
     if problem.reference_projector is None:
         raise NoReferenceSolution(f"problem {problem.name!r} has no reference solution set")
     x = np.asarray(x, dtype=float)
     d = x - np.asarray(problem.reference_projector(x), dtype=float)
-    return math.sqrt(d @ d)
+    return _lone_or_rows(np.sqrt(squared_norms(d)))
 
 
 class Residual(NamedTuple):
@@ -29,7 +37,7 @@ class Residual(NamedTuple):
     error_bound: float
 
 
-def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[int] = None) -> Residual:
+def natural_residual(problem, x, eta: Optional[float] = None, budget=None) -> Residual:
     """Fixed-point violation ||x - P_K(x)(x - eta F(x))|| with a certified projection.
 
     Uses the exact projection where a closed form (or closed-form surrogate)
@@ -37,29 +45,47 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     (2000 when None); the projection's error bound certifies the residual to
     within that bound. A budget below 1 raises InvalidParameters on every
     map, exact or not.
+
+    ``x`` is one point, giving floats, or a stack ``(R, dim)``, giving value
+    and bound as arrays of R. On an exact map the stack is projected at once,
+    each row bit for bit as a lone call, so the operator's mean field and
+    the map's closed form must map stacks row by row. On an inexact map the
+    rows are solved one at a time, with lone mean evaluations, and
+    ``budget`` may give one budget per row (each an int, or None for 2000).
     """
-    if budget is not None and not budget >= 1:
-        raise InvalidParameters(f"inner budget must be >= 1, got {budget}")
     x = np.asarray(x, dtype=float)
+    budgets = np.broadcast_to(np.asarray(budget, dtype=object), x.shape[:-1])
+    for b in budgets.flat:
+        if b is not None and not b >= 1:
+            raise InvalidParameters(f"inner budget must be >= 1, got {b}")
     if eta is None:
         eta = problem.suggested_eta
-    target = x - eta * evaluate_mean(problem.operator, x)
     if problem.map.exact:
+        target = x - eta * evaluate_mean(problem.operator, x)
         d = x - reference_project(problem.map, x, target)
-        return Residual(value=math.sqrt(d @ d), error_bound=0.0)
-    if budget is None:
-        budget = 2000
-    res = inexact_project(problem.map, x, target, t=budget, ambient=problem.ambient)
+        value = _lone_or_rows(np.sqrt(squared_norms(d)))
+        return Residual(value=value, error_bound=_lone_or_rows(np.zeros(x.shape[:-1])))
+    if x.ndim == 1:
+        return _projected_residual(problem, x, eta, budgets[()])
+    rows = [_projected_residual(problem, row, eta, b) for row, b in zip(x, budgets)]
+    return Residual(*(np.array(col) for col in zip(*rows)))
+
+
+def _projected_residual(problem, x, eta, budget) -> Residual:
+    # one point through the map's solver path
+    target = x - eta * evaluate_mean(problem.operator, x)
+    res = inexact_project(problem.map, x, target, t=2000 if budget is None else budget, ambient=problem.ambient)
     return Residual(value=float(np.linalg.norm(x - res.point)), error_bound=res.error_bound)
 
 
-def lower_level_subopt(problem, x) -> float:
-    """Training-objective suboptimality for bilevel game instances."""
+def lower_level_subopt(problem, x):
+    """Training-objective suboptimality for bilevel game instances, for one
+    point (a float) or each row of a stack ``(..., dim)`` (an array)."""
     if problem.lower_level is None:
         raise WrongProblemKind(f"problem {problem.name!r} has no lower-level objective")
     x = np.asarray(x, dtype=float)
     ll = problem.lower_level
-    return float(ll.value(x) - ll.min_value)
+    return _lone_or_rows(np.asarray(ll.value(x) - ll.min_value, dtype=float))
 
 
 class RateFit(NamedTuple):

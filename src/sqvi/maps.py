@@ -92,7 +92,9 @@ class TranslatedSet:
         return self.base_set.dim
 
     def exact_project(self, x: Array, u: Array) -> Array:
-        """shift(x) + P_base(u - shift(x))."""
+        """shift(x) + P_base(u - shift(x)), for one point or stacks (..., dim)
+        of x and u, each row bit for bit as a lone call when ``shift`` maps
+        stacks row by row."""
         m = np.asarray(self.shift(np.asarray(x, dtype=float)), dtype=float)
         return m + self.base_set.project(np.asarray(u, dtype=float) - m)
 
@@ -213,7 +215,8 @@ class ArgminSet:
         theta = 0 leaves its ball solves 1/||y(theta)|| = 1/radius, concave
         and increasing in theta, by Newton's method from 0, which rises
         monotonically to the root (More & Sorensen 1983); one loop serves
-        every active (point, block) row.
+        every active (point, block) row, and each row stops on its own, so
+        every row of a stack is bit for bit a lone call's.
         """
         if not self.exact:
             raise UnsupportedSet(f"no closed form over {type(self.feasible).__name__}")
@@ -229,12 +232,16 @@ class ArgminSet:
         active = np.sum((rhs / denom) ** 2, axis=-1) > radius * radius
         r2, d = rhs[active] ** 2, np.broadcast_to(denom, rhs.shape)[active]
         th = np.zeros((r2.shape[0], 1))
+        live = np.arange(r2.shape[0])
         for _ in range(100):
-            norm2 = np.sum(r2 / (d + th) ** 2, axis=1, keepdims=True)
+            r2_live, d_th = r2[live], d[live] + th[live]
+            norm2 = np.sum(r2_live / d_th**2, axis=1, keepdims=True)
             norm = np.sqrt(norm2)
-            slope = np.sum(r2 / (d + th) ** 3, axis=1, keepdims=True)
-            th = th + (norm - radius) / radius * norm2 / slope
-            if np.all(norm - radius <= 1e-14 * radius):
+            slope = np.sum(r2_live / d_th**3, axis=1, keepdims=True)
+            th[live] += (norm - radius) / radius * norm2 / slope
+            # a row that met the tolerance has taken its last step; NaN stays live
+            live = live[~(norm[:, 0] - radius <= 1e-14 * radius)]
+            if not live.size:
                 break
         else:
             raise NonfiniteValue("secular equation did not converge")

@@ -36,11 +36,13 @@ MeanEval = Callable[[Array], Array]
 BatchMean = Callable[[Array, np.random.Generator, int], Array]
 
 
-def _check_point(x, dim) -> Array:
+def _check_point(x, dim, stack=False) -> Array:
+    """One point ``(dim,)`` as floats (a 0-d input is one point of a
+    one-dimensional operator), or with ``stack`` also a stack ``(..., dim)``."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        x = np.atleast_1d(x)
-    if x.shape != (dim,):
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if x.shape[-1] != dim or (x.ndim != 1 and not stack):
         raise DimensionMismatch(f"point has shape {x.shape}, expected ({dim},)")
     return x
 
@@ -54,7 +56,10 @@ class OperatorSpec:
     dim : ambient dimension n.
     lipschitz : L, a Lipschitz bound for F on the feasible region.
     qg_mu : quadratic-growth modulus of F relative to the solution set.
-    mean_eval : closed-form F(x), when the expectation is available.
+    mean_eval : closed-form F(x), when the expectation is available. It maps
+        one point ``(dim,)`` or each row of a stack ``(..., dim)``, each row
+        bit for bit as a lone call; the metrics evaluate a run's iterates
+        as one stack.
     batch_mean : draw of the mean of ``count`` stochastic samples G(x, xi_j);
         None for a noise-free operator.
     """
@@ -180,13 +185,14 @@ class SampleStreams:
 
 
 def evaluate_mean(op: OperatorSpec, x) -> Array:
-    """Closed-form F(x). Raises MissingMeanField for sample-only operators."""
-    x = _check_point(x, op.dim)
+    """Closed-form F(x) at one point, or at each row of a stack ``(..., dim)``.
+    Raises MissingMeanField for sample-only operators."""
+    x = _check_point(x, op.dim, stack=True)
     if op.mean_eval is None:
         raise MissingMeanField("operator has no closed-form mean field")
     out = np.asarray(op.mean_eval(x), dtype=float)
-    if out.shape != (op.dim,):
-        raise DimensionMismatch(f"mean field returned shape {out.shape}")
+    if out.shape != x.shape:
+        raise DimensionMismatch(f"mean field returned shape {out.shape} for points of shape {x.shape}")
     return out
 
 

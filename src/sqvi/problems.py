@@ -40,7 +40,7 @@ from .operators import (
     gaussian_operator,
 )
 from .projection import reference_project
-from .sets import Array, BlockBalls, Box, ProductSet, SimpleSet
+from .sets import Array, BlockBalls, Box, ProductSet, SimpleSet, squared_norms
 
 # ---------------------------------------------------------------------------
 # instance containers
@@ -69,7 +69,8 @@ class RegressionGameData:
 
 @dataclass(frozen=True, eq=False)
 class LowerLevelData:
-    """Shared training objective and its precomputed constrained minimum."""
+    """Shared training objective and its precomputed constrained minimum.
+    ``value`` takes one point or a stack ``(..., dim)``, one value per row."""
 
     value: Callable[[Array], float]
     min_value: float
@@ -85,6 +86,7 @@ class ProblemInstance:
     x0: Array
     constants: Constants
     suggested_eta: float
+    # maps one point, or each row of a stack (..., dim), to its nearest solution
     reference_projector: Optional[Callable[[Array], Array]] = None
     lower_level: Optional[LowerLevelData] = None
     metadata: dict = field(default_factory=dict)
@@ -163,7 +165,8 @@ def make_translated_box_qvi(
     ambient = Box(np.full(n, lo * scale), np.full(n, hi * scale))
 
     def mean_eval(x):
-        return a_mat @ x + c_vec
+        # one matrix-vector product per row, the one a lone a_mat @ x takes
+        return np.matmul(a_mat, x[..., None])[..., 0] + c_vec
 
     op = gaussian_operator(
         mean_eval, dim=n, lipschitz=lip, qg_mu=mu, noise_level=noise_level
@@ -417,23 +420,23 @@ def make_regression_game(
     lip = float(np.max(np.linalg.eigvalsh(grams_val)[:, -1]))
 
     def mean_eval(x):
-        xm = x.reshape(players, feats)
-        return (np.einsum("pfg,pg->pf", grams_val, xm) - rhs_val).reshape(-1)
+        xm = x.reshape(x.shape[:-1] + (players, feats))
+        return (np.einsum("pfg,...pg->...pf", grams_val, xm) - rhs_val).reshape(x.shape)
 
     def train_value(x):
-        r = a_tr @ x - b_tr
-        return 0.5 * float(r @ r)
+        r = np.matmul(a_tr, x[..., None])[..., 0] - b_tr
+        return 0.5 * squared_norms(r)
 
-    min_value = train_value(x_interp)
+    min_value = float(train_value(x_interp))
 
     def _block_residual_grads(x):
         # the training loss's gradient in y at y = 0 with player i's block of x
         # replaced by y_i: A_i^T (base - A_i x_i) per player, for one point or
-        # each row of a stack (..., dim); on one point x @ a_tr.T runs the same
-        # matrix-vector product as a_tr @ x
-        base = x @ a_tr.T - b_tr
+        # each row of a stack (..., dim); every product is one matrix-vector
+        # product per row, so each row is bit for bit a lone call's
+        base = np.matmul(a_tr, x[..., None])[..., 0] - b_tr
         xm = x.reshape(x.shape[:-1] + (players, feats, 1))
-        return (base @ a_tr).reshape(x.shape) - np.matmul(grams_tr, xm).reshape(x.shape)
+        return np.matmul(a_tr.T, base[..., None])[..., 0] - np.matmul(grams_tr, xm).reshape(x.shape)
 
     # ||M^-1/2 D|| is ||L^-1 D|| with M = LL' (L^-1 M^1/2 is orthogonal); one
     # block row per player, and L^-1 is block diagonal, so zeroing the
@@ -542,7 +545,7 @@ def make_coupled_sp(
     dim = nu + nw
 
     def mean_eval(x):
-        return mat @ x + off
+        return np.matmul(mat, x[..., None])[..., 0] + off
 
     lip = float(np.linalg.norm(mat, 2))
     mu = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])

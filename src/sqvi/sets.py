@@ -42,6 +42,13 @@ def _points(u, dim: int) -> Array:
     return v
 
 
+def squared_norms(d: Array) -> Array:
+    """d . d of one vector, or of each row of a stack ``(..., dim)``: one dot
+    product per row, the one a lone ``d @ d`` takes, so each row is bit for
+    bit the lone value."""
+    return np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0]
+
+
 class SimpleSet:
     """Interface: exact projection, membership, anchor point, diameter."""
 
@@ -114,7 +121,7 @@ class BlockBalls(SimpleSet):
         if self.blocks < 1 or self.block_dim < 1:
             raise DimensionMismatch("blocks and block_dim must be >= 1")
         if not self.radius > 0:
-            raise DimensionMismatch("radius must be positive")
+            raise UnsupportedSet("ball radius must be positive")
 
     @property
     def dim(self) -> int:

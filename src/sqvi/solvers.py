@@ -392,19 +392,45 @@ def _projected_step(problem, config, streams, x, n_k, t_k, k, phase):
     return res.point, res.inner_iterations, drawn
 
 
-def _eval_metrics(problem, x, metrics, config, t_k=None):
-    out = {}
+_METRICS = ("dist", "residual", "lower_subopt")
+
+
+def _metric(problem, name, x, config, budget):
+    # one metric at one point or at each row of a stack
+    if name == "dist":
+        return diagnostics.dist_to_solution(problem, x)
+    if name == "residual":
+        return diagnostics.natural_residual(problem, x, eta=config.eta, budget=budget).value
+    return diagnostics.lower_level_subopt(problem, x)
+
+
+def _eval_metrics(problem, xs, metrics, config, budgets) -> list:
+    """Each metric at each row of the stack xs, one call per metric, as one
+    dict per row; ``budgets`` gives the residual's projection budget per row
+    where the map is inexact."""
+    values = [{} for _ in xs]
     for name in metrics:
-        if name == "dist":
-            out[name] = diagnostics.dist_to_solution(problem, x)
-        elif name == "residual":
-            budget = None if t_k is None else _RESIDUAL_BUDGET_SCALE * t_k
-            out[name] = diagnostics.natural_residual(problem, x, eta=config.eta, budget=budget).value
-        elif name == "lower_subopt":
-            out[name] = diagnostics.lower_level_subopt(problem, x)
-        else:
-            raise InvalidParameters(f"unknown metric id {name!r}")
-    return out
+        for out, value in zip(values, np.asarray(_metric(problem, name, xs, config, budgets)).tolist()):
+            out[name] = value
+    return values
+
+
+def _trace(problem, config, solver, metrics, iterates, rows) -> IterationTrace:
+    """The trace of a run from its iterates, x0 first, and per iteration k
+    the tuple (k, n_k, t_k, cum_samples, cum_inner, wall_ms).
+
+    The metrics are evaluated on the stack of iterates; row 0 gives
+    ``initial_metrics``. The residual's projection budget is 2000 at x0 and
+    ten times t_k at the iterate of iteration k, where the map is inexact.
+    """
+    budgets = [None] + [_RESIDUAL_BUDGET_SCALE * row[2] for row in rows]
+    values = _eval_metrics(problem, np.stack(iterates), metrics, config, budgets)
+    trace = IterationTrace(problem_name=problem.name, solver=solver, metrics=metrics, initial_metrics=values[0])
+    trace.rows = [
+        TraceRow(k=k, n_k=n_k, t_k=t_k, cum_samples=samples, cum_inner=inner, metrics=m, wall_ms=wall)
+        for (k, n_k, t_k, samples, inner, wall), m in zip(rows, values[1:])
+    ]
+    return trace
 
 
 def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> IterationTrace:
@@ -412,6 +438,9 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     if config.schedule.exact_mean and problem.operator.mean_eval is None:
         raise InvalidParameters("deterministic schedules need a closed-form mean field")
     metrics = tuple(metrics)
+    for name in metrics:
+        if name not in _METRICS:
+            raise InvalidParameters(f"unknown metric id {name!r}")
     if config.metric_floor is not None and config.metric_floor[0] not in metrics:
         raise InvalidParameters(
             f"metric floor references {config.metric_floor[0]!r}, which is not recorded"
@@ -420,12 +449,10 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     seed_key = stream_key(config.seed)
     streams = None if config.schedule.exact_mean else SampleStreams(seed_key, config.max_outer)
     x = np.asarray(problem.x0, dtype=float).copy()
-    trace = IterationTrace(
-        problem_name=problem.name,
-        solver=solver,
-        metrics=metrics,
-        initial_metrics=_eval_metrics(problem, x, metrics, config),
-    )
+    # the loop keeps the recursion; metrics are evaluated once, on the stack
+    # of iterates, after it (or before NonfiniteIterate is raised)
+    iterates = [x]
+    rows = []
     cum_samples = 0
     cum_inner = 0
     stopped_early = False
@@ -442,23 +469,20 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
             cum_samples += drawn
         x_new = (1.0 - config.alpha) * x + config.alpha * point
         if not np.isfinite(x_new).all():
+            trace = _trace(problem, config, solver, metrics, iterates, rows)
             raise NonfiniteIterate(f"iterate became nonfinite at iteration {k}", trace)
         x = x_new
-        row_metrics = _eval_metrics(problem, x, metrics, config, t_k=t_k)
         wall = (time.perf_counter() - tic) * 1e3
-        trace.rows.append(
-            TraceRow(
-                k=k, n_k=n_k, t_k=t_k,
-                cum_samples=cum_samples, cum_inner=cum_inner,
-                metrics=row_metrics, wall_ms=wall if config.record_timing else None,
-            )
-        )
+        iterates.append(x)
+        rows.append((k, n_k, t_k, cum_samples, cum_inner, wall if config.record_timing else None))
         if config.metric_floor is not None:
+            # the floor's metric alone, at the lone iterate; the stacked
+            # evaluation after the loop gives its row the same value
             floor_metric, floor_value = config.metric_floor
-            val = row_metrics.get(floor_metric)
-            if val is not None and val <= floor_value:
+            if _metric(problem, floor_metric, x, config, _RESIDUAL_BUDGET_SCALE * t_k) <= floor_value:
                 stopped_early = True
                 break
+    trace = _trace(problem, config, solver, metrics, iterates, rows)
     trace.summary = {
         "iterations": len(trace.rows),
         "stopped_early": stopped_early,

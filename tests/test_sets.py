@@ -88,6 +88,14 @@ def test_invalid_constructions():
         Ball(np.zeros(2), 1.0).project([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("make", [lambda r: Ball(np.zeros(2), r), lambda r: BlockBalls(2, 3, r)])
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_non_positive_radius_is_an_unsupported_set(make, radius):
+    # a caller catching one set error catches every ball's
+    with pytest.raises(UnsupportedSet, match="radius must be positive"):
+        make(radius)
+
+
 def test_degenerate_box_is_a_point():
     pt = Box([0.3, -0.2], [0.3, -0.2])
     np.testing.assert_allclose(pt.project([9.0, 9.0]), [0.3, -0.2])

@@ -242,6 +242,28 @@ def test_metric_floor_stops_early(box_problem):
     assert len(trace.rows) < 200
 
 
+@pytest.mark.parametrize("floor", [("dist", 5e-3), ("residual", 2e-3)])
+def test_floored_run_stops_where_the_unfloored_run_crosses(noisy_box_problem, floor):
+    # the loop tests the floor on the lone iterate and the rows come from the
+    # stacked evaluation after it: both stop at the same k, with the same bytes
+    base = dict(
+        eta=noisy_box_problem.suggested_eta, alpha=0.9, b=1.0,
+        schedule=IncreasingSample(0.9), max_outer=60, seed=4,
+    )
+    metrics = ("dist", "residual")
+    full = run_ieg_sqvi(noisy_box_problem, SolverConfig(**base), metrics=metrics)
+    floored = run_ieg_sqvi(noisy_box_problem, SolverConfig(**base, metric_floor=floor), metrics=metrics)
+    metric, value = floor
+    first_k = next(row.k for row in full.rows if row.metrics[metric] <= value)
+    assert first_k < 59 and floored.summary["stopped_early"]
+    assert [row.k for row in floored.rows] == list(range(first_k + 1))
+    assert floored.initial_metrics == full.initial_metrics
+    for mine, theirs in zip(floored.rows, full.rows):
+        assert mine == theirs
+        for name in metrics:
+            assert np.float64(mine.metrics[name]).tobytes() == np.float64(theirs.metrics[name]).tobytes()
+
+
 def test_invalid_eta_rejected(box_problem):
     cfg = SolverConfig(eta=50.0, alpha=0.5, schedule=Deterministic(), max_outer=5, seed=0)
     with pytest.raises(InvalidParameters):
@@ -249,7 +271,10 @@ def test_invalid_eta_rejected(box_problem):
 
 
 def test_nonfinite_iterate_raises():
-    op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=1.0, mean_eval=lambda x: np.full(2, np.nan))
+    # F is -1 below 0.5 and NaN from there: x1 = 0.5 is finite, x2 is not
+    op = OperatorSpec(
+        dim=2, lipschitz=1.0, qg_mu=1.0, mean_eval=lambda x: np.where(x < 0.5, -1.0, np.nan)
+    )
     prob = ProblemInstance(
         name="nan",
         operator=op,
@@ -258,10 +283,35 @@ def test_nonfinite_iterate_raises():
         x0=np.zeros(2),
         constants=Constants(1.0, 1.0, 0.0, 0.0),
         suggested_eta=1.0,
+        reference_projector=lambda z: np.zeros(2),
     )
     cfg = SolverConfig(eta=1.0, alpha=0.5, schedule=Deterministic(), max_outer=3, seed=0)
     with pytest.raises(NonfiniteIterate):
         run_ig_sqvi(prob, cfg, metrics=())
+    with pytest.raises(NonfiniteIterate, match="iteration 1") as err:
+        run_ig_sqvi(prob, cfg, metrics=("dist", "residual"))
+    # the carried trace holds the finite iterates' rows with their metrics
+    trace = err.value.args[1]
+    assert trace.initial_metrics == {"dist": 0.0, "residual": math.sqrt(2.0)}
+    assert [row.k for row in trace.rows] == [0]
+    assert trace.rows[0].metrics["dist"] == math.sqrt(0.5)
+    assert math.isnan(trace.rows[0].metrics["residual"])
+
+
+def test_unknown_metric_raises_before_any_operator_call(noisy_box_problem, monkeypatch):
+    import sqvi.solvers as solvers
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run did work before rejecting its metric")
+
+    for name in ("evaluate_mean", "sample_batch", "inexact_project"):
+        monkeypatch.setattr(solvers, name, no_work)
+    cfg = SolverConfig(
+        eta=noisy_box_problem.suggested_eta, alpha=0.8, b=1.0,
+        schedule=IncreasingSample(0.9), max_outer=3, seed=1,
+    )
+    with pytest.raises(InvalidParameters, match="unknown metric id 'gap'"):
+        run_ieg_sqvi(noisy_box_problem, cfg, metrics=("dist", "gap"))
 
 
 def test_fixed_box_vi_contraction_within_theory():
@@ -359,9 +409,10 @@ def test_non_integer_seed_raises_before_any_work(noisy_box_problem, monkeypatch,
     import sqvi.solvers as solvers
 
     def no_work(*args, **kwargs):
-        raise AssertionError("the run evaluated a metric before rejecting its seed")
+        raise AssertionError("the run did work before rejecting its seed")
 
-    monkeypatch.setattr(solvers, "_eval_metrics", no_work)
+    for name in ("_eval_metrics", "sample_batch"):
+        monkeypatch.setattr(solvers, name, no_work)
     cfg = SolverConfig(
         eta=noisy_box_problem.suggested_eta, alpha=0.8, b=1.0,
         schedule=IncreasingSample(0.9), max_outer=3, seed=seed,
