@@ -68,7 +68,7 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget=None) -> Re
     if x.ndim == 1:
         return _projected_residual(problem, x, eta, budgets[()])
     rows = [_projected_residual(problem, row, eta, b) for row, b in zip(x, budgets)]
-    return Residual(*(np.array(col) for col in zip(*rows)))
+    return Residual(np.array([r.value for r in rows]), np.array([r.error_bound for r in rows]))
 
 
 def _projected_residual(problem, x, eta, budget) -> Residual:

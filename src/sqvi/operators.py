@@ -59,7 +59,8 @@ class OperatorSpec:
     mean_eval : closed-form F(x), when the expectation is available. It maps
         one point ``(dim,)`` or each row of a stack ``(..., dim)``, each row
         bit for bit as a lone call; the metrics evaluate a run's iterates
-        as one stack.
+        as one stack, and the run raises InvalidParameters where its first
+        row differs from the lone call at x0.
     batch_mean : draw of the mean of ``count`` stochastic samples G(x, xi_j);
         None for a noise-free operator.
     """

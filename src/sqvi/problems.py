@@ -86,7 +86,9 @@ class ProblemInstance:
     x0: Array
     constants: Constants
     suggested_eta: float
-    # maps one point, or each row of a stack (..., dim), to its nearest solution
+    # maps one point, or each row of a stack (..., dim), to its nearest
+    # solution; a run whose stack's first row differs from the lone call's
+    # bits raises InvalidParameters
     reference_projector: Optional[Callable[[Array], Array]] = None
     lower_level: Optional[LowerLevelData] = None
     metadata: dict = field(default_factory=dict)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import (
+    DimensionMismatch,
     InvalidConstants,
     InvalidParameters,
     InvalidSchedule,
@@ -404,27 +405,52 @@ def _metric(problem, name, x, config, budget):
     return diagnostics.lower_level_subopt(problem, x)
 
 
-def _eval_metrics(problem, xs, metrics, config, budgets) -> list:
-    """Each metric at each row of the stack xs, one call per metric, as one
-    dict per row; ``budgets`` gives the residual's projection budget per row
-    where the map is inexact."""
+_ROW_BY_ROW = "mean_eval and reference_projector must map stacks row by row"
+
+
+def _stacked(problem, name, xs, config, budgets, lone) -> list:
+    # one metric on the whole stack; row 0 must be the lone call's bits
+    try:
+        column = np.asarray(_metric(problem, name, xs, config, budgets)).tolist()
+    except (ValueError, IndexError, DimensionMismatch) as err:
+        raise InvalidParameters(f"metric {name!r}: {_ROW_BY_ROW}") from err
+    if np.float64(column[0]).tobytes() != np.float64(lone).tobytes():
+        raise InvalidParameters(f"metric {name!r}: {_ROW_BY_ROW}")
+    return column
+
+
+def _eval_metrics(problem, xs, metrics, config, budgets, known) -> list:
+    """Each metric at each row of the stack xs (x0 first), as one dict per
+    row. ``known`` gives per metric its values from lone calls, from row 0
+    on: x0's, computed before the run, and the floor metric's at every row.
+    The rest is one call per metric on the stack, checked by its row 0, so a
+    mean field or reference projector that maps only one point raises
+    InvalidParameters. ``budgets`` gives the residual's projection budget
+    per row where the map is inexact; those rows are solved one at a time
+    and row 0 is not solved again."""
     values = [{} for _ in xs]
     for name in metrics:
-        for out, value in zip(values, np.asarray(_metric(problem, name, xs, config, budgets)).tolist()):
+        column = known[name]
+        if len(column) < len(xs) and name == "residual" and not problem.map.exact:
+            column = column + _metric(problem, name, xs[1:], config, budgets[1:]).tolist()
+        elif len(column) < len(xs):
+            column = _stacked(problem, name, xs, config, budgets, column[0])
+        for out, value in zip(values, column):
             out[name] = value
     return values
 
 
-def _trace(problem, config, solver, metrics, iterates, rows) -> IterationTrace:
-    """The trace of a run from its iterates, x0 first, and per iteration k
-    the tuple (k, n_k, t_k, cum_samples, cum_inner, wall_ms).
+def _trace(problem, config, solver, metrics, iterates, rows, known) -> IterationTrace:
+    """The trace of a run from its iterates, x0 first, per iteration k the
+    tuple (k, n_k, t_k, cum_samples, cum_inner, wall_ms), and the metric
+    values already computed by lone calls (see ``_eval_metrics``).
 
-    The metrics are evaluated on the stack of iterates; row 0 gives
-    ``initial_metrics``. The residual's projection budget is 2000 at x0 and
-    ten times t_k at the iterate of iteration k, where the map is inexact.
+    The other values are evaluated on the stack of iterates. The residual's
+    projection budget is 2000 at x0 and ten times t_k at the iterate of
+    iteration k, where the map is inexact.
     """
     budgets = [None] + [_RESIDUAL_BUDGET_SCALE * row[2] for row in rows]
-    values = _eval_metrics(problem, np.stack(iterates), metrics, config, budgets)
+    values = _eval_metrics(problem, np.stack(iterates), metrics, config, budgets, known)
     trace = IterationTrace(problem_name=problem.name, solver=solver, metrics=metrics, initial_metrics=values[0])
     trace.rows = [
         TraceRow(k=k, n_k=n_k, t_k=t_k, cum_samples=samples, cum_inner=inner, metrics=m, wall_ms=wall)
@@ -449,8 +475,10 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     seed_key = stream_key(config.seed)
     streams = None if config.schedule.exact_mean else SampleStreams(seed_key, config.max_outer)
     x = np.asarray(problem.x0, dtype=float).copy()
-    # the loop keeps the recursion; metrics are evaluated once, on the stack
-    # of iterates, after it (or before NonfiniteIterate is raised)
+    # x0's metrics by lone calls, so a metric the problem lacks fails here;
+    # the loop keeps the recursion, and the other metrics are evaluated once,
+    # on the stack of iterates, after it (or before NonfiniteIterate is raised)
+    known = {name: [_metric(problem, name, x, config, None)] for name in metrics}
     iterates = [x]
     rows = []
     cum_samples = 0
@@ -469,20 +497,21 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
             cum_samples += drawn
         x_new = (1.0 - config.alpha) * x + config.alpha * point
         if not np.isfinite(x_new).all():
-            trace = _trace(problem, config, solver, metrics, iterates, rows)
+            trace = _trace(problem, config, solver, metrics, iterates, rows, known)
             raise NonfiniteIterate(f"iterate became nonfinite at iteration {k}", trace)
         x = x_new
         wall = (time.perf_counter() - tic) * 1e3
         iterates.append(x)
         rows.append((k, n_k, t_k, cum_samples, cum_inner, wall if config.record_timing else None))
         if config.metric_floor is not None:
-            # the floor's metric alone, at the lone iterate; the stacked
-            # evaluation after the loop gives its row the same value
+            # the floor's metric alone, at the lone iterate; its row keeps it
             floor_metric, floor_value = config.metric_floor
-            if _metric(problem, floor_metric, x, config, _RESIDUAL_BUDGET_SCALE * t_k) <= floor_value:
+            value = _metric(problem, floor_metric, x, config, _RESIDUAL_BUDGET_SCALE * t_k)
+            known[floor_metric].append(value)
+            if value <= floor_value:
                 stopped_early = True
                 break
-    trace = _trace(problem, config, solver, metrics, iterates, rows)
+    trace = _trace(problem, config, solver, metrics, iterates, rows, known)
     trace.summary = {
         "iterations": len(trace.rows),
         "stopped_early": stopped_early,

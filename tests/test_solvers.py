@@ -12,7 +12,9 @@ from sqvi.errors import (
     NoAdmissibleStep,
     NonfiniteIterate,
     NotReached,
+    WrongProblemKind,
 )
+from sqvi import diagnostics
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex
 from sqvi.operators import OperatorSpec
 from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
@@ -242,8 +244,11 @@ def test_metric_floor_stops_early(box_problem):
     assert len(trace.rows) < 200
 
 
+_METRIC_FUNCTIONS = {"dist": "dist_to_solution", "residual": "natural_residual"}
+
+
 @pytest.mark.parametrize("floor", [("dist", 5e-3), ("residual", 2e-3)])
-def test_floored_run_stops_where_the_unfloored_run_crosses(noisy_box_problem, floor):
+def test_floored_run_stops_where_the_unfloored_run_crosses(noisy_box_problem, floor, monkeypatch):
     # the loop tests the floor on the lone iterate and the rows come from the
     # stacked evaluation after it: both stop at the same k, with the same bytes
     base = dict(
@@ -252,8 +257,19 @@ def test_floored_run_stops_where_the_unfloored_run_crosses(noisy_box_problem, fl
     )
     metrics = ("dist", "residual")
     full = run_ieg_sqvi(noisy_box_problem, SolverConfig(**base), metrics=metrics)
-    floored = run_ieg_sqvi(noisy_box_problem, SolverConfig(**base, metric_floor=floor), metrics=metrics)
     metric, value = floor
+    seen = []
+    lone = getattr(diagnostics, _METRIC_FUNCTIONS[metric])
+
+    def spy(problem, x, *args, **kwargs):
+        seen.append(np.ndim(x))
+        return lone(problem, x, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, _METRIC_FUNCTIONS[metric], spy)
+        floored = run_ieg_sqvi(noisy_box_problem, SolverConfig(**base, metric_floor=floor), metrics=metrics)
+    # the floor's metric is evaluated once per iterate, x0 included, and never on the stack
+    assert seen == [1] * (len(floored.rows) + 1)
     first_k = next(row.k for row in full.rows if row.metrics[metric] <= value)
     assert first_k < 59 and floored.summary["stopped_early"]
     assert [row.k for row in floored.rows] == list(range(first_k + 1))
@@ -312,6 +328,77 @@ def test_unknown_metric_raises_before_any_operator_call(noisy_box_problem, monke
     )
     with pytest.raises(InvalidParameters, match="unknown metric id 'gap'"):
         run_ieg_sqvi(noisy_box_problem, cfg, metrics=("dist", "gap"))
+
+
+def test_unavailable_metric_raises_before_any_operator_call(noisy_box_problem, monkeypatch):
+    import sqvi.solvers as solvers
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run did work before rejecting its metric")
+
+    for name in ("evaluate_mean", "sample_batch", "inexact_project"):
+        monkeypatch.setattr(solvers, name, no_work)
+    cfg = SolverConfig(
+        eta=noisy_box_problem.suggested_eta, alpha=0.8, b=1.0,
+        schedule=IncreasingSample(0.9), max_outer=3, seed=1,
+    )
+    with pytest.raises(WrongProblemKind):
+        run_ieg_sqvi(noisy_box_problem, cfg, metrics=("dist", "lower_subopt"))
+
+
+def _one_point_problem(case):
+    # callables written for one point, as an operator or a reference
+    # solution set may be given; each maps a stack of `dim` rows to an array
+    # of the right shape with the wrong rows, or raises on the stack
+    a = np.array([[2.0, 1.0, 0.0], [-1.0, 2.0, 0.5], [0.0, -0.5, 1.0]])
+    c = np.array([0.3, -0.2, 0.1])
+    mean = {"affine": lambda x: a @ x + c, "stacked": lambda x: np.matmul(a, x[..., None])[..., 0] + c}
+    proj = {"affine": lambda z: np.diag([1.0, 0.0, 0.0]) @ z, "stacked": lambda z: z * [1.0, 0.0, 0.0]}
+    mean_case, proj_case = case
+    return ProblemInstance(
+        name="one-point",
+        operator=OperatorSpec(dim=3, lipschitz=3.0, qg_mu=1.0, mean_eval=mean[mean_case]),
+        map=FixedSet(Box(-np.ones(3), np.ones(3))),
+        ambient=Box(-np.ones(3), np.ones(3)),
+        x0=np.array([1.0, 0.5, -0.5]),
+        constants=Constants(3.0, 1.0, 0.0, 0.0),
+        suggested_eta=0.1,
+        reference_projector=proj[proj_case],
+    )
+
+
+@pytest.mark.parametrize(
+    "case, metric", [(("affine", "stacked"), "residual"), (("stacked", "affine"), "dist")]
+)
+def test_one_point_callable_raises_instead_of_wrong_rows(case, metric):
+    # max_outer = dim - 1 stacks dim iterates, where `a @ X` has the shape of X
+    problem = _one_point_problem(case)
+    cfg = SolverConfig(eta=0.1, alpha=0.5, schedule=Deterministic(), max_outer=2, seed=0)
+    with pytest.raises(InvalidParameters, match=f"metric '{metric}': .* row by row"):
+        run_ig_sqvi(problem, cfg, metrics=("dist", "residual"))
+    cfg = SolverConfig(eta=0.1, alpha=0.5, schedule=Deterministic(), max_outer=4, seed=0)
+    with pytest.raises(InvalidParameters, match="row by row"):
+        run_ig_sqvi(problem, cfg, metrics=("dist", "residual"))
+    fine = run_ig_sqvi(_one_point_problem(("stacked", "stacked")), cfg, metrics=("dist", "residual"))
+    assert len(fine.rows) == 4
+
+
+def test_rotation_field_written_for_one_point_raises():
+    # np.array([-x[1], x[0]]) takes rows of a stack for coordinates
+    op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=0.0, mean_eval=lambda x: np.array([-x[1], x[0]]))
+    prob = ProblemInstance(
+        name="rotation",
+        operator=op,
+        map=FixedSet(Box(-np.ones(2), np.ones(2))),
+        ambient=Box(-np.ones(2), np.ones(2)),
+        x0=np.array([0.5, 0.25]),
+        constants=Constants(1.0, 1.0, 0.0, 0.0),
+        suggested_eta=0.5,
+    )
+    for max_outer in (1, 3):
+        cfg = SolverConfig(eta=0.5, alpha=0.5, schedule=Deterministic(), max_outer=max_outer, seed=0)
+        with pytest.raises(InvalidParameters, match="metric 'residual': .* row by row"):
+            run_ig_sqvi(prob, cfg, metrics=("residual",))
 
 
 def test_fixed_box_vi_contraction_within_theory():
