@@ -6,12 +6,12 @@ accelerated primal-dual scheme on the Lagrangian of the projection
 subproblem, which inequality-constrained maps run. Both return a
 certificate: a bound on the distance from the returned point to the target
 projection. FISTA minimizes a strongly convex block quadratic
-(:class:`BlockQuadratic`, the one objective argmin-set surrogates have),
-advancing the steps where no constraint is active a chunk at a time in
-each block's eigenbasis. It reports the a-posteriori gradient-mapping
-certificate and, given a relative tolerance, stops as soon as that
-certificate meets it, so the inner budget t is a cap and the iterations
-actually run are reported. The primal-dual scheme
+(:class:`BlockQuadratic`, the one objective argmin-set surrogates have)
+entirely in the quadratic's eigenbasis, where a chunk of steps is one
+array expression and a ball is tested by its norms. It reports the
+a-posteriori gradient-mapping certificate and, given a relative tolerance,
+stops as soon as that certificate meets it, so the inner budget t is a cap
+and the iterations actually run are reported. The primal-dual scheme
 reports the a-priori C/t bound and always runs t iterations. Called with a
 forced budget (relative tolerance 0), both paths run exactly t iterations
 and their error decays at least like 1/t.
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleSubproblem, InvalidParameters, NonfiniteValue
-from .sets import Array, SimpleSet
+from .sets import Array, Ball, BlockBalls, SimpleSet
 
 
 @dataclass(frozen=True)
@@ -54,20 +54,22 @@ class FistaResult(NamedTuple):
     iterations: int
 
 
-# Unconstrained FISTA steps advanced per array call. Replaying the 240
-# projections (29,648 steps) of the seed-11 game-fista workload in one
-# process took, best of five, 0.35 / 0.19 / 0.16 / 0.19 / 0.40 s with chunks
-# of 8 / 16 / 32 / 64 / 128, against 0.58-0.68 s one step per call (2-core
-# x86 VM, one BLAS thread). Longer chunks waste more rows past the stop.
+# FISTA steps advanced per array call at most. Replaying the 240 projections
+# (29,648 steps) of the seed-11 game-fista workload in one process took,
+# best of 20, 0.19 / 0.13 / 0.10 / 0.17 / 0.26 s with chunks of
+# 8 / 16 / 32 / 64 / 128, and 1.1 s with one step per call (2-core x86 VM,
+# one BLAS thread). Longer chunks waste more rows past the stop.
 CHUNK = 32
 
-# One-at-a-time steps in a row that leave every constraint inactive before
+# One-step chunks in a row that leave every constraint inactive before
 # chunking resumes, with a chunk of 2 * RESUME that doubles while it is
-# accepted whole. On a (10, 25, 25) block quadratic over balls a chunk of
-# 1 / 4 / 8 / 32 candidates cost 45 / 72 / 81 / 179 us against about 20 us
-# for one step (same host), so a constraint that turns on every few steps
-# is served one step at a time.
-RESUME = 4
+# accepted whole. On the game's (10, 25, 25) block quadratic over balls a
+# chunk of 1 / 4 / 8 / 32 candidates costs 25 / 30 / 37 / 76 us (same host),
+# so a short chunk wasted on a constrained step costs little. Over sets that
+# move a pseudo-random half of the steps, RESUME 1 / 2 / 4 / 8 took about
+# 30 / 30 / 36 / 35 us per step; where a constraint stays on or off for
+# long runs every value costs the same.
+RESUME = 2
 
 
 class BlockQuadratic:
@@ -121,6 +123,61 @@ class BlockQuadratic:
         return np.matmul(y.reshape(n, blocks, b).transpose(1, 0, 2), mat).transpose(1, 0, 2).reshape(n, -1)
 
 
+class _NormView:
+    """A ball about ``centre`` (None: the origin), or a product of such balls
+    on consecutive groups of ``group`` coordinates, in the eigenbasis. An
+    orthonormal block rotation keeps the norms that decide ball membership,
+    so a ball of the original coordinates whose centre is rotated in, or a
+    product of balls on the quadratic's blocks, stays a ball there."""
+
+    def __init__(self, centre: Optional[Array], group: int, radius: float):
+        self.centre, self.group, self.radius = centre, group, radius
+
+    def screen(self, ys: Array):
+        """How many leading rows of ``ys`` the set leaves in place, and the
+        projection of the next row (None when every row is left in place)."""
+        d = ys if self.centre is None else ys - self.centre
+        d = d.reshape(ys.shape[0], -1, self.group)
+        r2 = self.radius * self.radius
+        n2 = np.einsum("ijk,ijk->ij", d, d)
+        moved = (n2.max(axis=1) > r2).nonzero()[0]
+        if not moved.size:
+            return ys.shape[0], None
+        k = int(moved[0])
+        # each group outside its ball is scaled onto the sphere, as Ball and
+        # BlockBalls project, from the norms in hand
+        p = (d[k] * (self.radius / np.sqrt(np.maximum(n2[k], r2)))[:, None]).reshape(-1)
+        return k, p if self.centre is None else self.centre + p
+
+
+class _RotatedView:
+    """Any other set in the eigenbasis: rows are rotated out, projected by the
+    set, and a moved row's projection is rotated back in."""
+
+    def __init__(self, feasible: SimpleSet, quadratic: BlockQuadratic):
+        self.feasible, self.q = feasible, quadratic
+
+    def screen(self, ys: Array):
+        """As :meth:`_NormView.screen`."""
+        out = self.q.rotate(self.q.vecs_t, ys)
+        ps = self.feasible.project(out)
+        moved = (ps != out).any(axis=1).nonzero()[0]
+        if not moved.size:
+            return ys.shape[0], None
+        k = int(moved[0])
+        return k, self.q.rotate(self.q.vecs, ps[k : k + 1])[0]
+
+
+def _eigenbasis_view(feasible: SimpleSet, quadratic: BlockQuadratic):
+    """``feasible`` as :func:`fista_solve` sees it, in ``quadratic``'s eigenbasis."""
+    q, b = quadratic, quadratic.vecs.shape[1]
+    if isinstance(feasible, Ball):
+        return _NormView(q.rotate(q.vecs, feasible.center[None])[0], feasible.dim, feasible.radius)
+    if isinstance(feasible, BlockBalls) and feasible.block_dim == b:
+        return _NormView(None, b, feasible.radius)
+    return _RotatedView(feasible, q)
+
+
 def fista_solve(
     quadratic: BlockQuadratic,
     c: Array,
@@ -144,89 +201,79 @@ def fista_solve(
     anchor is required; with ``rel_tol`` 0 it runs exactly t steps.
     ``iterations`` counts the steps run.
 
-    Steps where no constraint is active go in chunks of up to ``CHUNK``:
-    the chunk's candidates come from the eigenbasis recurrence of
-    ``quadratic`` at once, and the stack is projected once. Candidates are
-    accepted while the projection leaves them unchanged. The first that
-    meets the stop ends the solve. The first that a constraint moves is
-    replaced by its projection, already in hand, and the steps after it are
-    taken one at a time until ``RESUME`` in a row leave every constraint
-    inactive; then chunking resumes, with a short chunk that doubles up to
-    ``CHUNK`` while it is accepted whole.
+    The whole solve runs in the eigenbasis of ``quadratic``: c, y0 and the
+    anchor are rotated in once, certificates and the stop test are row
+    norms there (the rotation is orthonormal), and the returned iterate is
+    rotated back once. Steps go in chunks of up to ``CHUNK``: the chunk's
+    candidates come from the eigenbasis recurrence of ``quadratic`` at once,
+    and the feasible set screens the stack. A ball, or a product of balls on
+    the quadratic's blocks, tests the candidates by their norms in the
+    eigenbasis; any other set rotates them out and projects them. Candidates
+    are accepted while the set leaves them in place. The first that meets
+    the stop ends the solve. The first that the set moves is replaced by
+    its projection, which is the step, and the next chunks hold one step
+    until ``RESUME`` in a row are left in place; then a chunk of
+    2 * ``RESUME`` doubles up to ``CHUNK`` while it is accepted whole.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
     if rel_tol > 0 and anchor is None:
         raise InvalidParameters("a positive rel_tol needs an anchor to measure the stop against")
-    q, c = quadratic, np.asarray(c, dtype=float)
-    beta, gain = q.momentum, q.eig_vals * q.step
-    c_hat, y_hat = q.rotate(q.vecs, np.stack([c, np.asarray(y0, dtype=float)]))
+    q, view = quadratic, _eigenbasis_view(feasible, quadratic)
+    # z_{j-1} - y_j is gain * (z_{j-1} - target), that is
+    # g1 e_{j-1} - g0 e_{j-2}, where y_j is the unconstrained step
+    g0 = q.eig_vals * q.step * q.momentum
+    g1 = q.eig_vals * q.step + g0
+    y0 = np.asarray(y0, dtype=float)
+    # without an anchor y0 stands in for it; no stop test reads it then
+    rows = [np.asarray(c, dtype=float), y0, y0 if anchor is None else np.asarray(anchor, dtype=float)]
+    c_hat, y_hat, anchor_hat = q.rotate(q.vecs, np.stack(rows))
     # the unconstrained minimizer M^-1 c, and the errors e_0, e_{-1} from it
     target = c_hat / q.eig_vals
     e0 = em1 = y_hat - target
     # the loop compares squared certificates: cert <= rel_tol ||anchor - y+||
     # reads ||z - y+||^2 <= stop2 ||anchor - y+||^2
     stop2 = (rel_tol / q.scale) ** 2
-    best, best_d2 = np.asarray(y0, dtype=float), math.inf
-    it, chunked, size, run = 0, True, CHUNK, 0
+    best, best_d2 = y_hat, math.inf
+    it, size, run = 0, CHUNK, RESUME
     while it < t:
-        if chunked:
-            n = min(size, t - it)
-            # rows j = -1 .. n of the errors, and the candidates y_1 .. y_n
-            e = q.coefs[0, : n + 2] * e0 + q.coefs[1, : n + 2] * em1
-            ys = q.rotate(q.vecs_t, target + e[2:])
-            ps = feasible.project(ys)
-            free = (ps == ys).all(axis=1)
-            k = n if free.all() else int(np.argmin(free))
-            # z_{j-1} - y_j is gain * (z_{j-1} - target) in the eigenbasis
-            d = gain * ((1.0 + beta) * e[1 : k + 1] - beta * e[:k])
-            d2 = np.einsum("ij,ij->i", d, d)
-            stopped = False
-            if rel_tol > 0:
-                r = anchor - ys[:k]
-                hits = np.flatnonzero(d2 <= stop2 * np.einsum("ij,ij->i", r, r))
-                if hits.size:
-                    k, stopped = int(hits[0]) + 1, True
-                    d2 = d2[:k]
-            if k:
-                # any nonfinite entry of an iterate makes its certificate nonfinite
-                if not np.isfinite(d2).all():
-                    raise NonfiniteValue("iterate left the finite floats; check problem scaling")
-                j = int(np.argmin(d2))
-                if d2[j] < best_d2:
-                    best, best_d2 = ys[j].copy(), float(d2[j])
-                it, e0, em1 = it + k, e[k + 1], e[k]
-            if stopped:
-                break
-            if k == n:
-                size = min(2 * size, CHUNK)
-                continue
-            # a constraint moves candidate k: its projection is the next step,
-            # and the steps after it go one at a time
-            chunked = False
-            y, y_prev = q.rotate(q.vecs_t, target + np.stack([e0, em1]))
-            z = y + beta * (y - y_prev)
-            w, y_new = ys[k], ps[k]
-        else:
-            z = y + beta * (y - y_prev)
-            w = z - q.step * (q.times(z) - c)
-            y_new = feasible.project(w)
-        d = z - y_new
-        d2 = float(d @ d)
-        if not math.isfinite(d2):
-            raise NonfiniteValue("iterate left the finite floats; check problem scaling")
-        if d2 < best_d2:
-            best, best_d2 = y_new, d2
-        it, y, y_prev = it + 1, y_new, y
+        n = min(size, t - it)
+        # rows j = -1 .. n of the errors, and the candidates y_1 .. y_n
+        e = q.coefs[0, : n + 2] * e0 + q.coefs[1, : n + 2] * em1
+        ys = target + e[2:]
+        k, p = view.screen(ys)
+        # the steps taken: the k candidates left in place, then a moved one
+        m = min(k + 1, n)
+        d = g1 * e[1 : m + 1] - g0 * e[:m]
+        if k < n:
+            # the moved candidate's projection p is the step: z - p is
+            # (z - candidate) + (candidate - p)
+            d[k] += ys[k] - p
+            ys[k], e[k + 2] = p, p - target
+        d2 = np.einsum("ij,ij->i", d, d)
+        stopped = False
         if rel_tol > 0:
-            r = anchor - y_new
-            if d2 <= stop2 * float(r @ r):
-                break
-        run = run + 1 if (y_new == w).all() else 0
-        if run == RESUME:
-            chunked, size = True, 2 * RESUME
-            e0, em1 = q.rotate(q.vecs, np.stack([y, y_prev])) - target
-    return FistaResult(point=best, dist_bound=q.scale * math.sqrt(best_d2), iterations=it)
+            r = anchor_hat - ys[:m]
+            hits = (d2 <= stop2 * np.einsum("ij,ij->i", r, r)).nonzero()[0]
+            if hits.size:
+                m, stopped = int(hits[0]) + 1, True
+                d2 = d2[:m]
+        # any nonfinite entry of an iterate makes its certificate nonfinite
+        if not np.isfinite(d2).all():
+            raise NonfiniteValue("iterate left the finite floats; check problem scaling")
+        j = int(d2.argmin())
+        if d2[j] < best_d2:
+            best, best_d2 = ys[j], float(d2[j])
+        it += m
+        if stopped:
+            break
+        e0, em1 = e[m + 1], e[m]
+        # one step per chunk from a moved step on, until RESUME in a row are
+        # left in place; then chunks of 2 * RESUME, doubling up to CHUNK
+        run = 0 if k < n else run + n
+        size = 1 if run < RESUME else min(2 * max(size, RESUME), CHUNK)
+    point = q.rotate(q.vecs_t, best[None])[0]
+    return FistaResult(point=point, dist_bound=q.scale * math.sqrt(best_d2), iterations=it)
 
 
 class ApdResult(NamedTuple):

@@ -128,7 +128,7 @@ class BlockBalls(SimpleSet):
         return self.blocks * self.block_dim
 
     def project(self, u: Array) -> Array:
-        u = np.asarray(u, dtype=float)
+        u = _points(u, self.dim)
         mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
         # every row inside (nearly every FISTA step on the game): unscaled
         if ((mat * mat).sum(axis=-1) <= self.radius * self.radius).all():
@@ -138,7 +138,7 @@ class BlockBalls(SimpleSet):
         return (mat * scale[..., None]).reshape(u.shape)
 
     def contains(self, y: Array, tol: float = 0.0) -> bool:
-        norms = np.linalg.norm(np.asarray(y, float).reshape(self.blocks, self.block_dim), axis=1)
+        norms = np.linalg.norm(_vec(y, self.dim, "point").reshape(self.blocks, self.block_dim), axis=1)
         return bool(np.all(norms <= self.radius + tol))
 
     def anchor(self) -> Array:

@@ -285,3 +285,17 @@ def test_argmin_closed_form_within_long_fista_certificate(kind):
         saw_active |= bool(np.any(norms >= 1.0 - 1e-12))
         saw_inactive |= bool(np.any(norms < 1.0 - 1e-3))
     assert saw_active and saw_inactive
+
+
+@pytest.mark.parametrize("kind", ["centred-ball", "block-balls"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_argmin_fista_certificate_bounds_distance_to_closed_form(kind, rel_tol):
+    # FISTA decides ball membership in the hessian's eigenbasis; at every
+    # budget its certificate still bounds the distance to the closed form
+    m, rng = _argmin_over_balls(kind)
+    xs, us = 0.3 * rng.standard_normal((2, 4, m.dim))
+    for x, u in zip(xs, us):
+        y = m.exact_project(x, u)
+        for t in (1, 3, 10, 30, 100, 300):
+            res = inexact_project(m, x, u, t, rel_tol=rel_tol)
+            assert np.linalg.norm(res.point - y) <= res.error_bound, t

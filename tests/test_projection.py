@@ -11,6 +11,9 @@ from sqvi.projection import (
     CHUNK,
     RESUME,
     BlockQuadratic,
+    _eigenbasis_view,
+    _NormView,
+    _RotatedView,
     apd_solve,
     feasibility_witness,
     fista_solve,
@@ -234,6 +237,58 @@ def test_chunked_fista_nan_linear_term_raises(kind):
     c[5] = np.nan
     with pytest.raises(NonfiniteValue):
         fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t=2 * CHUNK)
+
+
+def _view_problem(name):
+    # constraint-switching problems: from y0 on the far side of the minimizer
+    # a constraint turns on, off for at least RESUME steps, and on again
+    if name == "block-balls-of-another-size":
+        # one 2 x 2 block with eigenvalues 1 and 40 under a random rotation,
+        # over [-1, 1]^2 written as two one-dimensional balls
+        rng = np.random.default_rng(1)
+        vals = np.array([[1.0, 40.0]])
+        vecs = np.linalg.qr(rng.standard_normal((1, 2, 2)))[0]
+        y_star_hat = np.array([[1.3, 0.2 * rng.standard_normal()]])
+        y_star = (y_star_hat[:, None, :] @ vecs.transpose(0, 2, 1)).reshape(-1)
+        c = ((vals * y_star_hat)[:, None, :] @ vecs.transpose(0, 2, 1)).reshape(-1)
+        feasible = BlockBalls(2, 1, 1.0)
+        return vals, vecs, c, feasible, feasible.project(-3.0 * y_star)
+    if name == "box":
+        return _block_quadratic_problem(np.random.default_rng(1), "box", reach=1.2, spread=0.3, opposite=True)
+    # a ball about a nonzero centre, spanning all three blocks of 4
+    rng = np.random.default_rng(3)
+    vals, vecs, c, _, y0 = _block_quadratic_problem(rng, "ball", reach=1.2, spread=0.3, opposite=True)
+    feasible = Ball(0.3 * rng.standard_normal(12), 1.5)
+    return vals, vecs, c, feasible, feasible.project(y0)
+
+
+@pytest.mark.parametrize(
+    "name, view",
+    [("block-balls-of-another-size", _RotatedView), ("box", _RotatedView), ("off-centre-ball", _NormView)],
+)
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_eigenbasis_view_matches_step_loop(name, view, rel_tol):
+    # a ball, or balls on the quadratic's blocks, is screened by its norms in
+    # the eigenbasis; any other set rotates the candidates out and back
+    vals, vecs, c, feasible, y0 = _view_problem(name)
+    assert type(_eigenbasis_view(feasible, BlockQuadratic(vals, vecs, 1.0))) is view
+    anchor = 0.5 * np.random.default_rng(5).standard_normal(c.size)
+    active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, 130, rel_tol, anchor)
+    assert re.search(r"x\.{%d,}x" % RESUME, active), active
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_fista_point_is_feasible_when_constraints_switch(kind, rel_tol):
+    # membership is decided by norms in the eigenbasis, yet the returned point,
+    # rotated back, lies in the set
+    rng = np.random.default_rng(1)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind, reach=1.2, spread=0.3, opposite=True)
+    anchor = 0.5 * rng.standard_normal(12)
+    quadratic = BlockQuadratic(vals, vecs, 1.0)
+    for t in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 130):
+        point = fista_solve(quadratic, c, feasible, y0, t, rel_tol, anchor).point
+        assert feasible.contains(point, 1e-12), t
 
 # ---------------------------------------------------------------------------
 # accelerated primal-dual

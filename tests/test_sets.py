@@ -173,6 +173,18 @@ def test_box_projection_shape_errors():
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (2,)])
+def test_wrong_size_point_is_a_dimension_mismatch(kind, shape):
+    # every set is three-dimensional here
+    s = KINDS[kind]
+    with pytest.raises(DimensionMismatch):
+        s.project(np.zeros(shape))
+    if len(shape) == 1:
+        with pytest.raises(DimensionMismatch):
+            s.contains(np.zeros(shape))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_stacked_projection_matches_lone_rows(kind):
     # a (4, dim) stack projects each row byte for byte as a lone call does
     s = KINDS[kind]
