@@ -18,13 +18,22 @@ prints, per file and column (per leaf of a JSON file), the largest relative
 change of a float against the committed file and how many integer cells
 or other exact values differ.
 
+Run as a script it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy is imported, so that BLAS sums in one
+order and the goldens reproduce on any host.
+
 Example:
     python3 scripts/make_goldens.py
 """
+import os
+
+if __name__ == "__main__":
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_name] = "1"
+
 import glob
 import hashlib
 import json
-import os
 import shutil
 import sys
 import tempfile

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,6 +72,12 @@ CHUNK = 32
 # long runs every value costs the same.
 RESUME = 2
 
+# Steps from a fresh start that BlockQuadratic tabulates, in two
+# (FRESH + 2, dim) float arrays. The seed-5 and seed-11 game-fista solves
+# stop within 147 steps; past the table a solve continues on the chunk
+# recurrence.
+FRESH = 6 * CHUNK
+
 
 class BlockQuadratic:
     """The fixed part of the objective 0.5 y'My - c'y that :func:`fista_solve`
@@ -88,7 +95,15 @@ class BlockQuadratic:
     e_{j+1} = a ((1 + beta) e_j - beta e_{j-1}) with a = 1 - m/L and the
     momentum beta. ``coefs`` holds, for j = -1 .. CHUNK, the rows A_j and
     B_j of e_j = A_j e_0 + B_j e_{-1}, so a chunk of steps is one array
-    expression.
+    expression. The step from y_j to y_{j+1} starts at z_j, and z_j - y_{j+1}
+    is ``gain1`` e_j - ``gain0`` e_{j-1}.
+
+    A solve starts with e_{-1} = e_0, so until a constraint moves a step its
+    errors are fixed gains times one vector: e_j = C_j e_0. ``fresh`` holds
+    these gains and the squared step gains
+    G_j^2 = (gain1 C_{j-1} - gain0 C_{j-2})^2, so the squared certificate
+    of step j is G_j^2 . e_0^2. The table is filled at its first use and
+    has FRESH + 2 rows of each whatever the budget.
     """
 
     def __init__(self, eig_vals: Array, eig_vecs: Array, strong_convexity: float):
@@ -104,13 +119,33 @@ class BlockQuadratic:
         root = math.sqrt(L / strong_convexity)
         self.momentum = (root - 1.0) / (root + 1.0)
         self.scale = 2.0 * L / strong_convexity
+        self.gain0 = self.eig_vals * self.step * self.momentum
+        self.gain1 = self.eig_vals * self.step + self.gain0
+        self.coefs = self._recurrence(np.array([[[0.0], [1.0]], [[1.0], [0.0]]]), CHUNK)
+
+    def _recurrence(self, start: Array, steps: int) -> Array:
+        """``steps`` + 2 rows of the eigenbasis error recurrence for each
+        leading index of ``start`` (..., 2, n), which holds the first two."""
         a = 1.0 - self.eig_vals * self.step
         p, q = a * (1.0 + self.momentum), a * self.momentum
-        coefs = np.zeros((2, CHUNK + 2, self.eig_vals.size))
-        coefs[0, 1] = coefs[1, 0] = 1.0
-        for j in range(2, CHUNK + 2):
-            coefs[:, j] = p * coefs[:, j - 1] - q * coefs[:, j - 2]
-        self.coefs = coefs
+        rows = np.zeros(start.shape[:-2] + (steps + 2, self.eig_vals.size))
+        rows[..., :2, :] = start
+        for j in range(2, steps + 2):
+            rows[..., j, :] = p * rows[..., j - 1, :] - q * rows[..., j - 2, :]
+        return rows
+
+    @cached_property
+    def fresh(self):
+        """The fresh-start gains C, rows j = -1 .. FRESH, and the squared
+        step gains G^2, rows j = 1 .. FRESH + 2, as two (FRESH + 2, n) views
+        of one array. G_j is a fixed combination of C_{j-1} and C_{j-2}, so
+        it follows the same recurrence from G_1 = gain1 - gain0 and
+        G_2 = gain1 C_1 - gain0, with C_1 = 1 - m/L."""
+        c1 = 1.0 - self.eig_vals * self.step
+        start = [[np.ones_like(c1)] * 2, [self.gain1 - self.gain0, self.gain1 * c1 - self.gain0]]
+        gains, steps = self._recurrence(np.array(start), FRESH)
+        steps *= steps
+        return gains, steps
 
     def times(self, y: Array) -> Array:
         """M y for one point, as one matmul."""
@@ -206,13 +241,19 @@ def fista_solve(
     norms there (the rotation is orthonormal), and the returned iterate is
     rotated back once. Steps go in chunks of up to ``CHUNK``: the chunk's
     candidates come from the eigenbasis recurrence of ``quadratic`` at once,
-    and the feasible set screens the stack. A ball, or a product of balls on
-    the quadratic's blocks, tests the candidates by their norms in the
-    eigenbasis; any other set rotates them out and projects them. Candidates
-    are accepted while the set leaves them in place. The first that meets
-    the stop ends the solve. The first that the set moves is replaced by
-    its projection, which is the step, and the next chunks hold one step
-    until ``RESUME`` in a row are left in place; then a chunk of
+    and the feasible set screens the stack. While no step has been moved
+    and the chunk ends within the first ``FRESH`` steps, the candidates are
+    read from the quadratic's fresh-start table as the target plus gains
+    times e_0, and the chunk's squared certificates are one matrix-vector
+    product of its squared step gains with e_0's squares. From the first
+    moved step, or the first chunk that would pass the table's last row,
+    the recurrence runs on from the last two errors. A ball, or a product of
+    balls on the quadratic's blocks, tests the candidates by their norms in
+    the eigenbasis; any other set rotates them out and projects them.
+    Candidates are accepted while the set leaves them in place. The first
+    that meets the stop ends the solve. The first that the set moves is
+    replaced by its projection, which is the step, and the next chunks hold
+    one step until ``RESUME`` in a row are left in place; then a chunk of
     2 * ``RESUME`` doubles up to ``CHUNK`` while it is accepted whole.
     """
     if t < 1:
@@ -220,10 +261,6 @@ def fista_solve(
     if rel_tol > 0 and anchor is None:
         raise InvalidParameters("a positive rel_tol needs an anchor to measure the stop against")
     q, view = quadratic, _eigenbasis_view(feasible, quadratic)
-    # z_{j-1} - y_j is gain * (z_{j-1} - target), that is
-    # g1 e_{j-1} - g0 e_{j-2}, where y_j is the unconstrained step
-    g0 = q.eig_vals * q.step * q.momentum
-    g1 = q.eig_vals * q.step + g0
     y0 = np.asarray(y0, dtype=float)
     # without an anchor y0 stands in for it; no stop test reads it then
     rows = [np.asarray(c, dtype=float), y0, y0 if anchor is None else np.asarray(anchor, dtype=float)]
@@ -231,6 +268,11 @@ def fista_solve(
     # the unconstrained minimizer M^-1 c, and the errors e_0, e_{-1} from it
     target = c_hat / q.eig_vals
     e0 = em1 = y_hat - target
+    # while no step has been moved the errors are the fresh-start gains
+    # times the first error, and the squared certificates their step gains
+    # times its squares
+    gains, step_gains2 = q.fresh
+    first, first2, fresh = e0, e0 * e0, True
     # the loop compares squared certificates: cert <= rel_tol ||anchor - y+||
     # reads ||z - y+||^2 <= stop2 ||anchor - y+||^2
     stop2 = (rel_tol / q.scale) ** 2
@@ -238,19 +280,27 @@ def fista_solve(
     it, size, run = 0, CHUNK, RESUME
     while it < t:
         n = min(size, t - it)
-        # rows j = -1 .. n of the errors, and the candidates y_1 .. y_n
-        e = q.coefs[0, : n + 2] * e0 + q.coefs[1, : n + 2] * em1
+        # rows j = -1 .. n of the chunk's errors, and its candidates y_1 .. y_n
+        fresh = fresh and it + n <= FRESH
+        if fresh:
+            e = gains[it : it + n + 2] * first
+        else:
+            e = q.coefs[0, : n + 2] * e0 + q.coefs[1, : n + 2] * em1
         ys = target + e[2:]
         k, p = view.screen(ys)
         # the steps taken: the k candidates left in place, then a moved one
         m = min(k + 1, n)
-        d = g1 * e[1 : m + 1] - g0 * e[:m]
-        if k < n:
-            # the moved candidate's projection p is the step: z - p is
-            # (z - candidate) + (candidate - p)
-            d[k] += ys[k] - p
-            ys[k], e[k + 2] = p, p - target
-        d2 = np.einsum("ij,ij->i", d, d)
+        if fresh and k == n:
+            d2 = step_gains2[it : it + n] @ first2
+        else:
+            d = q.gain1 * e[1 : m + 1] - q.gain0 * e[:m]
+            if k < n:
+                # the moved candidate's projection p is the step: z - p is
+                # (z - candidate) + (candidate - p)
+                d[k] += ys[k] - p
+                ys[k], e[k + 2] = p, p - target
+                fresh = False
+            d2 = np.einsum("ij,ij->i", d, d)
         stopped = False
         if rel_tol > 0:
             r = anchor_hat - ys[:m]

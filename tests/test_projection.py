@@ -9,6 +9,7 @@ from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex, TranslatedSet
 from sqvi.operators import evaluate_mean
 from sqvi.projection import (
     CHUNK,
+    FRESH,
     RESUME,
     BlockQuadratic,
     _eigenbasis_view,
@@ -215,8 +216,40 @@ def test_chunked_fista_matches_step_loop(kind, rel_tol, t):
     anchor = 0.5 * rng.standard_normal(12)
     active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
     # a constraint turned active after unconstrained steps, inside a chunk
+    # read from the fresh-start table
     first_active = active.find("x") + 1
-    assert 1 < first_active and first_active % CHUNK != 0
+    assert 1 < first_active < FRESH and first_active % CHUNK != 0
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+@pytest.mark.parametrize("t", [1, CHUNK + 1, FRESH - 5, FRESH + CHUNK + 3])
+def test_fresh_table_matches_step_loop(kind, rel_tol, t):
+    # the minimizer lies well inside the set and no constraint binds, so
+    # the solve stays fresh: its chunks are read from the table up to its
+    # last row, and a longer budget runs on the recurrence from there. The
+    # balls are screened by norms ("ball" is centred off the origin), the
+    # box by rotating candidates out
+    rng = np.random.default_rng(17)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind, reach=0.3)
+    anchor = 0.5 * rng.standard_normal(12)
+    active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
+    assert "x" not in active
+    if rel_tol == 0:
+        assert len(active) == t
+    elif t > FRESH:
+        # a positive rel_tol stops the fresh solve inside the table
+        assert CHUNK < len(active) < FRESH
+
+
+def test_fresh_table_does_not_grow_with_the_budget():
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(np.random.default_rng(17), "block-balls", reach=0.3)
+    sizes = []
+    for t in (200, 20_000):
+        quadratic = BlockQuadratic(vals, vecs, 1.0)
+        assert fista_solve(quadratic, c, feasible, y0, t).iterations == t
+        sizes.append([(table.shape[0], table.nbytes) for table in quadratic.fresh])
+    assert sizes[0] == sizes[1] == [(FRESH + 2, (FRESH + 2) * 12 * 8)] * 2
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
@@ -228,7 +261,7 @@ def test_chunked_fista_matches_step_loop_when_constraints_switch(kind, rel_tol):
     active = _assert_matches_step_loop(*problem, 130, rel_tol, anchor)
     # a constraint turns off for RESUME steps in a row, so chunking resumes,
     # and on again inside a resumed chunk
-    assert re.search("x" + "." * RESUME + r"\.*x", active), active
+    assert re.search(r"x\.{%d,}x" % RESUME, active), active
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
