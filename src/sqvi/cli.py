@@ -54,8 +54,11 @@ def main(argv=None) -> int:
             else:
                 print("beta is not below 1; no contraction at this eta")
             return 0
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
         cfg = parse_config(text, strict=args.strict)
         if args.command == "validate":
             print("config OK")

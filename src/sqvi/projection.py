@@ -78,6 +78,8 @@ RESUME = 2
 # recurrence.
 FRESH = 6 * CHUNK
 
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+
 
 class BlockQuadratic:
     """The fixed part of the objective 0.5 y'My - c'y that :func:`fista_solve`
@@ -103,7 +105,11 @@ class BlockQuadratic:
     these gains and the squared step gains
     G_j^2 = (gain1 C_{j-1} - gain0 C_{j-2})^2, so the squared certificate
     of step j is G_j^2 . e_0^2. The table is filled at its first use and
-    has FRESH + 2 rows of each whatever the budget.
+    has FRESH + 2 rows of each whatever the budget. Beside it ``fresh_max``
+    holds c_j = max_i |C_ji|, so that for any grouping of the coordinates
+    the triangle inequality bounds every fresh candidate's group b about a
+    point v by ||(target - v)_b|| + c_j ||e_0,b|| without forming it
+    (:func:`fista_solve` derives the rounding margin).
     """
 
     def __init__(self, eig_vals: Array, eig_vecs: Array, strong_convexity: float):
@@ -147,6 +153,13 @@ class BlockQuadratic:
         steps *= steps
         return gains, steps
 
+    @cached_property
+    def fresh_max(self) -> Array:
+        """c_j = max_i |C_ji| for each row of the fresh-start gains, taken as
+        max(row max, -row min) so that no table-sized temporary is made."""
+        gains = self.fresh[0]
+        return np.maximum(gains.max(axis=1), -gains.min(axis=1))
+
     def times(self, y: Array) -> Array:
         """M y for one point, as one matmul."""
         return np.matmul(self.matrix, y.reshape(self.vecs.shape[:2] + (1,))).reshape(-1)
@@ -184,6 +197,28 @@ class _NormView:
         p = (d[k] * (self.radius / np.sqrt(np.maximum(n2[k], r2)))[:, None]).reshape(-1)
         return k, p if self.centre is None else self.centre + p
 
+    def fresh_floors(self, quadratic: BlockQuadratic, target: Array, e0: Array, anchor: Array, stop2: float):
+        """Per fresh step j = 1 .. FRESH, the squared certificate that the
+        step must exceed for :func:`fista_solve` to skip it: +inf where the
+        norm bound cannot prove that the set leaves the candidate
+        target + C_j e0 in place, else a bound on the step's stop threshold
+        when ``stop2`` is positive and -inf when it is not. The bounds and
+        their rounding margin are derived in :func:`fista_solve`."""
+        n, eps = target.size, _EPS
+        norm = lambda v: math.sqrt(v @ v)
+        groups = lambda v: np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+        gain_max = quadratic.fresh_max[2:]
+        off = target if self.centre is None else target - self.centre
+        size = norm(target) + norm(anchor) + (0.0 if self.centre is None else norm(self.centre))
+        slack = eps * size + math.sqrt(n * _TINY)
+        # (groups, steps): group b of step j is bounded by ||off_b|| + c_j ||e0_b||
+        reach = groups(off.reshape(-1, self.group)) + groups(e0.reshape(-1, self.group)) * gain_max
+        clear = (1.0 + (self.group + 8) * eps) * reach.max(axis=0) + slack <= self.radius
+        if not stop2 > 0:
+            return np.where(clear, -np.inf, np.inf)
+        bound = (1.0 + (n + 8) * eps) * (norm(anchor - target) + gain_max * norm(e0)) + slack
+        return np.where(clear, stop2 * (bound * bound), np.inf)
+
 
 class _RotatedView:
     """Any other set in the eigenbasis: rows are rotated out, projected by the
@@ -201,6 +236,11 @@ class _RotatedView:
             return ys.shape[0], None
         k = int(moved[0])
         return k, self.q.rotate(self.q.vecs, ps[k : k + 1])[0]
+
+    def fresh_floors(self, quadratic: BlockQuadratic, target: Array, e0: Array, anchor: Array, stop2: float):
+        """As :meth:`_NormView.fresh_floors`: a set without a norm bound
+        certifies no step, so every fresh chunk is screened."""
+        return None
 
 
 def _eigenbasis_view(feasible: SimpleSet, quadratic: BlockQuadratic):
@@ -255,6 +295,41 @@ def fista_solve(
     replaced by its projection, which is the step, and the next chunks hold
     one step until ``RESUME`` in a row are left in place; then a chunk of
     2 * ``RESUME`` doubles up to ``CHUNK`` while it is accepted whole.
+
+    On a ball, or balls on the quadratic's blocks, a fresh chunk that a norm
+    bound certifies is skipped: no candidates, screen or stop test, only its
+    squared certificates d2_j (the product above) and its best candidate.
+    Candidate j is target + C_j e_0, so with off = target - centre,
+    w = anchor - target and c_j = max_i |C_ji| the triangle inequality
+    bounds its group b about the centre by ||off_b|| + c_j ||e_0,b|| and its
+    stop distance by ||w|| + c_j ||e_0||. The chunk is certified when every
+    step's group bound, with margin, is at most the radius; when rel_tol is
+    positive, every d2_j exceeds stop2 times the squared stop bound with
+    margin; and every d2_j is finite. NaN passes no test.
+
+    The margin covers the loop's rounded decision, not only the exact one
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, ch. 3).
+    With u = eps/2 each rounded operation errs by at most u relative, and a
+    product that underflows by at most 2^-1075. A rounded candidate entry
+    is within u |target| + (2 + u) u |C_j e_0| of the exact one (the
+    product, then the sum); centring it or subtracting it from the anchor
+    adds u relative, as do the single subtractions that form off and w. A
+    rounded sum of k squares exceeds the exact one by at most
+    gamma_k = k u / (1 - k u) relative, and the bound's own norms, sum and
+    product run low by at most as much. So, to first order in u, the norm
+    the loop compares exceeds the bound as computed by a factor of at most
+    1 + (k + 9) u, plus u ||target||, with k the group size for the screen
+    and the dimension n for the stop: (k/2 + 3.5) u from the loop's
+    rounding, (k/2 + 3) u from the bound's and 2 u from the test's own. The
+    test takes (1 + (k + 8) eps) times the bound, an excess of (2k + 16) u
+    that leaves room for the higher-order terms, plus
+    eps (||target|| + ||centre|| + ||anchor||) + sqrt(n tiny). The absolute
+    term cannot be relative, because anchor - y+ cancels as the iterate
+    nears the anchor; its last part keeps the squared bound in the normal
+    range, where underflow errs by far less than u relative.
+    Rounding is monotone, so a bound B <= radius gives
+    fl(B^2) <= fl(radius^2), and fl(stop2 B^2) is at least the loop's stop
+    threshold.
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
@@ -276,23 +351,38 @@ def fista_solve(
     # the loop compares squared certificates: cert <= rel_tol ||anchor - y+||
     # reads ||z - y+||^2 <= stop2 ||anchor - y+||^2
     stop2 = (rel_tol / q.scale) ** 2
+    # a fresh chunk whose squared certificates all exceed these floors is
+    # certified: no candidate is moved and none meets the stop
+    floor2 = view.fresh_floors(q, target, first, anchor_hat, stop2)
     best, best_d2 = y_hat, math.inf
     it, size, run = 0, CHUNK, RESUME
     while it < t:
         n = min(size, t - it)
-        # rows j = -1 .. n of the chunk's errors, and its candidates y_1 .. y_n
-        fresh = fresh and it + n <= FRESH
+        if fresh and it + n > FRESH:
+            # the table ends inside this chunk: the recurrence runs on from
+            # its last two rows
+            em1, e0 = gains[it : it + 2] * first
+            fresh = False
         if fresh:
+            d2 = step_gains2[it : it + n] @ first2
+            if floor2 is not None and (d2 > floor2[it : it + n]).all() and d2.max() < math.inf:
+                # only the best candidate is formed; a fresh solve keeps
+                # chunks of CHUNK, so the chunk-size rule has nothing to update
+                j = int(d2.argmin())
+                if d2[j] < best_d2:
+                    best, best_d2 = target + gains[it + j + 2] * first, float(d2[j])
+                it += n
+                continue
+            # rows j = -1 .. n of the chunk's errors
             e = gains[it : it + n + 2] * first
         else:
             e = q.coefs[0, : n + 2] * e0 + q.coefs[1, : n + 2] * em1
+        # the chunk's candidates y_1 .. y_n
         ys = target + e[2:]
         k, p = view.screen(ys)
         # the steps taken: the k candidates left in place, then a moved one
         m = min(k + 1, n)
-        if fresh and k == n:
-            d2 = step_gains2[it : it + n] @ first2
-        else:
+        if not (fresh and k == n):
             d = q.gain1 * e[1 : m + 1] - q.gain0 * e[:m]
             if k < n:
                 # the moved candidate's projection p is the step: z - p is

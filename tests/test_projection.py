@@ -148,18 +148,19 @@ def test_fista_positive_rel_tol_needs_an_anchor():
 def reference_fista(eig_vals, eig_vecs, c, feasible, y0, t, rel_tol=0.0, anchor=None):
     """FISTA one projected step per NumPy call, on M = V diag(eig_vals) V'
     with modulus 1: the loop the chunked solver must reproduce. Also returns
-    whether a constraint moved each step's point."""
+    whether a constraint moved each step's point, and the points."""
     L = max(float(np.max(eig_vals)), 1e-15)
     matrix = (eig_vecs * eig_vals[:, None, :]) @ eig_vecs.transpose(0, 2, 1)
     shape = eig_vals.shape + (1,)
     momentum = (np.sqrt(L) - 1.0) / (np.sqrt(L) + 1.0)
     scale, stop2 = 2.0 * L, (rel_tol / (2.0 * L)) ** 2
     y = z = np.asarray(y0, dtype=float)
-    best, best_d2, active = y, np.inf, []
+    best, best_d2, active, points = y, np.inf, [], []
     for it in range(1, t + 1):
         w = z - (np.matmul(matrix, z.reshape(shape)).reshape(-1) - c) / L
         y_new = feasible.project(w)
         active.append(bool(np.any(y_new != w)))
+        points.append(y_new)
         d2 = float((z - y_new) @ (z - y_new))
         if not np.isfinite(d2):
             raise NonfiniteValue("reference iterate left the finite floats")
@@ -169,7 +170,7 @@ def reference_fista(eig_vals, eig_vecs, c, feasible, y0, t, rel_tol=0.0, anchor=
             break
         z = y_new + momentum * (y_new - y)
         y = y_new
-    return best, scale * np.sqrt(best_d2), it, active
+    return best, scale * np.sqrt(best_d2), it, active, points
 
 
 def _block_quadratic_problem(rng, kind, reach=2.0, spread=0.1, opposite=False):
@@ -196,7 +197,7 @@ def _block_quadratic_problem(rng, kind, reach=2.0, spread=0.1, opposite=False):
 
 
 def _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor):
-    want, want_bound, want_it, active = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
+    want, want_bound, want_it, active, _ = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
     got = fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t, rel_tol, anchor)
     assert got.iterations == want_it
     assert np.linalg.norm(got.point - want) <= 1e-12 * np.linalg.norm(want)
@@ -250,6 +251,139 @@ def test_fresh_table_does_not_grow_with_the_budget():
         assert fista_solve(quadratic, c, feasible, y0, t).iterations == t
         sizes.append([(table.shape[0], table.nbytes) for table in quadratic.fresh])
     assert sizes[0] == sizes[1] == [(FRESH + 2, (FRESH + 2) * 12 * 8)] * 2
+
+
+def _count_screens(monkeypatch):
+    # the sizes of the stacks the norm view screens
+    sizes, screen = [], _NormView.screen
+
+    def counting(view, ys):
+        sizes.append(len(ys))
+        return screen(view, ys)
+
+    monkeypatch.setattr(_NormView, "screen", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball"])
+def test_certified_fresh_chunks_are_not_screened(kind, monkeypatch):
+    # no constraint binds, so a norm bound certifies every fresh chunk but
+    # the one the stop fires in, and at rel_tol 0 every chunk of the table
+    rng = np.random.default_rng(17)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind, reach=0.3)
+    anchor = 0.5 * rng.standard_normal(12)
+    quadratic = BlockQuadratic(vals, vecs, 1.0)
+    screened = _count_screens(monkeypatch)
+    assert fista_solve(quadratic, c, feasible, y0, FRESH, 1e-2, anchor).iterations > 3 * CHUNK
+    assert len(screened) == 1
+    screened.clear()
+    t = FRESH + CHUNK + 3
+    assert fista_solve(quadratic, c, feasible, y0, t, 0.0, anchor).iterations == t
+    assert screened == [CHUNK, 3]
+
+
+def _free_steps(vals, vecs, c, y0):
+    # the unconstrained steps 1 .. FRESH, (FRESH, 12), and each one's
+    # ||z - y+||, which the certificate scales
+    free = Box(np.full(12, -np.inf), np.full(12, np.inf))
+    points = np.array(reference_fista(vals, vecs, c, free, y0, FRESH)[4])
+    root = np.sqrt(np.max(vals))
+    ys = np.vstack([y0, y0, points])
+    z = ys[1:-1] + (root - 1.0) / (root + 1.0) * (ys[1:-1] - ys[:-2])
+    return points, np.linalg.norm(z - points, axis=1)
+
+
+def _line_problem(slow):
+    # The first block has the one eigenvalue ``slow`` and starts at 0, the
+    # other two are stiff and start at the target, and the modulus is 1. The
+    # first block's fresh steps then lie on the line through the target,
+    # target (1 - C_j) with C_j its fresh gain, and so does anchor - y+ for
+    # an anchor on that line: where they point away from the target, their
+    # norms are the norm bounds' to rounding
+    rng = np.random.default_rng(17)
+    vals = np.array([[slow] * 4, [1e3, 2e3, 5e3, 1e4], [1.5e3, 3e3, 6e3, 9e3]])
+    vecs = np.linalg.qr(rng.standard_normal((3, 4, 4)))[0]
+    target = np.concatenate([[0.3, 0.0, 0.0, 0.0], 0.02 * rng.standard_normal(8)])
+    c = np.concatenate([m @ b for m, b in zip(BlockQuadratic(vals, vecs, 1.0).matrix, target.reshape(3, 4))])
+    return vals, vecs, c, np.concatenate([np.zeros(4), target[4:]]), target
+
+
+@pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_certified_skip_matches_step_loop_at_the_sphere(side, monkeypatch):
+    # Against eigenvalue 16.15 and curvature 1e4 the first block's gain
+    # swings slowly: it overshoots most in the third chunk, and its
+    # magnitude over the second chunk stays below that overshoot. With the
+    # radius within 1e-9 relative of the largest norm, just outside it every
+    # chunk but the first is certified and none moved; just inside it the
+    # second chunk is certified and the peak step, the first moved, lies in
+    # the third
+    vals, vecs, c, y0, _ = _line_problem(16.15)
+    norms = np.linalg.norm(_free_steps(vals, vecs, c, y0)[0].reshape(FRESH, 3, 4), axis=2)
+    peak = norms.max(axis=1).argmax() + 1
+    assert 2 * CHUNK < peak <= 3 * CHUNK and norms.argmax() % 3 == 0
+    screened = _count_screens(monkeypatch)
+    active = _assert_matches_step_loop(vals, vecs, c, BlockBalls(3, 4, side * norms.max()), y0, FRESH, 0.0, None)
+    if side > 1:
+        assert active == "." * FRESH and screened == [CHUNK]
+    else:
+        # after the moved step the next chunk holds one step
+        assert active.find("x") + 1 == peak and screened[:3] == [CHUNK, CHUNK, 1]
+
+
+@pytest.mark.parametrize("side", [1.0 + 1e-9, 1.0 - 1e-9])
+def test_certified_skip_matches_step_loop_at_the_stop(side, monkeypatch):
+    # Against eigenvalue 1 the first block's gain stays positive and the
+    # ratio of certificate to ||anchor - y+|| falls step by step, for the
+    # anchor 2 target - y0. With rel_tol within 1e-9 relative of that ratio
+    # at step 2 CHUNK: just above it the stop fires there, on the second
+    # chunk's last row, and the second chunk is screened; just below it the
+    # second chunk is certified and the stop fires on the third's first row
+    vals, vecs, c, y0, target = _line_problem(1.0)
+    anchor = 2.0 * target - y0
+    points, steps = _free_steps(vals, vecs, c, y0)
+    ratio = 2.0 * np.max(vals) * steps / np.linalg.norm(anchor - points, axis=1)
+    assert np.all(np.diff(ratio[: 2 * CHUNK + 1]) < -1e-6 * ratio[1 : 2 * CHUNK + 1])
+    screened = _count_screens(monkeypatch)
+    feasible = BlockBalls(3, 4, 10.0)
+    active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, FRESH, side * ratio[2 * CHUNK - 1], anchor)
+    assert len(active) == (2 * CHUNK if side > 1 else 2 * CHUNK + 1) and screened == [CHUNK]
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_certified_skip_matches_step_loop_with_the_anchor_at_the_target(kind, rel_tol):
+    # anchor - y+ is then the error itself, which the stop bound must cover
+    # however far it cancels
+    rng = np.random.default_rng(17)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind, reach=0.3)
+    matrix = BlockQuadratic(vals, vecs, 1.0).matrix
+    target = np.concatenate([np.linalg.solve(m, b) for m, b in zip(matrix, c.reshape(3, 4))])
+    active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, FRESH + CHUNK, rel_tol, target)
+    assert "x" not in active
+
+
+@pytest.mark.parametrize("kind", ["block-balls", "ball"])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certified_skip_still_raises_on_a_nonfinite_linear_term(kind, rel_tol, bad):
+    # a problem whose finite solves are certified chunk by chunk
+    rng = np.random.default_rng(17)
+    vals, vecs, c, feasible, y0 = _block_quadratic_problem(rng, kind, reach=0.3)
+    anchor = 0.5 * rng.standard_normal(12)
+    c[5] = bad
+    # inf - inf in the rotation makes NaN, which numpy warns of
+    with pytest.raises(NonfiniteValue), np.errstate(invalid="ignore"):
+        fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, FRESH, rel_tol, anchor)
+
+
+def test_certified_skip_still_raises_when_a_certificate_overflows():
+    # every eigenvalue is the curvature, so step 1's squared certificate is
+    # ||e_0||^2, which overflows while each block's norm, all the norm bound
+    # reads, stays finite
+    vecs = np.linalg.qr(np.random.default_rng(17).standard_normal((3, 4, 4)))[0]
+    quadratic = BlockQuadratic(np.full((3, 4), 4.0), vecs, 1.0)
+    with pytest.raises(NonfiniteValue), np.errstate(over="ignore"):
+        fista_solve(quadratic, np.zeros(12), BlockBalls(3, 4, 1e160), np.full(12, 5e153), CHUNK, 0.0, np.zeros(12))
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])

@@ -433,6 +433,15 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["derive", "--L", "1", "--mu", "1", "--gamma", "0.1"]) == 0
 
 
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'\xff\xfe{"a":1}')
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "L, mu, gamma",
     [

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end at a tiny horizon."""
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -42,3 +43,17 @@ def test_regression_game_script(tmp_path, monkeypatch, capsys):
     for solver in ("ieg", "ig"):
         assert f"{solver}: final lower_subopt" in printed
         assert (out / solver / "trace_mean.csv").exists()
+
+
+def test_replay_fista_script(monkeypatch, capsys):
+    # replayed through this checkout twice over: once as recorded, once
+    # imported again as another checkout, with bit-identical results
+    root = str(SCRIPTS.parent)
+    assert _run_script("replay_fista", ["--T", "2", "--rounds", "2", "--against", root], monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2] == "results bit-identical: yes"
+    pattern = r".+: (\d+) solves, (\d+) steps, (\d+) chunks screened, [\d.]+ s median"
+    counts = [re.match(pattern, line) for line in lines[:2]]
+    assert all(counts) and counts[0].groups() == counts[1].groups()
+    solves, steps, screened = map(int, counts[0].groups())
+    assert 0 < solves <= steps and screened <= steps
