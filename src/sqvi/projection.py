@@ -62,16 +62,6 @@ class FistaResult(NamedTuple):
 # one BLAS thread). Longer chunks waste more rows past the stop.
 CHUNK = 32
 
-# One-step chunks in a row that leave every constraint inactive before
-# chunking resumes, with a chunk of 2 * RESUME that doubles while it is
-# accepted whole. On the game's (10, 25, 25) block quadratic over balls a
-# chunk of 1 / 4 / 8 / 32 candidates costs 25 / 30 / 37 / 76 us (same host),
-# so a short chunk wasted on a constrained step costs little. Over sets that
-# move a pseudo-random half of the steps, RESUME 1 / 2 / 4 / 8 took about
-# 30 / 30 / 36 / 35 us per step; where a constraint stays on or off for
-# long runs every value costs the same.
-RESUME = 2
-
 # Steps from a fresh start that BlockQuadratic tabulates, in two
 # (FRESH + 2, dim) float arrays. The seed-5 and seed-11 game-fista solves
 # stop within 147 steps; past the table a solve continues on the chunk
@@ -292,9 +282,9 @@ def fista_solve(
     the eigenbasis; any other set rotates them out and projects them.
     Candidates are accepted while the set leaves them in place. The first
     that meets the stop ends the solve. The first that the set moves is
-    replaced by its projection, which is the step, and the next chunks hold
-    one step until ``RESUME`` in a row are left in place; then a chunk of
-    2 * ``RESUME`` doubles up to ``CHUNK`` while it is accepted whole.
+    replaced by its projection, which is the step. The chunk after a moved
+    step holds one step, and a chunk accepted whole is followed by one twice
+    as long, up to ``CHUNK``.
 
     On a ball, or balls on the quadratic's blocks, a fresh chunk that a norm
     bound certifies is skipped: no candidates, screen or stop test, only its
@@ -355,12 +345,13 @@ def fista_solve(
     # certified: no candidate is moved and none meets the stop
     floor2 = view.fresh_floors(q, target, first, anchor_hat, stop2)
     best, best_d2 = y_hat, math.inf
-    it, size, run = 0, CHUNK, RESUME
+    it, size = 0, CHUNK
     while it < t:
         n = min(size, t - it)
         if fresh and it + n > FRESH:
-            # the table ends inside this chunk: the recurrence runs on from
-            # its last two rows
+            # fresh chunks start at multiples of CHUNK, so this is step FRESH:
+            # the table is used up and the recurrence runs on from its last
+            # two rows
             em1, e0 = gains[it : it + 2] * first
             fresh = False
         if fresh:
@@ -408,10 +399,8 @@ def fista_solve(
         if stopped:
             break
         e0, em1 = e[m + 1], e[m]
-        # one step per chunk from a moved step on, until RESUME in a row are
-        # left in place; then chunks of 2 * RESUME, doubling up to CHUNK
-        run = 0 if k < n else run + n
-        size = 1 if run < RESUME else min(2 * max(size, RESUME), CHUNK)
+        # one step after a moved step, else a chunk twice as long, up to CHUNK
+        size = 1 if k < n else min(2 * size, CHUNK)
     point = q.rotate(q.vecs_t, best[None])[0]
     return FistaResult(point=point, dist_bound=q.scale * math.sqrt(best_d2), iterations=it)
 

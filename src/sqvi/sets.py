@@ -130,7 +130,7 @@ class BlockBalls(SimpleSet):
     def project(self, u: Array) -> Array:
         u = _points(u, self.dim)
         mat = u.reshape(u.shape[:-1] + (self.blocks, self.block_dim))
-        # every row inside (nearly every FISTA step on the game): unscaled
+        # every row inside (the game's FISTA start points and snapped results): unscaled
         if ((mat * mat).sum(axis=-1) <= self.radius * self.radius).all():
             return u.copy()
         nrm = np.linalg.norm(mat, axis=-1)

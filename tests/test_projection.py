@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -10,7 +11,6 @@ from sqvi.operators import evaluate_mean
 from sqvi.projection import (
     CHUNK,
     FRESH,
-    RESUME,
     BlockQuadratic,
     _eigenbasis_view,
     _NormView,
@@ -254,14 +254,18 @@ def test_fresh_table_does_not_grow_with_the_budget():
 
 
 def _count_screens(monkeypatch):
-    # the sizes of the stacks the norm view screens
-    sizes, screen = [], _NormView.screen
+    # the sizes of the stacks the eigenbasis views screen
+    sizes = []
 
-    def counting(view, ys):
-        sizes.append(len(ys))
-        return screen(view, ys)
+    def counting(screen):
+        def counted(view, ys):
+            sizes.append(len(ys))
+            return screen(view, ys)
 
-    monkeypatch.setattr(_NormView, "screen", counting)
+        return counted
+
+    for view in (_NormView, _RotatedView):
+        monkeypatch.setattr(view, "screen", counting(view.screen))
     return sizes
 
 
@@ -280,6 +284,28 @@ def test_certified_fresh_chunks_are_not_screened(kind, monkeypatch):
     t = FRESH + CHUNK + 3
     assert fista_solve(quadratic, c, feasible, y0, t, 0.0, anchor).iterations == t
     assert screened == [CHUNK, 3]
+
+
+@pytest.mark.parametrize("kind, seed", [("block-balls", 3), ("box", 2)])
+@pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
+def test_chunks_grow_again_after_a_brief_binding(kind, seed, rel_tol, monkeypatch):
+    # from y0 on the far side of a minimizer inside the set, a constraint
+    # binds for three steps in the first chunk (5-7 on the balls, 3-5 on the
+    # box) and never again; at rel_tol 0 the solve runs on past the table
+    rng = np.random.default_rng(seed)
+    problem = _block_quadratic_problem(rng, kind, reach=0.3, spread=0.3, opposite=True)
+    anchor = 0.5 * rng.standard_normal(12)
+    screened = _count_screens(monkeypatch)
+    t = FRESH + CHUNK + 3
+    active = _assert_matches_step_loop(*problem, t, rel_tol, anchor)
+    assert active.strip(".") == "xxx"
+    assert len(active) == t if rel_tol == 0 else len(active) < FRESH
+    # after the last moved step one step, then chunks doubling up to CHUNK
+    it, size, grown = active.rfind("x") + 1, 1, []
+    while it < len(active):
+        grown.append(min(size, t - it))
+        it, size = it + grown[-1], min(2 * size, CHUNK)
+    assert screened == [CHUNK, 1, 1] + grown
 
 
 def _free_steps(vals, vecs, c, y0):
@@ -349,6 +375,86 @@ def test_certified_skip_matches_step_loop_at_the_stop(side, monkeypatch):
     assert len(active) == (2 * CHUNK if side > 1 else 2 * CHUNK + 1) and screened == [CHUNK]
 
 
+def _tight_problems(slow):
+    # The first block has the one eigenvalue ``slow`` and the others the
+    # curvature 4096, a power of two, so their gains vanish from step 1 on
+    # and max_i |C_ji| is the first block's |C_j|. The eigenvectors are the
+    # identity, and y0 is 0 in the first block and the target elsewhere, so
+    # e_0 is minus the target in the first block and 0 elsewhere: step j is
+    # (1 - C_j) target there, and the target elsewhere. Yields the quadratic,
+    # c, the target and y0 for four targets
+    vals = np.array([[slow] * 4, [4096.0] * 4, [4096.0] * 4])
+    quadratic = BlockQuadratic(vals, np.broadcast_to(np.eye(4), (3, 4, 4)), 1.0)
+    assert not quadratic.fresh[0][2:, 4:].any()
+    rng = np.random.default_rng(17)
+    for first in rng.uniform(-0.5, 0.5, (4, 4)):
+        target = np.concatenate([first, 0.02 * rng.standard_normal(8)])
+        yield quadratic, vals.reshape(-1) * target, target, np.concatenate([np.zeros(4), target[4:]])
+
+
+def _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, rel_tol, anchor):
+    # the solve equals, bit for bit, the same solve with every chunk
+    # screened; returns its steps, and leaves its screens in ``screened``
+    with monkeypatch.context() as patch:
+        patch.setattr(_NormView, "fresh_floors", lambda *args: None)
+        want = fista_solve(quadratic, c, feasible, y0, FRESH, rel_tol, anchor)
+    screened.clear()
+    got = fista_solve(quadratic, c, feasible, y0, FRESH, rel_tol, anchor)
+    assert (got.point.tobytes(), got.dist_bound, got.iterations) == (
+        want.point.tobytes(), want.dist_bound, want.iterations
+    )
+    return got.iterations
+
+
+def test_certified_skip_changes_no_bit_where_the_screen_bound_is_tight(monkeypatch):
+    # Against eigenvalue 16, C_j is least at step 51 and no |C_j| in the
+    # second chunk exceeds that step's. Where C_j < 0 the first block's norm
+    # (1 - C_j) ||target|| is the norm bound ||target|| + |C_j| ||e_0||, so
+    # over radii a few dozen ulps about step 51's norm the margin alone
+    # decides the second chunk: a moved step, a screened chunk or a skipped one
+    screened = _count_screens(monkeypatch)
+    for quadratic, c, target, y0 in _tight_problems(16.0):
+        gains = quadratic.fresh[0][2:]
+        assert np.abs(gains[CHUNK : 2 * CHUNK, 0]).max() == -gains[50, 0] == -gains[:, 0].min()
+        # the fresh steps as the solve forms them, and their squared block norms
+        d = (target + gains * (y0 - target)).reshape(FRESH, 3, 4)
+        n2 = np.einsum("ijk,ijk->ij", d, d)
+        assert n2.max(axis=1).argmax() + 1 == 51 and n2.argmax() % 3 == 0
+        peak, regimes = math.sqrt(n2.max()), set()
+        for ulps in range(-32, 33):
+            feasible = BlockBalls(3, 4, peak + ulps * np.spacing(peak))
+            _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, 0.0, None)
+            regimes.add(tuple(screened[:3]))
+        # step 51 moved, the second chunk screened whole, the second chunk skipped
+        assert regimes == {(CHUNK, CHUNK, 1), (CHUNK, CHUNK), (CHUNK,)}
+
+
+def test_certified_skip_changes_no_bit_where_the_stop_bound_is_tight(monkeypatch):
+    # Against eigenvalue 1, C_j falls from 1 and stays positive. With the
+    # anchor at 3 target in the first block and the target elsewhere,
+    # anchor - y+ is (2 + C_j) target in the first block, whose norm is the
+    # stop bound ||anchor - target|| + |C_j| ||e_0||. The ratio of
+    # certificate to ||anchor - y+|| falls step by step, so over rel_tol a
+    # few dozen ulps about its value at step 2 CHUNK the margin alone decides
+    # the second chunk: the stop fires in it, it is screened and the stop
+    # fires on the next step, or it is skipped
+    screened, feasible = _count_screens(monkeypatch), BlockBalls(3, 4, 10.0)
+    for quadratic, c, target, y0 in _tight_problems(1.0):
+        gains, step_gains2 = quadratic.fresh
+        assert np.all(np.diff(gains[2:, 0]) < 0) and gains[-1, 0] > 0
+        anchor = np.concatenate([3.0 * target[:4], target[4:]])
+        first = y0 - target
+        r = anchor - (target + gains[2:] * first)
+        ratio = quadratic.scale * np.sqrt(step_gains2[:FRESH] @ (first * first) / np.einsum("ij,ij->i", r, r))
+        assert np.all(np.diff(ratio[: 2 * CHUNK + 1]) < -1e-6 * ratio[1 : 2 * CHUNK + 1])
+        at, regimes = ratio[2 * CHUNK - 1], set()
+        for ulps in range(-32, 33):
+            rel_tol = at + ulps * np.spacing(at)
+            steps = _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, rel_tol, anchor)
+            regimes.add((steps, len(screened)))
+        assert regimes == {(2 * CHUNK, 1), (2 * CHUNK + 1, 2), (2 * CHUNK + 1, 1)}
+
+
 @pytest.mark.parametrize("kind", ["block-balls", "ball"])
 @pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
 def test_certified_skip_matches_step_loop_with_the_anchor_at_the_target(kind, rel_tol):
@@ -393,9 +499,9 @@ def test_chunked_fista_matches_step_loop_when_constraints_switch(kind, rel_tol):
     problem = _block_quadratic_problem(rng, kind, reach=1.2, spread=0.3, opposite=True)
     anchor = 0.5 * rng.standard_normal(12)
     active = _assert_matches_step_loop(*problem, 130, rel_tol, anchor)
-    # a constraint turns off for RESUME steps in a row, so chunking resumes,
-    # and on again inside a resumed chunk
-    assert re.search(r"x\.{%d,}x" % RESUME, active), active
+    # a constraint turns off for two steps in a row, so chunks grow again,
+    # and on again inside a grown chunk
+    assert re.search(r"x\.{2,}x", active), active
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball", "box"])
@@ -408,7 +514,7 @@ def test_chunked_fista_nan_linear_term_raises(kind):
 
 def _view_problem(name):
     # constraint-switching problems: from y0 on the far side of the minimizer
-    # a constraint turns on, off for at least RESUME steps, and on again
+    # a constraint turns on, off for at least two steps, and on again
     if name == "block-balls-of-another-size":
         # one 2 x 2 block with eigenvalues 1 and 40 under a random rotation,
         # over [-1, 1]^2 written as two one-dimensional balls
@@ -441,7 +547,7 @@ def test_eigenbasis_view_matches_step_loop(name, view, rel_tol):
     assert type(_eigenbasis_view(feasible, BlockQuadratic(vals, vecs, 1.0))) is view
     anchor = 0.5 * np.random.default_rng(5).standard_normal(c.size)
     active = _assert_matches_step_loop(vals, vecs, c, feasible, y0, 130, rel_tol, anchor)
-    assert re.search(r"x\.{%d,}x" % RESUME, active), active
+    assert re.search(r"x\.{2,}x", active), active
 
 
 @pytest.mark.parametrize("kind", ["block-balls", "ball"])
