@@ -37,7 +37,7 @@ class Residual(NamedTuple):
     error_bound: float
 
 
-def natural_residual(problem, x, eta: Optional[float] = None, budget=None) -> Residual:
+def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[int] = None) -> Residual:
     """Fixed-point violation ||x - P_K(x)(x - eta F(x))|| with a certified projection.
 
     Uses the exact projection where a closed form (or closed-form surrogate)
@@ -50,14 +50,12 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget=None) -> Re
     and bound as arrays of R. On an exact map the stack is projected at once,
     each row bit for bit as a lone call, so the operator's mean field and
     the map's closed form must map stacks row by row. On an inexact map the
-    rows are solved one at a time, with lone mean evaluations, and
-    ``budget`` may give one budget per row (each an int, or None for 2000).
+    rows are solved one at a time, each with ``budget`` and a lone mean
+    evaluation.
     """
+    if budget is not None and not budget >= 1:
+        raise InvalidParameters(f"inner budget must be >= 1, got {budget}")
     x = np.asarray(x, dtype=float)
-    budgets = np.broadcast_to(np.asarray(budget, dtype=object), x.shape[:-1])
-    for b in budgets.flat:
-        if b is not None and not b >= 1:
-            raise InvalidParameters(f"inner budget must be >= 1, got {b}")
     if eta is None:
         eta = problem.suggested_eta
     if problem.map.exact:
@@ -66,8 +64,8 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget=None) -> Re
         value = _lone_or_rows(np.sqrt(squared_norms(d)))
         return Residual(value=value, error_bound=_lone_or_rows(np.zeros(x.shape[:-1])))
     if x.ndim == 1:
-        return _projected_residual(problem, x, eta, budgets[()])
-    rows = [_projected_residual(problem, row, eta, b) for row, b in zip(x, budgets)]
+        return _projected_residual(problem, x, eta, budget)
+    rows = [_projected_residual(problem, row, eta, budget) for row in x]
     return Residual(np.array([r.value for r in rows]), np.array([r.error_bound for r in rows]))
 
 

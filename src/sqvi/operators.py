@@ -63,6 +63,8 @@ class OperatorSpec:
         row differs from the lone call at x0.
     batch_mean : draw of the mean of ``count`` stochastic samples G(x, xi_j);
         None for a noise-free operator.
+    noise : declared sampling noise level, sqrt(E||G(x, xi) - F(x)||^2);
+        0 for a noise-free operator.
     """
 
     dim: int
@@ -70,6 +72,7 @@ class OperatorSpec:
     qg_mu: float
     mean_eval: Optional[MeanEval] = None
     batch_mean: Optional[BatchMean] = None
+    noise: float = 0.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -241,7 +244,7 @@ def gaussian_operator(
     if noise_level < 0:
         raise InvalidConstants("noise_level must be nonnegative")
     if noise_level == 0.0:
-        return OperatorSpec(dim=dim, lipschitz=lipschitz, qg_mu=qg_mu, mean_eval=mean_eval)
+        return OperatorSpec(dim, lipschitz, qg_mu, mean_eval=mean_eval, noise=noise_level)
     coord_sd = noise_level / math.sqrt(dim)
 
     def _batch_mean(x, rng, count):
@@ -253,6 +256,7 @@ def gaussian_operator(
         qg_mu=qg_mu,
         mean_eval=mean_eval,
         batch_mean=_batch_mean,
+        noise=noise_level,
     )
 
 

@@ -9,7 +9,7 @@ dataset files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -46,14 +46,6 @@ from .sets import Array, BlockBalls, Box, ProductSet, SimpleSet, squared_norms
 # instance containers
 
 
-@dataclass(frozen=True)
-class Constants:
-    lipschitz: float
-    qg_mu: float
-    gamma: float
-    noise: float
-
-
 @dataclass(frozen=True, eq=False)
 class RegressionGameData:
     """Raw data of a regression game instance."""
@@ -79,12 +71,15 @@ class LowerLevelData:
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
+    """A QVI instance. Its declared constants have one owner each: the
+    operator's ``lipschitz``, ``qg_mu`` and ``noise``, and the map's
+    ``gamma``; the parameter algebra and ``manifest()`` read them there."""
+
     name: str
     operator: OperatorSpec
     map: SetValuedMap
     ambient: SimpleSet
     x0: Array
-    constants: Constants
     suggested_eta: float
     # maps one point, or each row of a stack (..., dim), to its nearest
     # solution; a run whose stack's first row differs from the lone call's
@@ -97,7 +92,8 @@ class ProblemInstance:
         return {
             "name": self.name,
             "dim": int(self.operator.dim),
-            "constants": asdict(self.constants),
+            "constants": {"lipschitz": self.operator.lipschitz, "qg_mu": self.operator.qg_mu,
+                          "gamma": self.map.gamma, "noise": self.operator.noise},
             "suggested_eta": self.suggested_eta,
             "metadata": dict(self.metadata),
         }
@@ -119,9 +115,10 @@ def make_translated_box_qvi(
     """Affine QVI over a box that translates with the iterate.
 
     The operator is F(x) = A x + c with A = I + S, S a random Gram matrix
-    rescaled to spectral norm 0.25 (explicit ``matrix``/``offset`` override
-    the generator). The constraint map is K(x) = shift_slope*x + box. The
-    reference solution is the unique fixed point of the exact-projection
+    rescaled to spectral norm 0.25, and c = -A z for a random target z. An
+    explicit ``matrix`` (n, n) replaces A and sets c = 0; an explicit
+    ``offset`` (n,) replaces c, with or without ``matrix``. The constraint
+    map is K(x) = shift_slope*x + box. The reference solution is the unique fixed point of the exact-projection
     step map, computed to 1e-13 and verified against the fixed-point
     optimality condition.
     """
@@ -130,11 +127,7 @@ def make_translated_box_qvi(
         a_mat = np.atleast_2d(np.asarray(matrix, dtype=float))
         if a_mat.shape != (n, n):
             raise DimensionMismatch(f"matrix has shape {a_mat.shape}, expected ({n},{n})")
-        c_vec = (
-            np.zeros(n)
-            if offset is None
-            else np.atleast_1d(np.asarray(offset, dtype=float))
-        )
+        c_vec = np.zeros(n)
     else:
         m = rng.standard_normal((n, n)) / math.sqrt(n)
         gram = m.T @ m
@@ -142,6 +135,10 @@ def make_translated_box_qvi(
         a_mat = np.eye(n) + (0.25 / max(top, 1e-12)) * gram
         target = rng.uniform(-1.5, 1.5, size=n) / max(1.0 - shift_slope, 1e-9)
         c_vec = -a_mat @ target
+    if offset is not None:
+        c_vec = np.atleast_1d(np.asarray(offset, dtype=float))
+        if c_vec.shape != (n,):
+            raise DimensionMismatch(f"offset has shape {c_vec.shape}, expected ({n},)")
     sym = 0.5 * (a_mat + a_mat.T)
     eigs = np.linalg.eigvalsh(sym)
     mu = float(eigs[0])
@@ -196,7 +193,6 @@ def make_translated_box_qvi(
         map=mapping,
         ambient=ambient,
         x0=ambient.anchor(),
-        constants=Constants(lipschitz=lip, qg_mu=mu, gamma=mapping.gamma, noise=noise_level),
         suggested_eta=eta_star,
         reference_projector=lambda z: solution,
         metadata={
@@ -472,7 +468,6 @@ def make_regression_game(
         map=mapping,
         ambient=feasible,
         x0=feasible.anchor(),
-        constants=Constants(lipschitz=lip, qg_mu=0.0, gamma=gamma, noise=0.0),
         suggested_eta=1e-2,
         lower_level=LowerLevelData(value=train_value, min_value=min_value, game=game),
         metadata=dict(origin, players=players, feature_dim=feats, radius=lam, regularization=sigma),
@@ -599,7 +594,6 @@ def make_coupled_sp(
         map=mapping,
         ambient=boxes,
         x0=boxes.anchor(),
-        constants=Constants(lipschitz=lip, qg_mu=max(mu, 1e-12), gamma=gamma, noise=0.0),
         suggested_eta=0.5,
         metadata={"nu": nu, "nw": nw, "coupled": coupling is not None},
     )

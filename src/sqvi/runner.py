@@ -16,6 +16,7 @@ from .diagnostics import fit_linear_rate, mean_metric_series
 from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
+    _METRICS,
     DerivedParams,
     IterationTrace,
     SolverConfig,
@@ -30,7 +31,6 @@ from .solvers import (
 log = logging.getLogger(__name__)
 
 CSV_HEADER = "k,N_k,t_k,cum_samples,cum_inner,dist,residual,lower_subopt,wall_ms"
-_METRIC_COLUMNS = ("dist", "residual", "lower_subopt")
 
 
 class Validated(NamedTuple):
@@ -126,8 +126,8 @@ class RunConfig:
         # replicate r samples from the stream (seed, r), so only a single run takes a list
         if not (_is_seed_part(self.seed) or (self.replicates == 1 and _is_list_of(self.seed, _is_seed_part))):
             raise ConfigError(f"seed must be a non-negative integer or a list of them, got {self.seed!r}")
-        if self.metrics is not None and not _is_list_of(self.metrics, _METRIC_COLUMNS.__contains__):
-            raise ConfigError(f"metrics must be a list drawn from {_METRIC_COLUMNS}, got {self.metrics!r}")
+        if self.metrics is not None and not _is_list_of(self.metrics, _METRICS.__contains__):
+            raise ConfigError(f"metrics must be a list drawn from {_METRICS}, got {self.metrics!r}")
         if not _is_list_of(self.report_epsilons, _is_number):
             raise ConfigError(f"report_epsilons must be a list of numbers, got {self.report_epsilons!r}")
         floor = self.floor
@@ -237,7 +237,7 @@ def _csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
         cells = [str(row.k), str(row.n_k), str(row.t_k), str(row.cum_samples), str(row.cum_inner)]
-        cells.extend(_fmt(row.metrics.get(metric)) for metric in _METRIC_COLUMNS)
+        cells.extend(_fmt(row.metrics.get(metric)) for metric in _METRICS)
         cells.append(_fmt(row.wall_ms))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

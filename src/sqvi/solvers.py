@@ -257,15 +257,16 @@ def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> Derive
 
     Raises on invalid parameters unless the config opts out, in which case
     the issues are returned as ``violations`` with a best-effort q (possibly
-    None). A rho the schedule cannot use is left None here; the schedule
-    raises it when asked for its values.
+    None). L and mu are the operator's, gamma the map's. A rho the schedule
+    cannot use is left None here; the schedule raises it when asked for its
+    values.
     """
-    c = problem.constants
-    beta = derive_beta(c.lipschitz, c.qg_mu, c.gamma, config.eta)
+    constants = (problem.operator.lipschitz, problem.operator.qg_mu, problem.map.gamma)
+    beta = derive_beta(*constants, config.eta)
     interval = None
     problems = []
     try:
-        interval = admissible_eta_interval(c.lipschitz, c.qg_mu, c.gamma)
+        interval = admissible_eta_interval(*constants)
         if not (interval[0] < config.eta < interval[1]):
             problems.append(
                 f"eta={config.eta} outside the admissible interval "
@@ -396,7 +397,7 @@ def _projected_step(problem, config, streams, x, n_k, t_k, k, phase):
 _METRICS = ("dist", "residual", "lower_subopt")
 
 
-def _metric(problem, name, x, config, budget):
+def _metric(problem, name, x, config, budget=None):
     # one metric at one point or at each row of a stack
     if name == "dist":
         return diagnostics.dist_to_solution(problem, x)
@@ -408,10 +409,10 @@ def _metric(problem, name, x, config, budget):
 _ROW_BY_ROW = "mean_eval and reference_projector must map stacks row by row"
 
 
-def _stacked(problem, name, xs, config, budgets, lone) -> list:
+def _stacked(problem, name, xs, config, lone) -> list:
     # one metric on the whole stack; row 0 must be the lone call's bits
     try:
-        column = np.asarray(_metric(problem, name, xs, config, budgets)).tolist()
+        column = np.asarray(_metric(problem, name, xs, config)).tolist()
     except (ValueError, IndexError, DimensionMismatch) as err:
         raise InvalidParameters(f"metric {name!r}: {_ROW_BY_ROW}") from err
     if np.float64(column[0]).tobytes() != np.float64(lone).tobytes():
@@ -419,22 +420,18 @@ def _stacked(problem, name, xs, config, budgets, lone) -> list:
     return column
 
 
-def _eval_metrics(problem, xs, metrics, config, budgets, known) -> list:
+def _eval_metrics(problem, xs, metrics, config, known) -> list:
     """Each metric at each row of the stack xs (x0 first), as one dict per
     row. ``known`` gives per metric its values from lone calls, from row 0
-    on: x0's, computed before the run, and the floor metric's at every row.
+    on: x0's, computed before the run, and the per-iterate ones of ``_run``.
     The rest is one call per metric on the stack, checked by its row 0, so a
     mean field or reference projector that maps only one point raises
-    InvalidParameters. ``budgets`` gives the residual's projection budget
-    per row where the map is inexact; those rows are solved one at a time
-    and row 0 is not solved again."""
+    InvalidParameters."""
     values = [{} for _ in xs]
     for name in metrics:
         column = known[name]
-        if len(column) < len(xs) and name == "residual" and not problem.map.exact:
-            column = column + _metric(problem, name, xs[1:], config, budgets[1:]).tolist()
-        elif len(column) < len(xs):
-            column = _stacked(problem, name, xs, config, budgets, column[0])
+        if len(column) < len(xs):
+            column = _stacked(problem, name, xs, config, column[0])
         for out, value in zip(values, column):
             out[name] = value
     return values
@@ -443,14 +440,10 @@ def _eval_metrics(problem, xs, metrics, config, budgets, known) -> list:
 def _trace(problem, config, solver, metrics, iterates, rows, known) -> IterationTrace:
     """The trace of a run from its iterates, x0 first, per iteration k the
     tuple (k, n_k, t_k, cum_samples, cum_inner, wall_ms), and the metric
-    values already computed by lone calls (see ``_eval_metrics``).
-
-    The other values are evaluated on the stack of iterates. The residual's
-    projection budget is 2000 at x0 and ten times t_k at the iterate of
-    iteration k, where the map is inexact.
+    values already computed by lone calls (see ``_eval_metrics``); the other
+    values are evaluated on the stack of iterates.
     """
-    budgets = [None] + [_RESIDUAL_BUDGET_SCALE * row[2] for row in rows]
-    values = _eval_metrics(problem, np.stack(iterates), metrics, config, budgets, known)
+    values = _eval_metrics(problem, np.stack(iterates), metrics, config, known)
     trace = IterationTrace(problem_name=problem.name, solver=solver, metrics=metrics, initial_metrics=values[0])
     trace.rows = [
         TraceRow(k=k, n_k=n_k, t_k=t_k, cum_samples=samples, cum_inner=inner, metrics=m, wall_ms=wall)
@@ -467,18 +460,20 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     for name in metrics:
         if name not in _METRICS:
             raise InvalidParameters(f"unknown metric id {name!r}")
-    if config.metric_floor is not None and config.metric_floor[0] not in metrics:
-        raise InvalidParameters(
-            f"metric floor references {config.metric_floor[0]!r}, which is not recorded"
-        )
+    floor = config.metric_floor
+    if floor is not None and floor[0] not in metrics:
+        raise InvalidParameters(f"metric floor references {floor[0]!r}, which is not recorded")
     solver = "ieg" if extra_gradient else "ig"
     seed_key = stream_key(config.seed)
     streams = None if config.schedule.exact_mean else SampleStreams(seed_key, config.max_outer)
     x = np.asarray(problem.x0, dtype=float).copy()
     # x0's metrics by lone calls, so a metric the problem lacks fails here;
-    # the loop keeps the recursion, and the other metrics are evaluated once,
-    # on the stack of iterates, after it (or before NonfiniteIterate is raised)
-    known = {name: [_metric(problem, name, x, config, None)] for name in metrics}
+    # ``lone`` are lone calls at each new iterate too, the others one call on
+    # the stack of iterates after the loop (or before NonfiniteIterate)
+    known = {name: [_metric(problem, name, x, config)] for name in metrics}
+    # the floor's metric, and the residual on a map with no closed form
+    lone = [n for n in metrics if (floor is not None and n == floor[0])
+            or (n == "residual" and not problem.map.exact)]
     iterates = [x]
     rows = []
     cum_samples = 0
@@ -503,14 +498,11 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
         wall = (time.perf_counter() - tic) * 1e3
         iterates.append(x)
         rows.append((k, n_k, t_k, cum_samples, cum_inner, wall if config.record_timing else None))
-        if config.metric_floor is not None:
-            # the floor's metric alone, at the lone iterate; its row keeps it
-            floor_metric, floor_value = config.metric_floor
-            value = _metric(problem, floor_metric, x, config, _RESIDUAL_BUDGET_SCALE * t_k)
-            known[floor_metric].append(value)
-            if value <= floor_value:
-                stopped_early = True
-                break
+        for name in lone:
+            known[name].append(_metric(problem, name, x, config, _RESIDUAL_BUDGET_SCALE * t_k))
+        if floor is not None and known[floor[0]][-1] <= floor[1]:
+            stopped_early = True
+            break
     trace = _trace(problem, config, solver, metrics, iterates, rows, known)
     trace.summary = {
         "iterations": len(trace.rows),

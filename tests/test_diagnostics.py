@@ -10,7 +10,7 @@ from sqvi.diagnostics import (
 from sqvi.errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
 from sqvi.maps import FixedSet
 from sqvi.operators import OperatorSpec
-from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
+from sqvi.problems import ProblemInstance, make_translated_box_qvi
 from sqvi.sets import AffineSet, Box
 
 
@@ -22,7 +22,6 @@ def small_problem(mean_eval, reference=None, box=(-5.0, 5.0), dim=2, eta=1.0):
         map=FixedSet(amb),
         ambient=amb,
         x0=np.zeros(dim),
-        constants=Constants(5.0, 0.5, 0.0, 0.0),
         suggested_eta=eta,
         reference_projector=reference,
     )
@@ -62,7 +61,6 @@ def test_natural_residual_fixed_interval():
         map=FixedSet(amb),
         ambient=amb,
         x0=np.zeros(1),
-        constants=Constants(1.0, 1.0, 0.0, 0.0),
         suggested_eta=1.0,
     )
     res = natural_residual(p, np.array([0.0]), eta=1.0)

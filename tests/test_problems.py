@@ -35,6 +35,22 @@ def test_shifted_interval_solution():
     np.testing.assert_allclose(p.reference_projector(np.zeros(1)), [10.0 / 9.0], atol=1e-10)
 
 
+def test_offset_without_matrix_replaces_the_generated_offset():
+    plain = make_translated_box_qvi(n=3, seed=2)
+    moved = make_translated_box_qvi(n=3, seed=2, offset=[9.0, 9.0, 9.0])
+    x = np.array([0.1, -0.2, 0.3])
+    a_x = plain.operator.mean_eval(x) - plain.operator.mean_eval(np.zeros(3))
+    np.testing.assert_array_equal(moved.operator.mean_eval(np.zeros(3)), [9.0, 9.0, 9.0])
+    np.testing.assert_allclose(moved.operator.mean_eval(x), a_x + 9.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("offset", [[0.5], [0.5, 0.5, 0.5]])
+@pytest.mark.parametrize("matrix", [np.eye(2), None])
+def test_offset_of_the_wrong_shape_raises(matrix, offset):
+    with pytest.raises(DimensionMismatch, match="offset has shape"):
+        make_translated_box_qvi(n=2, matrix=matrix, offset=offset)
+
+
 def test_reference_residual_small(box_problem):
     assert box_problem.metadata["reference_residual"] <= 1e-12
 
@@ -65,7 +81,7 @@ def test_side_condition_enforced():
 def test_box_instance_audits(box_problem):
     audit = audit_instance(box_problem, probes=400)
     assert audit.monotone_min >= -1e-10
-    assert audit.lipschitz_ratio <= box_problem.constants.lipschitz + 1e-8
+    assert audit.lipschitz_ratio <= box_problem.operator.lipschitz + 1e-8
     assert audit.gamma_report.passed
     assert audit.x0_feasible
 
@@ -110,7 +126,7 @@ def test_game_quadratic_growth_positive(game_problem, training_minimizer_project
 
 def test_game_has_no_reference_solution_set(game_problem):
     assert game_problem.reference_projector is None
-    assert game_problem.constants.qg_mu == game_problem.operator.qg_mu == 0.0
+    assert game_problem.operator.qg_mu == 0.0
     assert "qg_audit" not in game_problem.metadata
 
 
@@ -256,7 +272,7 @@ def test_block_balls_exterior_and_mixed_rows():
 
 def test_game_audit_values_pinned(game_problem):
     # table1-synthetic at seed 1: the certified bound ||M^-1/2 D|| / sigma
-    assert game_problem.constants.gamma == pytest.approx(9.896089785539, rel=1e-10)
+    assert game_problem.map.gamma == pytest.approx(9.896089785539, rel=1e-10)
     assert "gamma_audit" not in game_problem.metadata
     # the Lipschitz constant is the largest validation-gram eigenvalue, to the
     # bit as one eigvalsh call per player gives it
@@ -327,14 +343,14 @@ def test_game_gamma_bounds_interior_slope_sharply(seed):
     for y in (y0, y1):
         assert np.max(np.linalg.norm(y.reshape(game.players, feats), axis=1)) < 0.5 * game.radius
     ratio = np.linalg.norm(y1 - y0) / step
-    gamma = p.constants.gamma
+    gamma = p.map.gamma
     assert 0.8 * gamma <= ratio <= gamma
 
 
 def test_game_instance_audits(game_problem):
     audit = audit_instance(game_problem, probes=120)
     assert audit.monotone_min >= -1e-10
-    assert audit.lipschitz_ratio <= game_problem.constants.lipschitz + 1e-8
+    assert audit.lipschitz_ratio <= game_problem.operator.lipschitz + 1e-8
     assert audit.gamma_report.passed
     assert audit.x0_feasible
 
@@ -421,8 +437,8 @@ def test_coupled_gamma_bounds_two_coordinate_slope():
     # the map's u-row of the coupling is active there
     assert abs(p.map.constraint(x, np.concatenate([y0, u[2:]]))[0]) <= 1e-12
     ratio = np.linalg.norm(project_u(x + step * np.eye(4)[2], u) - y0) / step
-    gamma = p.constants.gamma
-    assert gamma == p.map.gamma == pytest.approx(np.linalg.norm(a) / 0.05, rel=1e-15)
+    gamma = p.map.gamma
+    assert gamma == pytest.approx(np.linalg.norm(a) / 0.05, rel=1e-15)
     assert 0.99 * gamma <= ratio <= gamma
 
 
@@ -503,7 +519,7 @@ def test_dataset_game_roundtrip(tmp_path, rng):
     assert p.operator.dim == 24
     assert p.lower_level.game.players == 4
     # a dataset game's training matrix is block diagonal, so K(x) does not move
-    assert p.constants.gamma == 0.0
+    assert p.map.gamma == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,34 @@ def test_certified_skip_changes_no_bit_where_the_stop_bound_is_tight(monkeypatch
         assert regimes == {(2 * CHUNK, 1), (2 * CHUNK + 1, 2), (2 * CHUNK + 1, 1)}
 
 
+def test_certified_skip_changes_no_bit_where_anchor_minus_step_cancels(monkeypatch):
+    # The anchor is the target and y0 is within 1e-4 relative of it, in the
+    # first block only, so anchor - y+ is -C_j e_0 computed as target -
+    # (target + C_j e_0): it cancels, and its rounding, u ||target||, is far
+    # above the stop bound's relative margin. Against the one eigenvalue 1
+    # the ratio of certificate to ||anchor - y+|| is the same at every step
+    # but for that rounding, so over rel_tol a few dozen ulps about its least
+    # value the stop fires or not by rounding alone
+    screened, feasible = _count_screens(monkeypatch), BlockBalls(3, 4, 10.0)
+    for quadratic, c, _, _ in _tight_problems(1.0):
+        gains, step_gains2 = quadratic.fresh
+        # the target and anchor as the solve forms them in the eigenbasis
+        anchor = c / quadratic.eig_vals
+        y0 = np.concatenate([(1.0 - 1e-4) * anchor[:4], anchor[4:]])
+        first = y0 - anchor
+        r = anchor - (anchor + gains[2:] * first)
+        assert np.linalg.norm(r, axis=1).max() <= 2e-4 * np.linalg.norm(anchor)
+        ratio = quadratic.scale * np.sqrt(step_gains2[:FRESH] @ (first * first) / np.einsum("ij,ij->i", r, r))
+        at, steps = ratio.min(), set()
+        for ulps in range(-32, 33):
+            rel_tol = at + ulps * np.spacing(at)
+            steps.add(_skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, rel_tol, anchor))
+        assert FRESH in steps and min(steps) < FRESH
+        # the skip is live here: a little below the threshold every chunk is certified
+        _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, at * (1.0 - 1e-6), anchor)
+        assert screened == []
+
+
 @pytest.mark.parametrize("kind", ["block-balls", "ball"])
 @pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
 def test_certified_skip_matches_step_loop_with_the_anchor_at_the_target(kind, rel_tol):

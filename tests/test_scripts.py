@@ -5,6 +5,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -36,13 +37,36 @@ def test_translated_box_script(argv, tmp_path, monkeypatch, capsys):
     assert json.loads((out / "manifest.json").read_text())["derived"]["violations"] == []
 
 
+def _write_libsvm(path, rows=120, features=8):
+    rng = np.random.default_rng(3)
+    design = rng.standard_normal((rows, features))
+    labels = design @ rng.standard_normal(features) + 0.1 * rng.standard_normal(rows)
+    lines = (
+        f"{label:.6g} " + " ".join(f"{j + 1}:{v:.6g}" for j, v in enumerate(row))
+        for label, row in zip(labels, design)
+    )
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_regression_game_script(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "game"
-    assert _run_script("run_regression_game", ["--T", "2", "--out", str(out)], monkeypatch) == 0
-    printed = capsys.readouterr().out
-    for solver in ("ieg", "ig"):
-        assert f"{solver}: final lower_subopt" in printed
-        assert (out / solver / "trace_mean.csv").exists()
+    data = tmp_path / "data.txt"
+    _write_libsvm(data)
+    runs = {
+        "table1-synthetic": [],
+        "table1-eunite2001": ["--dataset", str(data)],
+        "table1-triazines": ["--dataset", str(data)],
+    }
+    for preset, extra in runs.items():
+        out = tmp_path / preset
+        argv = ["--preset", preset, *extra, "--T", "2", "--out", str(out)]
+        assert _run_script("run_regression_game", argv, monkeypatch) == 0
+        printed = capsys.readouterr().out
+        for solver in ("ieg", "ig"):
+            assert f"{solver}: final lower_subopt" in printed
+            assert (out / solver / "trace_mean.csv").exists()
+            manifest = json.loads((out / solver / "manifest.json").read_text())
+            origin = "dataset" if extra else "synthetic"
+            assert manifest["problem_manifest"]["name"].startswith(f"regression_game[{origin}(")
 
 
 def test_replay_fista_script(monkeypatch, capsys):

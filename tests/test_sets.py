@@ -108,6 +108,7 @@ def test_nonexpansive(kind, u, v):
     s = KINDS[kind]
     pu, pv = s.project(u), s.project(v)
     assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-10
+    assert np.linalg.norm(pu - pv) <= s.diameter() + 1e-10
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -127,6 +128,7 @@ def test_idempotent(kind, u):
     s = KINDS[kind]
     pu = s.project(u)
     assert np.linalg.norm(s.project(pu) - pu) <= 1e-12 * max(1.0, np.linalg.norm(pu))
+    assert s.contains(pu, 1e-10 * max(1.0, np.linalg.norm(u)))
 
 
 def test_anchors_are_members():

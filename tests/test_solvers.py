@@ -17,7 +17,7 @@ from sqvi.errors import (
 from sqvi import diagnostics
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex
 from sqvi.operators import OperatorSpec
-from sqvi.problems import Constants, ProblemInstance, make_translated_box_qvi
+from sqvi.problems import ProblemInstance, make_translated_box_qvi
 from sqvi.sets import Box
 from sqvi.solvers import (
     ConstantMinibatch,
@@ -152,7 +152,6 @@ def singleton_problem(target, alpha_dim=2):
         map=FixedSet(box),
         ambient=ambient,
         x0=tgt + np.array([3.0, -2.0]),
-        constants=Constants(lipschitz=1.0, qg_mu=1.0, gamma=0.0, noise=0.0),
         suggested_eta=1.0,
         reference_projector=lambda z: tgt,
     )
@@ -178,7 +177,6 @@ def orthant_face_problem():
         ),
         ambient=ambient,
         x0=np.array([-1.5, 1.0]),
-        constants=Constants(lipschitz=1.0, qg_mu=1.0, gamma=0.0, noise=0.0),
         suggested_eta=0.5,
         reference_projector=lambda z: solution,
     )
@@ -297,7 +295,6 @@ def test_nonfinite_iterate_raises():
         map=FixedSet(Box(-np.ones(2), np.ones(2))),
         ambient=Box(-np.ones(2), np.ones(2)),
         x0=np.zeros(2),
-        constants=Constants(1.0, 1.0, 0.0, 0.0),
         suggested_eta=1.0,
         reference_projector=lambda z: np.zeros(2),
     )
@@ -361,7 +358,6 @@ def _one_point_problem(case):
         map=FixedSet(Box(-np.ones(3), np.ones(3))),
         ambient=Box(-np.ones(3), np.ones(3)),
         x0=np.array([1.0, 0.5, -0.5]),
-        constants=Constants(3.0, 1.0, 0.0, 0.0),
         suggested_eta=0.1,
         reference_projector=proj[proj_case],
     )
@@ -384,7 +380,9 @@ def test_one_point_callable_raises_instead_of_wrong_rows(case, metric):
 
 
 def test_rotation_field_written_for_one_point_raises():
-    # np.array([-x[1], x[0]]) takes rows of a stack for coordinates
+    # np.array([-x[1], x[0]]) takes rows of a stack for coordinates; the
+    # rotation is merely monotone, so no step size is admissible and the run
+    # must opt out of validation and name its rho
     op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=0.0, mean_eval=lambda x: np.array([-x[1], x[0]]))
     prob = ProblemInstance(
         name="rotation",
@@ -392,11 +390,13 @@ def test_rotation_field_written_for_one_point_raises():
         map=FixedSet(Box(-np.ones(2), np.ones(2))),
         ambient=Box(-np.ones(2), np.ones(2)),
         x0=np.array([0.5, 0.25]),
-        constants=Constants(1.0, 1.0, 0.0, 0.0),
         suggested_eta=0.5,
     )
     for max_outer in (1, 3):
-        cfg = SolverConfig(eta=0.5, alpha=0.5, schedule=Deterministic(), max_outer=max_outer, seed=0)
+        cfg = SolverConfig(
+            eta=0.5, alpha=0.5, schedule=Deterministic(rho=0.9), max_outer=max_outer, seed=0,
+            allow_out_of_range=True,
+        )
         with pytest.raises(InvalidParameters, match="metric 'residual': .* row by row"):
             run_ig_sqvi(prob, cfg, metrics=("residual",))
 
