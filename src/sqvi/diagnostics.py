@@ -5,9 +5,9 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
+from .errors import InsufficientData, NoReferenceSolution, WrongProblemKind
 from .operators import evaluate_mean
-from .projection import inexact_project, reference_project
+from .projection import _check_budget, inexact_project, reference_project
 from .sets import Array, squared_norms
 
 # values at or below either floor are rounding noise and excluded from fits
@@ -43,8 +43,8 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     Uses the exact projection where a closed form (or closed-form surrogate)
     exists and an iterative solve with ``budget`` inner iterations otherwise
     (2000 when None); the projection's error bound certifies the residual to
-    within that bound. A budget below 1 raises InvalidParameters on every
-    map, exact or not.
+    within that bound. A budget that is not an integer >= 1 raises
+    InvalidParameters on every map, exact or not.
 
     ``x`` is one point, giving floats, or a stack ``(R, dim)``, giving value
     and bound as arrays of R. On an exact map the stack is projected at once,
@@ -53,8 +53,8 @@ def natural_residual(problem, x, eta: Optional[float] = None, budget: Optional[i
     rows are solved one at a time, each with ``budget`` and a lone mean
     evaluation.
     """
-    if budget is not None and not budget >= 1:
-        raise InvalidParameters(f"inner budget must be >= 1, got {budget}")
+    if budget is not None:
+        _check_budget(budget)
     x = np.asarray(x, dtype=float)
     if eta is None:
         eta = problem.suggested_eta

@@ -96,7 +96,10 @@ class TranslatedSet:
         of x and u, each row bit for bit as a lone call when ``shift`` maps
         stacks row by row."""
         m = np.asarray(self.shift(np.asarray(x, dtype=float)), dtype=float)
-        return m + self.base_set.project(np.asarray(u, dtype=float) - m)
+        u = np.asarray(u, dtype=float)
+        if u.shape[-1:] != m.shape[-1:]:
+            raise DimensionMismatch(f"point has shape {u.shape}, expected (..., {m.shape[-1]})")
+        return m + self.base_set.project(u - m)
 
     def project(
         self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float

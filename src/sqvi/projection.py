@@ -33,7 +33,7 @@ from .errors import DimensionMismatch, InfeasibleSubproblem, InvalidParameters, 
 from .sets import Array, Ball, BlockBalls, SimpleSet
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProjectionResult:
     """An approximate projection plus its certified error bound.
 
@@ -505,6 +505,13 @@ def feasibility_witness(
     )
 
 
+def _check_budget(budget) -> None:
+    """Raise InvalidParameters unless ``budget`` is an integer >= 1: a Python
+    or numpy int, not a bool, float, string or sequence."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise InvalidParameters(f"inner budget must be >= 1 and an integer, got {budget!r}")
+
+
 def inexact_project(
     mapping, x, u, t: int, ambient: Optional[SimpleSet] = None, rel_tol: float = 0.0
 ) -> ProjectionResult:
@@ -518,19 +525,22 @@ def inexact_project(
     distance from x to its iterate; with the default 0 every iterative path
     runs exactly t iterations. The returned point is snapped onto
     ``ambient`` when one is supplied so that solver iterates never leave the
-    ambient set.
+    ambient set. ``t`` must be an integer >= 1 (a Python or numpy int) on
+    every map, closed forms included, or InvalidParameters is raised.
     """
-    if t < 1:
-        raise InvalidParameters("inner budget t must be >= 1")
+    if type(t) is not int or t < 1:  # one test on the common case
+        _check_budget(t)
     return mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, ambient, rel_tol)
 
 
 def reference_project(mapping, x, u, budget: int = 20000) -> Array:
     """High-accuracy projection onto K(x): the map's closed form when it is
-    exact, else ``budget`` iterations of its solver path.
+    exact, else ``budget`` iterations of its solver path. ``budget`` must be
+    an integer >= 1 on every map, as ``inexact_project``'s ``t``.
 
     For argmin-set maps the target is the regularized surrogate's solution.
     """
+    _check_budget(budget)
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if mapping.exact:

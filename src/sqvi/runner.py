@@ -30,7 +30,10 @@ from .solvers import (
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = "k,N_k,t_k,cum_samples,cum_inner,dist,residual,lower_subopt,wall_ms"
+CSV_HEADER = ",".join(["k", "N_k", "t_k", "cum_samples", "cum_inner", *_METRICS, "wall_ms"])
+# _csv writes one column for each of these names, so a metric added to
+# _METRICS fails this unpacking at import until _csv writes its column too
+_FIRST, _SECOND, _THIRD = _METRICS
 
 
 class Validated(NamedTuple):
@@ -226,6 +229,8 @@ def default_metrics(problem: ProblemInstance) -> tuple:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # the metric cells, as the solvers record them
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -236,10 +241,11 @@ def _fmt(value) -> str:
 def _csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        cells = [str(row.k), str(row.n_k), str(row.t_k), str(row.cum_samples), str(row.cum_inner)]
-        cells.extend(_fmt(row.metrics.get(metric)) for metric in _METRICS)
-        cells.append(_fmt(row.wall_ms))
-        lines.append(",".join(cells))
+        get = row.metrics.get
+        lines.append(
+            f"{row.k},{row.n_k},{row.t_k},{row.cum_samples},{row.cum_inner},"
+            f"{_fmt(get(_FIRST))},{_fmt(get(_SECOND))},{_fmt(get(_THIRD))},{_fmt(row.wall_ms)}"
+        )
     return "\n".join(lines) + "\n"
 
 

@@ -290,7 +290,7 @@ def derive_params(problem, config: SolverConfig, extra_gradient: bool) -> Derive
     return DerivedParams(beta=beta, q=q, eta_interval=interval, violations=tuple(problems), rho=rho)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRow:
     k: int
     n_k: int
@@ -446,7 +446,7 @@ def _trace(problem, config, solver, metrics, iterates, rows, known) -> Iteration
     values = _eval_metrics(problem, np.stack(iterates), metrics, config, known)
     trace = IterationTrace(problem_name=problem.name, solver=solver, metrics=metrics, initial_metrics=values[0])
     trace.rows = [
-        TraceRow(k=k, n_k=n_k, t_k=t_k, cum_samples=samples, cum_inner=inner, metrics=m, wall_ms=wall)
+        TraceRow(k, n_k, t_k, samples, inner, m, wall)
         for (k, n_k, t_k, samples, inner, wall), m in zip(rows, values[1:])
     ]
     return trace

@@ -10,7 +10,13 @@ from sqvi.diagnostics import (
 from sqvi.errors import InsufficientData, InvalidParameters, NoReferenceSolution, WrongProblemKind
 from sqvi.maps import FixedSet
 from sqvi.operators import OperatorSpec
-from sqvi.problems import ProblemInstance, make_translated_box_qvi
+from sqvi.problems import (
+    LinearCoupling,
+    ProblemInstance,
+    QuadraticPayoff,
+    make_coupled_sp,
+    make_translated_box_qvi,
+)
 from sqvi.sets import AffineSet, Box
 
 
@@ -50,6 +56,26 @@ def test_natural_residual_rejects_budget_below_one_on_exact_maps(budget):
     assert p.map.exact
     with pytest.raises(InvalidParameters):
         natural_residual(p, np.zeros(4), budget=budget)
+
+
+def _coupled_problem():
+    return make_coupled_sp(
+        QuadraticPayoff(P=[[1.0]], Q=[[1.0]], R=[[1.0]], p=[0.0], q=[0.0]),
+        LinearCoupling(a_u=[1.0], a_w=[1.0], c=-0.5),
+    )
+
+
+@pytest.mark.parametrize("budget", [[10, 20], 1.5, "3", True, np.float64(4.0)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_natural_residual_rejects_a_budget_that_is_not_an_integer(budget, exact):
+    # a list, a float or a string is an InvalidParameters on both branches,
+    # not a TypeError from the comparison or from the inner solver
+    p = make_translated_box_qvi(n=2, seed=1) if exact else _coupled_problem()
+    assert p.map.exact is exact
+    with pytest.raises(InvalidParameters, match="inner budget must be >= 1 and an integer"):
+        natural_residual(p, np.zeros(2), budget=budget)
+    # numpy integers are integers
+    assert natural_residual(p, np.zeros(2), budget=np.int64(3)) == natural_residual(p, np.zeros(2), budget=3)
 
 
 def test_natural_residual_fixed_interval():

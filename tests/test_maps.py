@@ -113,6 +113,55 @@ def test_translated_projection_worked_values():
     )
 
 
+def _translated_parity(m, ambient, x, u):
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    point = m.project(x, u, 1, ambient, 0.0).point
+    expected = m.exact_project(x, u) if ambient is None else ambient.project(m.exact_project(x, u))
+    assert point.shape == expected.shape and point.tobytes() == expected.tobytes()
+
+
+def test_translated_projection_is_exact_project_snapped_bit_for_bit(rng):
+    # the solver path's bits are those of the closed form snapped onto the
+    # ambient set, signed zeros and NaN included
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 2.5, -2.5])
+    dim = special.size
+    for lo, hi, slope in [(-1.0, 1.0, 0.04), (-0.0, 0.0, 0.5), (0.0, 1.0, 0.1), (-1.0, -0.0, 0.0)]:
+        m = TranslatedSet(Box(np.full(dim, lo), np.full(dim, hi)), lambda x, s=slope: s * x, slope)
+        scale = 1.0 / (1.0 - slope)
+        for ambient in (None, Box(np.full(dim, lo * scale), np.full(dim, hi * scale))):
+            # on the faces of both boxes, and through the special values
+            pairs = [(np.zeros(dim), np.full(dim, lo)), (np.zeros(dim), np.full(dim, hi)),
+                     (np.full(dim, hi * scale), np.full(dim, hi * scale)), (np.zeros(dim), special),
+                     (special, special[::-1]), (-special, special)]
+            for x, u in pairs:
+                with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf
+                    _translated_parity(m, ambient, x, u)
+    # random points and stacks around per-coordinate faces, on a box and a ball
+    lo = rng.standard_normal(20)
+    hi = np.where(rng.random(20) < 0.25, lo, lo + rng.random(20))
+    ambient = Box(lo - 3.0, hi + 3.0)
+    for base in (Box(lo, hi), Ball(np.zeros(20), 1.5)):
+        m = TranslatedSet(base, lambda x: 0.3 * x, 0.3)
+        for _ in range(30):
+            x, u = 2.0 * rng.standard_normal((2, 20))
+            _translated_parity(m, ambient, x, u)
+            _translated_parity(m, None, x, u)
+        xs, us = 2.0 * rng.standard_normal((2, 5, 20))
+        _translated_parity(m, ambient, xs, us)
+        _translated_parity(m, ambient, xs[0], us)
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (1,), (2, 3)])
+def test_translated_projection_rejects_a_wrong_size_target(shape):
+    m = TranslatedSet(Box(-np.ones(4), np.ones(4)), lambda x: 0.1 * x, 0.1)
+    with pytest.raises(DimensionMismatch):
+        m.exact_project(np.zeros(4), np.zeros(shape))
+    with pytest.raises(DimensionMismatch):
+        m.project(np.zeros(4), np.zeros(shape), 1, None, 0.0)
+    with pytest.raises(DimensionMismatch):
+        inexact_project(m, np.zeros(4), np.zeros(shape), 1, ambient=Box(-2 * np.ones(4), 2 * np.ones(4)))
+
+
 def test_gamma_defaults_to_twice_shift_constant():
     assert half_shift_ball().gamma == 1.0
     assert FixedSet(unit_ball).gamma == 0.0

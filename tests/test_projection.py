@@ -672,6 +672,21 @@ def test_feasibility_witness_and_infeasible_detection():
 # inexact_project dispatch
 
 
+@pytest.mark.parametrize("budget", [[10, 20], 1.5, "3", True, 0])
+@pytest.mark.parametrize("exact", [True, False])
+def test_inner_budgets_must_be_integers_on_every_map(budget, exact):
+    # a closed form ignores its budget, but checks it all the same
+    m = TranslatedSet(Ball(np.zeros(2), 1.0), lambda x: 0.5 * x, 0.5) if exact else ball_constraint_map()
+    x, u = np.zeros(2), np.array([3.0, 1.0])
+    with pytest.raises(InvalidParameters, match="inner budget must be >= 1 and an integer"):
+        inexact_project(m, x, u, t=budget)
+    with pytest.raises(InvalidParameters, match="inner budget must be >= 1 and an integer"):
+        reference_project(m, x, u, budget=budget)
+    for t in (np.int64(5), np.uint8(5)):
+        assert inexact_project(m, x, u, t=t).point.tobytes() == inexact_project(m, x, u, t=5).point.tobytes()
+        assert reference_project(m, x, u, budget=t).tobytes() == reference_project(m, x, u, budget=5).tobytes()
+
+
 def test_inexact_project_translated_exact():
     m = TranslatedSet(base_set=Ball(np.zeros(2), 1.0), shift=lambda x: 0.5 * x, shift_lipschitz=0.5)
     res = inexact_project(m, np.zeros(2), np.array([3.0, 4.0]), t=1)

@@ -10,6 +10,7 @@ from sqvi.cli import main as cli_main
 from sqvi.errors import ConfigError, UnknownKey
 from sqvi.problems import build_problem
 from sqvi.runner import parse_config, run_experiment
+from sqvi.solvers import _METRICS, IterationTrace, TraceRow
 
 MINIMAL = {
     "problem": "translated_box",
@@ -200,6 +201,40 @@ def test_run_writes_trace_with_t_rows(tmp_path):
     dist = np.array([float(l.split(",")[5]) for l in lines[1:]])
     assert np.all(np.diff(dist) <= 1e-12)
     assert dist[-1] < 0.05 * dist[0]
+
+
+def _cell(value) -> str:
+    # one cell as trace CSVs have always been written
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}"
+
+
+def test_csv_rows_keep_the_per_cell_format():
+    # each row is one f-string and _fmt formats Python floats first; the
+    # bytes must be those of the old cell-by-cell join
+    values = [0.1, 1 / 3, -0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf"), None, 7,
+              np.float64(0.1), np.float64(-0.0), np.float64(np.nan), np.float64(-np.inf), np.float32(0.1),
+              np.int64(-3), np.int32(12), True, np.bool_(False)]
+    integers = [3, np.int64(4), np.int32(5), 2**70]
+    rows = []
+    for k, value in enumerate(values):
+        ints = [integers[(k + i) % len(integers)] for i in range(5)]
+        metrics = {"dist": value, "residual": values[-1 - k]}
+        if k % 3:
+            metrics["lower_subopt"] = values[(2 * k) % len(values)]
+        rows.append(TraceRow(*ints, metrics=metrics, wall_ms=values[(3 * k) % len(values)]))
+    expected = "".join(
+        ",".join([str(r.k), str(r.n_k), str(r.t_k), str(r.cum_samples), str(r.cum_inner)]
+                 + [_cell(r.metrics.get(m)) for m in _METRICS] + [_cell(r.wall_ms)])
+        + "\n"
+        for r in rows
+    )
+    trace = IterationTrace("p", "ieg", ("dist", "residual", "lower_subopt"), {}, rows)
+    assert runner.trace_to_csv(trace) == runner.CSV_HEADER + "\n" + expected
+    assert runner.trace_to_csv(IterationTrace("p", "ieg", ("dist",), {}, [])) == runner.CSV_HEADER + "\n"
 
 
 def test_rerun_is_byte_identical(tmp_path):

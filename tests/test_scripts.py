@@ -81,3 +81,18 @@ def test_replay_fista_script(monkeypatch, capsys):
     assert all(counts) and counts[0].groups() == counts[1].groups()
     solves, steps, screened = map(int, counts[0].groups())
     assert 0 < solves <= steps and screened <= steps
+
+
+def test_replay_box_script(monkeypatch, capsys):
+    # run through this checkout twice over: once as imported, once imported
+    # again as another checkout, with bit-identical traces
+    root = str(SCRIPTS.parent)
+    argv = ["--replicates", "2", "--T", "3", "--rounds", "2", "--against", root]
+    assert _run_script("replay_box", argv, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and lines[4] == "traces bit-identical: yes"
+    pattern = r".+: 2 replicates, [\d.]+ s run and [\d.]+ s CSV median per round \(([\d.]+) ([\d.]+)\)"
+    assert all(re.fullmatch(pattern, line) for line in lines[:2])
+    pattern = (r"(run|CSV) time this/other per replicate: [\d.]+ median over rounds "
+               r"\([\d.]+-[\d.]+\), this faster in [012] of 2 rounds")
+    assert [re.fullmatch(pattern, line).group(1) for line in lines[2:4]] == ["run", "CSV"]
