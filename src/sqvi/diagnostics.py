@@ -122,7 +122,8 @@ def fit_linear_rate(values, window: Optional[tuple] = None) -> RateFit:
 
 
 def mean_metric_series(traces: Sequence, metric: str) -> np.ndarray:
-    """Elementwise mean of a metric across replicate traces (truncated to the shortest)."""
+    """Elementwise mean of a metric across replicate traces (truncated to the
+    shortest): entry k is the 1-D pairwise ``np.mean`` of the values at k."""
     series = [t.metric_series(metric) for t in traces]
     n = min(s.shape[0] for s in series)
-    return np.mean([s[:n] for s in series], axis=0)
+    return np.mean(np.stack([s[:n] for s in series], axis=1), axis=1)

@@ -116,9 +116,10 @@ class NonlinearConvex:
     """K(x) = {y in ambient : constraint(x, y) <= 0 componentwise}.
 
     ``constraint(x, y)`` returns an (m,) vector convex in y for each fixed x;
-    ``jacobian(x, y)`` its (m, dim) derivative in y. ``jacobian_bound`` caps
-    the Jacobian spectral norm over the ambient set (estimated on demand if
-    omitted).
+    ``jacobian(x, y)`` its (m, dim) derivative in y. ``jacobian_bound``
+    should cap the Jacobian spectral norm over the ambient set; if omitted,
+    each projection uses 2 ||jacobian(x, y0)|| + 1e-6 at its start point y0,
+    an estimate rather than a cap.
     """
 
     ambient: SimpleSet

@@ -40,7 +40,7 @@ from .operators import (
     gaussian_operator,
 )
 from .projection import reference_project
-from .sets import Array, BlockBalls, Box, ProductSet, SimpleSet, squared_norms
+from .sets import Array, BlockBalls, Box, SimpleSet, squared_norms
 
 # ---------------------------------------------------------------------------
 # instance containers
@@ -533,6 +533,8 @@ def make_coupled_sp(
     nw = payoff.Q.shape[0]
     if payoff.R.shape != (nu, nw):
         raise ConstructionFailed(f"R has shape {payoff.R.shape}, expected ({nu},{nw})")
+    if payoff.p.shape != (nu,) or payoff.q.shape != (nw,):
+        raise ConstructionFailed(f"p, q have shapes {payoff.p.shape}, {payoff.q.shape}, expected ({nu},), ({nw},)")
     if float(np.linalg.eigvalsh(0.5 * (payoff.P + payoff.P.T))[0]) < -1e-10:
         raise ConstructionFailed("payoff is not convex in u")
     if float(np.linalg.eigvalsh(0.5 * (payoff.Q + payoff.Q.T))[0]) < -1e-10:
@@ -546,54 +548,47 @@ def make_coupled_sp(
 
     lip = float(np.linalg.norm(mat, 2))
     mu = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-    boxes = ProductSet(
-        (
-            Box(np.full(nu, float(u_box[0])), np.full(nu, float(u_box[1]))),
-            Box(np.full(nw, float(w_box[0])), np.full(nw, float(w_box[1]))),
-        )
-    )
+    # the lower bounds, then the upper: each the u-block's, then the w-block's
+    lo, hi = np.repeat(np.array([u_box, w_box], dtype=float).T, (nu, nw), axis=1)
+    box = Box(lo, hi)
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=max(mu, 1e-12), mean_eval=mean_eval)
 
     if coupling is None:
-        mapping: SetValuedMap = FixedSet(boxes)
+        mapping: SetValuedMap = FixedSet(box)
         gamma = 0.0
     else:
         a_u, a_w, cc = coupling.a_u, coupling.a_w, coupling.c
         if a_u.shape != (nu,) or a_w.shape != (nw,):
             raise ConstructionFailed("coupling vectors do not match block dimensions")
+        # row 0 constrains the u-block, row 1 the w-block; each row fixes the
+        # opponent block at x, which the rows in swapped order pick out
+        jac = np.zeros((2, dim))
+        jac[0, :nu] = a_u
+        jac[1, nu:] = a_w
 
         def constraint(x, y):
-            return np.array(
-                [
-                    float(a_u @ y[:nu]) + float(a_w @ x[nu:]) - cc,
-                    float(a_u @ x[:nu]) + float(a_w @ y[nu:]) - cc,
-                ]
-            )
-
-        jac_rows = np.zeros((2, dim))
-        jac_rows[0, :nu] = a_u
-        jac_rows[1, nu:] = a_w
+            return jac @ y + jac[::-1] @ x - cc
 
         def jacobian(x, y):
-            return jac_rows
+            return jac
 
         # min_nz of an all-zero vector is inf: that block's projection stays fixed
         nz_u, nz_w = (np.min(np.abs(a), where=a != 0.0, initial=np.inf) for a in (a_u, a_w))
         gamma = float(max(np.linalg.norm(a_w) / nz_u, np.linalg.norm(a_u) / nz_w))
         mapping = NonlinearConvex(
-            ambient=boxes,
+            ambient=box,
             constraint=constraint,
             jacobian=jacobian,
             gamma=gamma,
-            jacobian_bound=float(np.linalg.norm(jac_rows, 2)),
+            jacobian_bound=float(np.linalg.norm(jac, 2)),
         )
 
     return ProblemInstance(
         name=f"coupled_sp(nu={nu},nw={nw},coupled={coupling is not None})",
         operator=operator,
         map=mapping,
-        ambient=boxes,
-        x0=boxes.anchor(),
+        ambient=box,
+        x0=box.anchor(),
         suggested_eta=0.5,
         metadata={"nu": nu, "nw": nw, "coupled": coupling is not None},
     )

@@ -276,20 +276,14 @@ def _record(trace: IterationTrace, metrics, projections: int) -> ReplicateRecord
     return ReplicateRecord({metric: trace.metric_series(metric) for metric in metrics}, entry)
 
 
-def mean_csv(rows: Sequence, records: Sequence[ReplicateRecord]) -> str:
-    """Elementwise average of the metric columns across replicates, cut to
-    the shortest; ``rows`` (the first replicate's trace rows) give the
-    integer columns, and wall time is not aggregated."""
-    n = min(rec.entry["iterations"] for rec in records)
-    # row k of a table holds the replicates' values at k, contiguous, so that
-    # each cell is one 1-D pairwise np.mean
-    tables = {}
-    for metric in records[0].series:
-        table = tables[metric] = np.empty((n, len(records)))
-        for r, rec in enumerate(records):
-            table[:, r] = rec.series[metric][:n]
+def mean_csv(rows: Sequence, means: dict) -> str:
+    """The replicate means (metric -> :func:`mean_metric_series`, cut to the
+    shortest replicate) as CSV; ``rows`` (the first replicate's trace rows)
+    give the integer columns, and wall time is not aggregated."""
+    columns = {metric: series.tolist() for metric, series in means.items()}
+    n = min(len(column) for column in columns.values())
     return _csv(
-        replace(row, metrics={metric: float(np.mean(table[k])) for metric, table in tables.items()}, wall_ms=None)
+        replace(row, metrics={metric: column[k] for metric, column in columns.items()}, wall_ms=None)
         for k, row in enumerate(rows[:n])
     )
 
@@ -335,9 +329,11 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         trace_paths.append(path)
         first = first or trace
         records.append(_record(trace, metrics, projections))
+    # one mean per metric, which both the mean CSV and the fitted rates read
+    means = {metric: mean_metric_series(records, metric) for metric in metrics}
     mean_path = os.path.join(out_dir, "trace_mean.csv")
     with open(mean_path, "w", encoding="utf-8") as fh:
-        fh.write(mean_csv(first.rows, records))
+        fh.write(mean_csv(first.rows, means))
 
     manifest = {
         "version": __version__,
@@ -350,7 +346,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    summary = _summarize(cfg, metrics, first, records)
+    summary = _summarize(cfg, metrics, first, records, means)
     if cfg.record_timing:  # timings vary run to run; by default the summary repeats exactly
         summary["timing"] = {"build_s": build_s, "solve_s": solve_s}
     summary_path = os.path.join(out_dir, "summary.json")
@@ -367,15 +363,14 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     )
 
 
-def _summarize(cfg: RunConfig, metrics, first: IterationTrace, records: Sequence[ReplicateRecord]) -> dict:
+def _summarize(cfg: RunConfig, metrics, first: IterationTrace, records: Sequence[ReplicateRecord], means) -> dict:
     mean_finals = {}
     for metric in metrics:
         vals = [rec.entry["final_metrics"].get(metric) for rec in records]
         if all(v is not None for v in vals):
             mean_finals[metric] = float(np.mean([float(v) for v in vals]))
     fits = {}
-    for metric in metrics:
-        series = mean_metric_series(records, metric)
+    for metric, series in means.items():
         try:
             fit = fit_linear_rate(series, window=(5, series.shape[0] - 1))
             fits[metric] = {"slope_log10": fit.slope, "r_squared": fit.r_squared}

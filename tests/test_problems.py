@@ -19,7 +19,7 @@ from sqvi.problems import (
     make_regression_game,
     make_translated_box_qvi,
 )
-from sqvi.sets import BlockBalls
+from sqvi.sets import BlockBalls, Box, ProductSet
 
 # ---------------------------------------------------------------------------
 # translated box
@@ -445,6 +445,48 @@ def test_coupled_gamma_bounds_two_coordinate_slope():
 def test_coupled_sp_rejects_nonconvex():
     with pytest.raises(ConstructionFailed):
         make_coupled_sp(QuadraticPayoff(P=[[-1.0]], Q=[[1.0]], R=[[1.0]], p=[0.0], q=[0.0]))
+
+
+@pytest.mark.parametrize("p, q", [([0.0, 1.0], [0.0]), ([0.0], [0.0, 1.0]), ([0.0], [[0.0]])])
+def test_coupled_sp_rejects_payoff_vectors_of_the_wrong_length(p, q):
+    with pytest.raises(ConstructionFailed, match="expected"):
+        make_coupled_sp(QuadraticPayoff(P=[[1.0]], Q=[[1.0]], R=[[1.0]], p=p, q=q))
+
+
+def test_coupled_constraint_is_one_matrix_over_one_box():
+    # unequal blocks, a zero entry in each coupling vector
+    nu, nw = 2, 3
+    a_u, a_w, c = np.array([0.0, 0.7]), np.array([-1.3, 0.0, 2.1]), 0.25
+    rng = np.random.default_rng(29)
+    pay = QuadraticPayoff(
+        P=np.eye(nu), Q=np.eye(nw), R=rng.standard_normal((nu, nw)), p=np.zeros(nu), q=np.zeros(nw)
+    )
+    prob = make_coupled_sp(pay, LinearCoupling(a_u, a_w, c), u_box=(-1.0, 2.0), w_box=(-0.5, 0.5))
+    g = prob.map.constraint
+    on_u = np.concatenate([np.ones(nu), np.zeros(nw)])
+    on_w = 1.0 - on_u
+    for _ in range(50):
+        x, y = 3.0 * rng.standard_normal((2, nu + nw))
+        rows = [a_u @ y[:nu] + a_w @ x[nu:] - c, a_u @ x[:nu] + a_w @ y[nu:] - c]
+        scale = np.abs(np.concatenate([a_u, a_w])) @ (np.abs(x) + np.abs(y)) + c
+        np.testing.assert_allclose(g(x, y), rows, rtol=0.0, atol=4 * np.finfo(float).eps * scale)
+        # row 0 reads y_u and x_w only, row 1 x_u and y_w only
+        g0 = g(x, y)
+        assert g(x, y + on_w)[0] == g0[0] and g(x + on_u, y)[0] == g0[0]
+        assert g(x, y + on_u)[1] == g0[1] and g(x + on_w, y)[1] == g0[1]
+        assert g(x, y + on_u)[0] != g0[0] and g(x, y + on_w)[1] != g0[1]
+
+    blocks = ProductSet((Box(np.full(nu, -1.0), np.full(nu, 2.0)), Box(np.full(nw, -0.5), np.full(nw, 0.5))))
+    assert prob.ambient is prob.map.ambient
+    pts = np.concatenate([
+        3.0 * rng.standard_normal((200, nu + nw)),
+        # outside on both blocks, above and below, and on the faces
+        [[5.0, -5.0, 1.0, -1.0, 0.7], [-2.0, 3.0, -0.6, 0.6, -9.0], [-1.0, 2.0, -0.5, 0.5, -0.0]],
+    ])
+    assert prob.ambient.project(pts).tobytes() == blocks.project(pts).tobytes()
+    for pt in pts:
+        assert prob.ambient.project(pt).tobytes() == blocks.project(pt).tobytes()
+    assert prob.x0.tobytes() == blocks.anchor().tobytes()
 
 
 # ---------------------------------------------------------------------------

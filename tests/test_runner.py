@@ -477,6 +477,25 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert err.count("config error:") == 2 and "Traceback" not in err
 
 
+def test_cli_rejects_a_coupled_payoff_vector_of_the_wrong_length(tmp_path, capsys):
+    cfg = {
+        "problem": "coupled_sp",
+        "problem_params": {"P": [[1.0]], "p": [0.0, 1.0]},
+        "solver": "ieg",
+        "eta": 0.5,
+        "alpha": 0.5,
+        "b": 0.5,
+        "schedule": "deterministic",
+        "T": 3,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "L, mu, gamma",
     [
@@ -525,3 +544,35 @@ def test_bypassed_validation_logged_once_and_recorded(tmp_path, caplog, capsys):
     assert cli_main(["validate", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert all(v in out for v in violations)
+
+
+def test_fitted_rate_reads_the_mean_csv_column(tmp_path, monkeypatch):
+    # at 16 replicates a 1-D pairwise np.mean per row and an axis-0 mean over
+    # the replicate list differ in the last bits on this run; the fit and
+    # trace_mean.csv must both read the one mean
+    seen = []
+    fit = runner.fit_linear_rate
+
+    def recording_fit(series, **kwargs):
+        seen.append(series)
+        return fit(series, **kwargs)
+
+    monkeypatch.setattr(runner, "fit_linear_rate", recording_fit)
+    cfg = {
+        "problem": "translated_box",
+        "problem_params": {"n": 5, "seed": 3, "noise_level": 0.5},
+        "solver": "ieg",
+        "eta": 0.6,
+        "alpha": 0.9,
+        "b": 2.0,
+        "schedule": "increasing",
+        "rho": 0.9,
+        "T": 20,
+        "seed": 3,
+        "replicates": 16,
+        "metrics": ["dist"],
+    }
+    art = run_experiment(parse_config(json.dumps(cfg)), out_dir=str(tmp_path / "r"))
+    column = np.genfromtxt(art.mean_path, delimiter=",", names=True)["dist"]
+    (series,) = seen
+    assert series.tobytes() == column.tobytes()
