@@ -12,7 +12,9 @@ two interleaved and alternating which goes first. For each checkout the
 script prints the number of solves, the steps run, the chunks screened
 (calls of the feasible set's eigenbasis screen) and the median seconds per
 round with every round's time, and then whether the checkouts' results are
-bit-identical (each point's bytes, dist_bound and iterations).
+bit-identical (each point's bytes, error bound and steps run). The other
+checkout may return either ProjectionResult (error_bound,
+inner_iterations) or the older FistaResult (dist_bound, iterations).
 
 Run as a script it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy is imported, as perfbench's worker does.
@@ -129,8 +131,14 @@ def load_checkout(root: str):
     return module
 
 
+def steps(r) -> int:
+    """The steps a FISTA result ran, from either record."""
+    return int(r.inner_iterations if hasattr(r, "inner_iterations") else r.iterations)
+
+
 def same(a: list, b: list) -> bool:
-    key = lambda r: (r.point.tobytes(), float(r.dist_bound), int(r.iterations))
+    bound = lambda r: float(r.error_bound if hasattr(r, "error_bound") else r.dist_bound)
+    key = lambda r: (r.point.tobytes(), bound(r), steps(r))
     return [key(r) for r in a] == [key(r) for r in b]
 
 
@@ -155,7 +163,7 @@ def main() -> int:
             times[tree.name].append(time.perf_counter() - start)
     for tree, res in zip(trees, results):
         seconds = times[tree.name]
-        print(f"{tree.name}: {len(res)} solves, {sum(r.iterations for r in res)} steps, "
+        print(f"{tree.name}: {len(res)} solves, {sum(map(steps, res))} steps, "
               f"{tree.screens()} chunks screened, {statistics.median(seconds) if seconds else float('nan'):.4f} s "
               f"median per round ({' '.join(f'{s:.4f}' for s in seconds)})")
     if len(trees) == 2:

@@ -11,7 +11,7 @@ inner budgets geometrically.
 __version__ = "0.1.0"
 
 from .errors import SqviError
-from .sets import AffineSet, Ball, BlockBalls, Box, Halfspaces, ProductSet, Simplex, SimpleSet
+from .sets import AffineSet, Ball, BlockBalls, Box, Halfspaces, Simplex, SimpleSet
 from .operators import (
     OperatorSpec,
     check_monotone,

@@ -51,6 +51,10 @@ class NonfiniteIterate(SqviError):
     Carries the partial trace collected so far in ``args[1]`` when available.
     """
 
+    def __str__(self) -> str:
+        # the message alone, not the repr of every row of the trace
+        return str(self.args[0]) if self.args else ""
+
 
 class NotReached(SqviError):
     pass

@@ -6,9 +6,11 @@ system of halfspaces among them), and the solution set of a parametric
 convex lower-level problem. Every map carries a declared contractivity
 constant ``gamma`` bounding how fast the projection onto K(x) moves with x.
 
-Each map owns its projection: ``project(x, u, t, ambient, rel_tol)`` runs
-its solver path (closed form, accelerated primal-dual or FISTA) for at most
-t inner iterations with a certified error bound, ``exact`` says whether
+Each map owns its projection: ``project(x, u, t, rel_tol)`` runs its solver
+path (closed form, accelerated primal-dual or FISTA) for at most t inner
+iterations and returns a :class:`sqvi.projection.ProjectionResult` with a
+certified error bound; :func:`sqvi.projection.inexact_project` alone snaps
+that point onto a caller's ambient set. ``exact`` says whether
 ``exact_project(x, u)`` is a closed form, and ``contains(x, y, tol)``
 tests membership without an inner solve. The inner solvers live in
 :mod:`sqvi.projection`, which does not import this module.
@@ -23,12 +25,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonfiniteValue, UnsupportedSet
 from .projection import BlockQuadratic, ProjectionResult, apd_solve, feasibility_witness, fista_solve
 from .sets import Array, Ball, BlockBalls, SimpleSet
-
-
-def _snap(point: Array, ambient: Optional[SimpleSet]) -> Array:
-    # the target projection lies in the ambient set, so snapping onto it
-    # never increases the certified error
-    return point if ambient is None else ambient.project(point)
 
 
 def _capped(bound: float, domain: SimpleSet) -> float:
@@ -55,11 +51,9 @@ class FixedSet:
     def exact_project(self, x: Array, u: Array) -> Array:
         return self.base_set.project(u)
 
-    def project(
-        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
-    ) -> ProjectionResult:
+    def project(self, x: Array, u: Array, t: int, rel_tol: float) -> ProjectionResult:
         """The closed form; ``t`` and ``rel_tol`` are ignored."""
-        return ProjectionResult(_snap(self.base_set.project(u), ambient), 0.0, 0, 0.0)
+        return ProjectionResult(self.base_set.project(u), 0.0, 0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         return self.base_set.contains(y, tol)
@@ -101,11 +95,9 @@ class TranslatedSet:
             raise DimensionMismatch(f"point has shape {u.shape}, expected (..., {m.shape[-1]})")
         return m + self.base_set.project(u - m)
 
-    def project(
-        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
-    ) -> ProjectionResult:
+    def project(self, x: Array, u: Array, t: int, rel_tol: float) -> ProjectionResult:
         """The closed form; ``t`` and ``rel_tol`` are ignored."""
-        return ProjectionResult(_snap(self.exact_project(x, u), ambient), 0.0, 0, 0.0)
+        return ProjectionResult(self.exact_project(x, u), 0.0, 0)
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         return self.base_set.contains(y - np.asarray(self.shift(x), float), tol)
@@ -134,11 +126,10 @@ class NonlinearConvex:
     def dim(self) -> int:
         return self.ambient.dim
 
-    def project(
-        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
-    ) -> ProjectionResult:
-        """``t`` primal-dual iterations with the a-priori C/t bound; ``rel_tol``
-        is ignored, since the scheme has no a-posteriori certificate to stop on."""
+    def project(self, x: Array, u: Array, t: int, rel_tol: float) -> ProjectionResult:
+        """``t`` primal-dual iterations with the a-priori C/t bound, capped at
+        the ambient set's diameter; ``rel_tol`` is ignored, since the scheme
+        has no a-posteriori certificate to stop on."""
         g_x = lambda y: self.constraint(x, y)
         j_x = lambda y: self.jacobian(x, y)
         res = apd_solve(
@@ -147,10 +138,10 @@ class NonlinearConvex:
         )
         # a grossly violated output on a generous budget suggests K(x) may be
         # empty; confirm with a feasibility probe before giving up
-        if t >= 30 and res.violation > 0.05 * max(1.0, float(np.linalg.norm(u))):
+        if t >= 30 and res.feasibility_violation > 0.05 * max(1.0, float(np.linalg.norm(u))):
             feasibility_witness(g_x, j_x, self.ambient, res.point, budget=1000)
-        bound = _capped(res.dist_bound, self.ambient)
-        return ProjectionResult(_snap(res.point, ambient), bound, t, res.violation)
+        res.error_bound = _capped(res.error_bound, self.ambient)
+        return res
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         if not self.ambient.contains(y, tol):
@@ -254,17 +245,16 @@ class ArgminSet:
         y = np.einsum("pfg,...pg->...pf", q.vecs, rhs / (denom + theta)).reshape(c.shape)
         return y if centre is None else centre + y
 
-    def project(
-        self, x: Array, u: Array, t: int, ambient: Optional[SimpleSet], rel_tol: float
-    ) -> ProjectionResult:
+    def project(self, x: Array, u: Array, t: int, rel_tol: float) -> ProjectionResult:
         """FISTA on the 1-strongly convex surrogate 0.5||y-u||^2 + objective/regularization,
         which is 0.5 y'My - c'y up to a constant, with M = I + H/sigma and
         c = u - linear(x)/sigma.
 
-        The error bound is FISTA's gradient-mapping certificate. A positive
-        ``rel_tol`` stops the solve once that certificate is at most
-        ``rel_tol`` times the distance from x to the current iterate, so
-        ``inner_iterations`` may fall below the cap t; with 0 it runs t steps.
+        The error bound is FISTA's gradient-mapping certificate, capped at the
+        feasible set's diameter. A positive ``rel_tol`` stops the solve once
+        that certificate is at most ``rel_tol`` times the distance from x to
+        the current iterate, so ``inner_iterations`` may fall below the cap
+        t; with 0 it runs t steps.
         """
         res = fista_solve(
             self._surrogate,
@@ -275,8 +265,8 @@ class ArgminSet:
             rel_tol=rel_tol,
             anchor=x,
         )
-        bound = _capped(res.dist_bound, self.feasible)
-        return ProjectionResult(_snap(res.point, ambient), bound, res.iterations, 0.0)
+        res.error_bound = _capped(res.error_bound, self.feasible)
+        return res
 
     def contains(self, x: Array, y: Array, tol: float) -> bool:
         """Whether y lies in the feasible set up to ``tol`` and one projected

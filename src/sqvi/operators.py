@@ -29,22 +29,11 @@ from .errors import (
     InvalidParameters,
     MissingMeanField,
 )
+from .sets import Array, _points, _vec
 
-Array = np.ndarray
 MeanEval = Callable[[Array], Array]
 # batch_mean(x, rng, count) -> dim vector equal in law to the mean of `count` draws
 BatchMean = Callable[[Array, np.random.Generator, int], Array]
-
-
-def _check_point(x, dim, stack=False) -> Array:
-    """One point ``(dim,)`` as floats (a 0-d input is one point of a
-    one-dimensional operator), or with ``stack`` also a stack ``(..., dim)``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.shape[-1] != dim or (x.ndim != 1 and not stack):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected ({dim},)")
-    return x
 
 
 @dataclass(frozen=True)
@@ -191,7 +180,7 @@ class SampleStreams:
 def evaluate_mean(op: OperatorSpec, x) -> Array:
     """Closed-form F(x) at one point, or at each row of a stack ``(..., dim)``.
     Raises MissingMeanField for sample-only operators."""
-    x = _check_point(x, op.dim, stack=True)
+    x = _points(x, op.dim)
     if op.mean_eval is None:
         raise MissingMeanField("operator has no closed-form mean field")
     out = np.asarray(op.mean_eval(x), dtype=float)
@@ -211,7 +200,7 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
     the batch bit for bit. Noise-free operators short-circuit to the mean
     field.
     """
-    x = _check_point(x, op.dim)
+    x = _vec(x, op.dim, "point")
     if n < 1:
         raise DimensionMismatch("batch size must be >= 1")
     if op.batch_mean is None:
@@ -288,7 +277,7 @@ def estimate_qg(op: OperatorSpec, reference_projector, points: Sequence) -> floa
     """
     best = np.inf
     for x in points:
-        x = _check_point(x, op.dim)
+        x = _vec(x, op.dim, "point")
         y = np.asarray(reference_projector(x), dtype=float)
         d = x - y
         nrm2 = float(d @ d)
@@ -305,8 +294,8 @@ def estimate_lipschitz(op: OperatorSpec, pairs: Sequence) -> float:
     """Max of ||F(x)-F(y)|| / ||x-y|| over the supplied pairs."""
     worst = 0.0
     for x, y in pairs:
-        x = _check_point(x, op.dim)
-        y = _check_point(y, op.dim)
+        x = _vec(x, op.dim, "point")
+        y = _vec(y, op.dim, "point")
         nrm = float(np.linalg.norm(x - y))
         if nrm < 1e-12:
             continue
@@ -324,7 +313,7 @@ def estimate_strong_monotonicity(op: OperatorSpec, points: Sequence, step: float
     worst = np.inf
     eye = np.eye(op.dim)
     for x in points:
-        x = _check_point(x, op.dim)
+        x = _vec(x, op.dim, "point")
         cols = []
         for j in range(op.dim):
             fp = evaluate_mean(op, x + step * eye[j])

@@ -35,24 +35,22 @@ from .sets import Array, Ball, BlockBalls, SimpleSet
 
 @dataclass(slots=True)
 class ProjectionResult:
-    """An approximate projection plus its certified error bound.
+    """An approximate projection plus its certified error bound: the one
+    record that the inner solvers, the maps' ``project`` and
+    :func:`inexact_project` return.
 
     ``error_bound`` bounds the Euclidean distance from ``point`` to the true
     projection target (the regularized surrogate's solution for argmin-set
     maps). Exact paths report a bound of zero. ``inner_iterations`` counts
-    the iterations actually run (0 on exact paths).
+    the iterations actually run (0 on exact paths). ``feasibility_violation``
+    is the largest constraint value at ``point`` for inequality-constrained
+    maps, and 0 elsewhere.
     """
 
     point: Array
     error_bound: float
     inner_iterations: int
     feasibility_violation: float = 0.0
-
-
-class FistaResult(NamedTuple):
-    point: Array
-    dist_bound: float
-    iterations: int
 
 
 # FISTA steps advanced per array call at most. Replaying the 240 projections
@@ -251,7 +249,7 @@ def fista_solve(
     t: int,
     rel_tol: float = 0.0,
     anchor: Optional[Array] = None,
-) -> FistaResult:
+) -> ProjectionResult:
     """Accelerated proximal-gradient minimization of 0.5 y'My - c'y over a
     simple set, with M given by ``quadratic``.
 
@@ -260,11 +258,12 @@ def fista_solve(
     y+ = P(z - (Mz - c)/L) yields the gradient-mapping certificate
     2 L ||z - y+|| / mu, which bounds ||y+ - y*|| at no extra gradient
     (Nesterov 2013, Math. Program. 140). The iterate with the smallest
-    certificate (the first, on ties) is returned, with that certificate as
-    ``dist_bound``. When ``rel_tol`` is positive the loop stops as soon as
-    the certificate is at most ``rel_tol`` times ||anchor - y+||, and an
-    anchor is required; with ``rel_tol`` 0 it runs exactly t steps.
-    ``iterations`` counts the steps run.
+    certificate (the first, on ties) is returned as a
+    :class:`ProjectionResult`: ``point`` is that iterate, ``error_bound`` its
+    certificate and ``inner_iterations`` the steps run. When ``rel_tol`` is
+    positive the loop stops as soon as the certificate is at most
+    ``rel_tol`` times ||anchor - y+||, and an anchor is required; with
+    ``rel_tol`` 0 it runs exactly t steps.
 
     The whole solve runs in the eigenbasis of ``quadratic``: c, y0 and the
     anchor are rotated in once, certificates and the stop test are row
@@ -402,13 +401,7 @@ def fista_solve(
         # one step after a moved step, else a chunk twice as long, up to CHUNK
         size = 1 if k < n else min(2 * size, CHUNK)
     point = q.rotate(q.vecs_t, best[None])[0]
-    return FistaResult(point=point, dist_bound=q.scale * math.sqrt(best_d2), iterations=it)
-
-
-class ApdResult(NamedTuple):
-    point: Array
-    dist_bound: float
-    violation: float
+    return ProjectionResult(point, q.scale * math.sqrt(best_d2), it)
 
 
 def apd_solve(
@@ -418,14 +411,16 @@ def apd_solve(
     t: int,
     ambient: Optional[SimpleSet] = None,
     jacobian_bound: Optional[float] = None,
-) -> ApdResult:
+) -> ProjectionResult:
     """Accelerated primal-dual solve of min 0.5||y-u||^2 s.t. g(y) <= 0, y in ambient.
 
     Primal-dual iterations with extrapolation on the primal and step sizes
     driven by the unit strong convexity of the objective, which yields an
-    O(1/t^2) decay of suboptimality and infeasibility. The reported distance
-    bound is the a priori estimate C/t, with C derived from the Jacobian
-    norm and the domain size.
+    O(1/t^2) decay of suboptimality and infeasibility. Returns a
+    :class:`ProjectionResult`: ``point`` is the last primal iterate,
+    ``error_bound`` the a priori estimate C/t, with C derived from the
+    Jacobian norm and the domain size, ``inner_iterations`` is t, and
+    ``feasibility_violation`` is max(g(point), 0).
     """
     if t < 1:
         raise InvalidParameters("inner budget t must be >= 1")
@@ -462,8 +457,7 @@ def apd_solve(
         d = ambient.diameter()
     else:
         d = 2.0 * float(np.linalg.norm(y - u)) + 1.0
-    dist_bound = 8.0 * max(1.0, lj) * max(d, 1.0) / t
-    return ApdResult(point=y, dist_bound=dist_bound, violation=violation)
+    return ProjectionResult(y, 8.0 * max(1.0, lj) * max(d, 1.0) / t, t, violation)
 
 
 _WITNESS_TOL = 1e-8
@@ -523,14 +517,22 @@ def inexact_project(
     scheme. A positive ``rel_tol`` lets a solver with an a-posteriori
     certificate (FISTA) stop once its bound is at most ``rel_tol`` times the
     distance from x to its iterate; with the default 0 every iterative path
-    runs exactly t iterations. The returned point is snapped onto
-    ``ambient`` when one is supplied so that solver iterates never leave the
-    ambient set. ``t`` must be an integer >= 1 (a Python or numpy int) on
-    every map, closed forms included, or InvalidParameters is raised.
+    runs exactly t iterations. ``t`` must be an integer >= 1 (a Python or
+    numpy int) on every map, closed forms included, or InvalidParameters is
+    raised.
+
+    This is the one place where a map's point is snapped onto the caller's
+    ``ambient`` set, when one is supplied, so that solver iterates never
+    leave it. The snap keeps the map's error bound and inner iterations: the
+    target projection lies in the ambient set and the ambient projection is
+    nonexpansive, so the snapped point is no farther from the target.
     """
     if type(t) is not int or t < 1:  # one test on the common case
         _check_budget(t)
-    return mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, ambient, rel_tol)
+    res = mapping.project(np.asarray(x, dtype=float), np.asarray(u, dtype=float), t, rel_tol)
+    if ambient is not None:
+        res.point = ambient.project(res.point)
+    return res
 
 
 def reference_project(mapping, x, u, budget: int = 20000) -> Array:

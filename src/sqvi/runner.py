@@ -178,15 +178,23 @@ def _apply_preset(data: dict) -> dict:
     return {"solver": "ieg", "label": name, **preset, **data, "problem_params": params}
 
 
+def _finite(literal: str) -> float:
+    # json's hook for float literals (1e999 reads as inf) and for NaN and +-Infinity
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {literal}")
+    return value
+
+
 def parse_config(text: str, strict: bool = False) -> RunConfig:
     """Validated run configuration from JSON text.
 
     Accepts either a bare configuration object or a manifest produced by
     :func:`run_experiment` (whose ``config`` entry is reused verbatim, which
-    makes manifests rerunnable).
+    makes manifests rerunnable). Every number in the text must be finite.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -1,17 +1,16 @@
 """Closed convex sets with closed-form Euclidean projections.
 
 Concrete carriers for constraint sets: balls, products of equal
-origin-centred balls, boxes, the probability simplex, a halfspace, affine
-sets, and block products of those. Every set projects exactly up to
-floating point, one point or each row of a stack. A system of two or more
-halfspaces has no closed form, so it is not a set here but a
-:class:`sqvi.maps.NonlinearConvex` map with linear constraints.
+origin-centred balls, boxes, the probability simplex, a halfspace and
+affine sets. Every set projects exactly up to floating point, one point or
+each row of a stack. A system of two or more halfspaces has no closed form,
+so it is not a set here but a :class:`sqvi.maps.NonlinearConvex` map with
+linear constraints.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -158,7 +157,8 @@ class Box(SimpleSet):
     def __post_init__(self):
         object.__setattr__(self, "lo", _vec(self.lo, name="lo"))
         object.__setattr__(self, "hi", _vec(self.hi, self.lo.shape[0], "hi"))
-        if np.any(self.lo > self.hi):
+        # written so that a NaN bound fails it too
+        if not np.all(self.lo <= self.hi):
             raise UnsupportedSet("box requires lo <= hi componentwise")
 
     @property
@@ -289,36 +289,3 @@ class AffineSet(SimpleSet):
 
     def anchor(self) -> Array:
         return self._pinv @ self.b
-
-
-@dataclass(frozen=True, eq=False)
-class ProductSet(SimpleSet):
-    """Cartesian product of simple sets; projection/membership are blockwise."""
-
-    parts: Tuple[SimpleSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise DimensionMismatch("product of zero sets")
-        splits = np.cumsum([p.dim for p in self.parts])[:-1]
-        object.__setattr__(self, "_splits", splits)
-
-    @property
-    def dim(self) -> int:
-        return int(sum(p.dim for p in self.parts))
-
-    def blocks(self, y: Array):
-        return np.split(_points(y, self.dim), self._splits, axis=-1)
-
-    def project(self, u: Array) -> Array:
-        return np.concatenate([p.project(blk) for p, blk in zip(self.parts, self.blocks(u))], axis=-1)
-
-    def contains(self, y: Array, tol: float = 0.0) -> bool:
-        return all(p.contains(blk, tol) for p, blk in zip(self.parts, self.blocks(y)))
-
-    def anchor(self) -> Array:
-        return np.concatenate([p.anchor() for p in self.parts])
-
-    def diameter(self) -> float:
-        return float(np.sqrt(sum(p.diameter() ** 2 for p in self.parts)))

@@ -10,7 +10,7 @@ from sqvi.maps import (
     contractivity_audit,
     member,
 )
-from sqvi.projection import inexact_project, reference_project
+from sqvi.projection import ProjectionResult, inexact_project, reference_project
 from sqvi.sets import Ball, BlockBalls, Box
 
 unit_ball = Ball(np.zeros(2), 1.0)
@@ -115,7 +115,7 @@ def test_translated_projection_worked_values():
 
 def _translated_parity(m, ambient, x, u):
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    point = m.project(x, u, 1, ambient, 0.0).point
+    point = inexact_project(m, x, u, 1, ambient).point
     expected = m.exact_project(x, u) if ambient is None else ambient.project(m.exact_project(x, u))
     assert point.shape == expected.shape and point.tobytes() == expected.tobytes()
 
@@ -157,7 +157,7 @@ def test_translated_projection_rejects_a_wrong_size_target(shape):
     with pytest.raises(DimensionMismatch):
         m.exact_project(np.zeros(4), np.zeros(shape))
     with pytest.raises(DimensionMismatch):
-        m.project(np.zeros(4), np.zeros(shape), 1, None, 0.0)
+        m.project(np.zeros(4), np.zeros(shape), 1, 0.0)
     with pytest.raises(DimensionMismatch):
         inexact_project(m, np.zeros(4), np.zeros(shape), 1, ambient=Box(-2 * np.ones(4), 2 * np.ones(4)))
 
@@ -294,6 +294,16 @@ def test_map_protocol_contract(name):
         else:
             np.testing.assert_array_equal(long_run.point, ref)
     assert member(m, x, ref, tol=1e-6)
+    # the map returns its solver's record, and inexact_project alone snaps
+    # its point onto a caller's ambient set, keeping bound and iterations
+    own = m.project(x, u, 1, 0.0)
+    assert isinstance(own, ProjectionResult)
+    assert inexact_project(m, x, u, 1).point.tobytes() == own.point.tobytes()
+    ambient = Box(np.full(m.dim, -0.5), np.full(m.dim, 0.5))
+    snapped = inexact_project(m, x, u, 1, ambient)
+    assert (snapped.error_bound, snapped.inner_iterations) == (own.error_bound, own.inner_iterations)
+    assert snapped.point.tobytes() == ambient.project(own.point).tobytes()
+    assert snapped.point.tobytes() != own.point.tobytes()
 
 
 def _argmin_over_balls(kind):

@@ -19,7 +19,7 @@ from sqvi.problems import (
     make_regression_game,
     make_translated_box_qvi,
 )
-from sqvi.sets import BlockBalls, Box, ProductSet
+from sqvi.sets import BlockBalls, Box
 
 # ---------------------------------------------------------------------------
 # translated box
@@ -476,17 +476,18 @@ def test_coupled_constraint_is_one_matrix_over_one_box():
         assert g(x, y + on_u)[1] == g0[1] and g(x + on_w, y)[1] == g0[1]
         assert g(x, y + on_u)[0] != g0[0] and g(x, y + on_w)[1] != g0[1]
 
-    blocks = ProductSet((Box(np.full(nu, -1.0), np.full(nu, 2.0)), Box(np.full(nw, -0.5), np.full(nw, 0.5))))
+    box_u, box_w = Box(np.full(nu, -1.0), np.full(nu, 2.0)), Box(np.full(nw, -0.5), np.full(nw, 0.5))
+    blocks = lambda y: np.concatenate([box_u.project(y[..., :nu]), box_w.project(y[..., nu:])], axis=-1)
     assert prob.ambient is prob.map.ambient
     pts = np.concatenate([
         3.0 * rng.standard_normal((200, nu + nw)),
         # outside on both blocks, above and below, and on the faces
         [[5.0, -5.0, 1.0, -1.0, 0.7], [-2.0, 3.0, -0.6, 0.6, -9.0], [-1.0, 2.0, -0.5, 0.5, -0.0]],
     ])
-    assert prob.ambient.project(pts).tobytes() == blocks.project(pts).tobytes()
+    assert prob.ambient.project(pts).tobytes() == blocks(pts).tobytes()
     for pt in pts:
-        assert prob.ambient.project(pt).tobytes() == blocks.project(pt).tobytes()
-    assert prob.x0.tobytes() == blocks.anchor().tobytes()
+        assert prob.ambient.project(pt).tobytes() == blocks(pt).tobytes()
+    assert prob.x0.tobytes() == np.concatenate([box_u.anchor(), box_w.anchor()]).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sqvi.projection import (
     CHUNK,
     FRESH,
     BlockQuadratic,
+    ProjectionResult,
     _eigenbasis_view,
     _NormView,
     _RotatedView,
@@ -68,8 +69,9 @@ def test_fista_box_quadratic_worked_value():
         y0=np.array([1.0]),
         t=10,
     )
-    assert res.dist_bound == 0.0 and res.iterations == 10
-    assert abs(float(res.point[0])) <= res.dist_bound
+    assert isinstance(res, ProjectionResult)
+    assert res.error_bound == 0.0 and res.inner_iterations == 10
+    assert abs(float(res.point[0])) <= res.error_bound
 
 
 def test_fista_single_step_bound():
@@ -80,9 +82,9 @@ def test_fista_single_step_bound():
         y0=np.array([1.0]),
         t=1,
     )
-    assert abs(res.dist_bound - 2.0) <= 1e-15 and res.iterations == 1
+    assert abs(res.error_bound - 2.0) <= 1e-15 and res.inner_iterations == 1
     np.testing.assert_allclose(res.point, [0.0])  # one projected gradient step from 1
-    assert abs(float(res.point[0])) <= res.dist_bound
+    assert abs(float(res.point[0])) <= res.error_bound
 
 
 @pytest.mark.parametrize("strong_convexity", [1.0])
@@ -199,12 +201,12 @@ def _block_quadratic_problem(rng, kind, reach=2.0, spread=0.1, opposite=False):
 def _assert_matches_step_loop(vals, vecs, c, feasible, y0, t, rel_tol, anchor):
     want, want_bound, want_it, active, _ = reference_fista(vals, vecs, c, feasible, y0, t, rel_tol, anchor)
     got = fista_solve(BlockQuadratic(vals, vecs, 1.0), c, feasible, y0, t, rel_tol, anchor)
-    assert got.iterations == want_it
+    assert got.inner_iterations == want_it
     assert np.linalg.norm(got.point - want) <= 1e-12 * np.linalg.norm(want)
     # a certificate is 2L ||z - y+||: with z and y+ known to 1e-12 relative it
     # is known to 2L 1e-12 ||y|| absolute, past 1e-12 relative once it is small
     floor = 2.0 * float(np.max(vals)) * 1e-12 * np.linalg.norm(want)
-    assert abs(got.dist_bound - want_bound) <= 1e-12 * want_bound + floor
+    assert abs(got.error_bound - want_bound) <= 1e-12 * want_bound + floor
     return "".join("x" if a else "." for a in active)
 
 
@@ -248,7 +250,7 @@ def test_fresh_table_does_not_grow_with_the_budget():
     sizes = []
     for t in (200, 20_000):
         quadratic = BlockQuadratic(vals, vecs, 1.0)
-        assert fista_solve(quadratic, c, feasible, y0, t).iterations == t
+        assert fista_solve(quadratic, c, feasible, y0, t).inner_iterations == t
         sizes.append([(table.shape[0], table.nbytes) for table in quadratic.fresh])
     assert sizes[0] == sizes[1] == [(FRESH + 2, (FRESH + 2) * 12 * 8)] * 2
 
@@ -278,11 +280,11 @@ def test_certified_fresh_chunks_are_not_screened(kind, monkeypatch):
     anchor = 0.5 * rng.standard_normal(12)
     quadratic = BlockQuadratic(vals, vecs, 1.0)
     screened = _count_screens(monkeypatch)
-    assert fista_solve(quadratic, c, feasible, y0, FRESH, 1e-2, anchor).iterations > 3 * CHUNK
+    assert fista_solve(quadratic, c, feasible, y0, FRESH, 1e-2, anchor).inner_iterations > 3 * CHUNK
     assert len(screened) == 1
     screened.clear()
     t = FRESH + CHUNK + 3
-    assert fista_solve(quadratic, c, feasible, y0, t, 0.0, anchor).iterations == t
+    assert fista_solve(quadratic, c, feasible, y0, t, 0.0, anchor).inner_iterations == t
     assert screened == [CHUNK, 3]
 
 
@@ -400,10 +402,10 @@ def _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, rel_
         want = fista_solve(quadratic, c, feasible, y0, FRESH, rel_tol, anchor)
     screened.clear()
     got = fista_solve(quadratic, c, feasible, y0, FRESH, rel_tol, anchor)
-    assert (got.point.tobytes(), got.dist_bound, got.iterations) == (
-        want.point.tobytes(), want.dist_bound, want.iterations
+    assert (got.point.tobytes(), got.error_bound, got.inner_iterations) == (
+        want.point.tobytes(), want.error_bound, want.inner_iterations
     )
-    return got.iterations
+    return got.inner_iterations
 
 
 def test_certified_skip_changes_no_bit_where_the_screen_bound_is_tight(monkeypatch):
@@ -622,7 +624,8 @@ def test_apd_inactive_constraint_returns_query():
         t=25,
     )
     np.testing.assert_allclose(res.point, u, atol=1e-14)
-    assert res.violation == 0.0
+    assert isinstance(res, ProjectionResult) and res.inner_iterations == 25
+    assert res.feasibility_violation == 0.0
 
 
 def test_apd_matches_slsqp_oracle(rng):

@@ -477,6 +477,43 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert err.count("config error:") == 2 and "Traceback" not in err
 
 
+_NAN, _INF = float("nan"), float("inf")
+_COUPLED = {"problem": "coupled_sp", "solver": "ieg", "eta": 0.5, "alpha": 0.5, "b": 0.5,
+            "schedule": "deterministic", "T": 3, "allow_out_of_range": True}
+_GAME = {"problem": "regression_game", "solver": "ieg", "eta": 0.01, "alpha": 0.9, "b": 1.2,
+         "schedule": "deterministic", "T": 3, "allow_out_of_range": True}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(MINIMAL, T=3, eta=_NAN, allow_out_of_range=True),
+        dict(MINIMAL, T=3, problem_params={"noise_level": _NAN}),
+        dict(MINIMAL, T=3, problem_params={"noise_level": _INF}),
+        dict(MINIMAL, T=3, problem_params={"box": [-1.0, _INF]}),
+        dict(_COUPLED, problem_params={"coupling": {"a_u": [1.0], "a_w": [1.0], "c": _NAN}}),
+        dict(_COUPLED, problem_params={"w_box": [-_INF, 1.0]}),
+        dict(_GAME, problem_params={"coupling": _NAN}),
+        # a literal that overflows the floats reads as inf
+        dict(MINIMAL, T=3, eta="OVERFLOW"),
+    ],
+    ids=["eta-nan", "noise-nan", "noise-inf", "box-inf", "coupling-c-nan", "w-box-neg-inf",
+         "game-coupling-nan", "eta-1e999"],
+)
+def test_non_finite_config_numbers_are_config_errors(tmp_path, capsys, cfg):
+    # json reads NaN, Infinity and 1e999 as floats; validate and run both reject them
+    text = json.dumps(cfg).replace('"OVERFLOW"', "1e999")
+    with pytest.raises(ConfigError, match="config numbers must be finite"):
+        parse_config(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_a_coupled_payoff_vector_of_the_wrong_length(tmp_path, capsys):
     cfg = {
         "problem": "coupled_sp",

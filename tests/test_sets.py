@@ -10,7 +10,6 @@ from sqvi.sets import (
     BlockBalls,
     Box,
     Halfspaces,
-    ProductSet,
     Simplex,
 )
 
@@ -20,7 +19,6 @@ KINDS = {
     "simplex": Simplex(3, scale=1.0),
     "halfspace": Halfspaces([[1.0, -2.0, 0.5]], [0.7]),
     "affine": AffineSet([[1.0, 1.0, 0.0]], [1.0]),
-    "product": ProductSet((Ball(np.array([0.5, -1.0]), 1.0), Box([-0.5], [2.0]))),
     "block-balls": BlockBalls(3, 1, 1.5),
 }
 
@@ -71,19 +69,16 @@ def test_multi_halfspace_has_no_closed_form():
         Halfspaces([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
 
 
-def test_product_set_blockwise():
-    ps = ProductSet((Ball(np.zeros(2), 1.0), Box([0.0], [1.0])))
-    out = ps.project(np.array([3.0, 4.0, -2.0]))
-    np.testing.assert_allclose(out, [0.6, 0.8, 0.0])
-    assert ps.contains(out, 1e-12)
-    assert ps.dim == 3
-
-
 def test_invalid_constructions():
     with pytest.raises(UnsupportedSet):
         Ball(np.zeros(2), 0.0)
     with pytest.raises(UnsupportedSet):
         Box([1.0], [0.0])
+    # a NaN bound, in lo or in hi, fails lo <= hi too
+    with pytest.raises(UnsupportedSet):
+        Box([np.nan, 0.0], [1.0, np.inf])
+    with pytest.raises(UnsupportedSet):
+        Box([0.0, -np.inf], [np.nan, 1.0])
     with pytest.raises(DimensionMismatch):
         Ball(np.zeros(2), 1.0).project([1.0, 2.0, 3.0])
 

@@ -303,7 +303,9 @@ def test_nonfinite_iterate_raises():
         run_ig_sqvi(prob, cfg, metrics=())
     with pytest.raises(NonfiniteIterate, match="iteration 1") as err:
         run_ig_sqvi(prob, cfg, metrics=("dist", "residual"))
-    # the carried trace holds the finite iterates' rows with their metrics
+    # str() is the message alone, as `sqvi run` prints it; the carried trace
+    # holds the finite iterates' rows with their metrics
+    assert str(err.value) == "iterate became nonfinite at iteration 1"
     trace = err.value.args[1]
     assert trace.initial_metrics == {"dist": 0.0, "residual": math.sqrt(2.0)}
     assert [row.k for row in trace.rows] == [0]
@@ -471,8 +473,8 @@ def test_game_projection_certificates_sound_along_run(game_problem, monkeypatch)
     original = ArgminSet.project
     calls = []
 
-    def checked(self, x, u, t, ambient, rel_tol):
-        res = original(self, x, u, t, ambient, rel_tol)
+    def checked(self, x, u, t, rel_tol):
+        res = original(self, x, u, t, rel_tol)
         dist = float(np.linalg.norm(res.point - self.exact_project(x, u)))
         assert dist <= res.error_bound + 1e-12
         calls.append((res.inner_iterations, t))
