@@ -18,7 +18,9 @@ CSVs, the median over rounds of each round's median per-replicate time
 ratio, this checkout over the other, with its range and the number of
 rounds in which this checkout was faster, and whether the checkouts'
 traces are bit-identical (each replicate's trace CSV and its summary as
-JSON).
+JSON). Where they differ, it prints each checkout's mean final dist over
+the R replicates, so that a change of the random draws reports its effect
+on quality beside its timing.
 
 Run as a script it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy is imported, as perfbench's worker does.
@@ -110,6 +112,10 @@ def main() -> int:
                   f"({min(ratios):.4f}-{max(ratios):.4f}), this faster in {sum(x < 1 for x in ratios)} "
                   f"of {len(ratios)} rounds")
         print(f"traces bit-identical: {'yes' if outputs[0] == outputs[1] else 'no'}")
+        if outputs[0] != outputs[1]:
+            for tree, out in zip(trees, outputs):
+                dists = [json.loads(summary)["final_metrics"]["dist"] for _, summary in out]
+                print(f"{tree.name}: mean final dist {statistics.fmean(dists):.6g} over {len(dists)} replicates")
     return 0
 
 

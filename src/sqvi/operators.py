@@ -4,15 +4,6 @@ An operator is a mapping F on R^n available through a closed-form mean
 field, through a draw of the mean of a batch of stochastic samples, or both.
 All randomness flows through seeded generator streams so that every batch
 is a pure function of (point, batch size, stream).
-
-A sampled run draws from the streams ``prefix + (k, phase)``, and
-:class:`SampleStreams` seeds all of them at once: numpy's SeedSequence hash
-uses constants that do not depend on the data, so one pass of uint32 array
-ops hashes every key, and PCG64 seeding is two 128-bit LCG steps. Each
-stream starts from the state ``np.random.default_rng(key)`` starts from, bit
-for bit; the table checks its first state against numpy's own PCG64 and
-raises on a mismatch, so a numpy release that seeds differently fails
-loudly instead of moving every trace.
 """
 from __future__ import annotations
 
@@ -90,93 +81,6 @@ def stream_key(stream) -> tuple:
     return tuple(map(int, parts))
 
 
-# numpy's SeedSequence hash over a pool of four uint32 words (NEP 19), and
-# the multiplier of PCG64's 128-bit LCG
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _uint32_words(part: int) -> list:
-    """The little-endian uint32 words SeedSequence reads from an int (0 is
-    one word); raises ValueError for a negative int, as numpy does."""
-    if part < 0:
-        raise ValueError(f"expected non-negative integer, got {part}")
-    return [part >> shift & _MASK32 for shift in range(0, max(part.bit_length(), 1), 32)]
-
-
-def _hash_constants(init: int, mult: int, count: int) -> Array:
-    """The successive hash constants init * mult**j (mod 2**32), j < count, as a column."""
-    return np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(count)], dtype=np.uint32)[:, None]
-
-
-def _hashmix(values: Array, consts: Array) -> Array:
-    # one SeedSequence hash per row of consts[:-1]: xor with the row's
-    # constant, multiply by the next one
-    out = (values ^ consts[:-1]) * consts[1:]
-    return out ^ (out >> 16)
-
-
-def _mix(x: Array, y: Array) -> Array:
-    out = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return out ^ (out >> 16)
-
-
-class SampleStreams:
-    """The generators ``np.random.default_rng(prefix + (k, phase))`` for
-    every k < count and phase in (0, 1), seeded in one vectorized pass.
-
-    ``generator(k, phase)`` positions one reused PCG64 at the start of that
-    stream and returns its Generator, so the previous stream's generator
-    must not be drawn from afterwards. Raises ValueError for a negative
-    prefix part, and RuntimeError if the first state differs from the one
-    numpy seeds itself.
-    """
-
-    def __init__(self, prefix: tuple, count: int):
-        prefix_words = [word for part in prefix for word in _uint32_words(part)]
-        keys = np.arange(2 * count)
-        entropy = np.empty((len(prefix_words) + 2, keys.size), dtype=np.uint32)
-        entropy[:-2] = np.array(prefix_words, dtype=np.uint32)[:, None]
-        entropy[-2], entropy[-1] = keys // 2, keys % 2
-        # 4 initial hashes, 3 per mixing source, 4 per word beyond the pool
-        hash_a = _hash_constants(_INIT_A, _MULT_A, _POOL * max(len(entropy), _POOL) + 1)
-        pool = np.zeros((_POOL, keys.size), dtype=np.uint32)
-        pool[: len(entropy)] = entropy[:_POOL]
-        pool = _hashmix(pool, hash_a[: _POOL + 1])
-        used = _POOL
-        for src in range(_POOL):
-            dst = [i for i in range(_POOL) if i != src]
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a[used : used + _POOL]))
-            used += _POOL - 1
-        for word in entropy[_POOL:]:
-            pool = _mix(pool, _hashmix(word, hash_a[used : used + _POOL + 1]))
-            used += _POOL
-        # generate_state(4, uint64): eight words read cyclically from the pool
-        words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 9))
-        seeds = words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << 32
-        self._states = []
-        for hi_state, lo_state, hi_seq, lo_seq in zip(*seeds.tolist()):
-            inc = ((hi_seq << 64 | lo_seq) << 1 | 1) & _MASK128
-            state = ((inc + (hi_state << 64 | lo_state)) * _PCG_MULT + inc) & _MASK128
-            self._states.append((state, inc))
-        first = tuple(prefix) + (0, 0)
-        self._bits = np.random.PCG64(first)
-        self._generator = np.random.Generator(self._bits)
-        expected = self._bits.state["state"]
-        if (expected["state"], expected["inc"]) != self._states[0]:
-            raise RuntimeError(f"SampleStreams seeds {first} differently from numpy {np.__version__}")
-
-    def generator(self, k: int, phase: int) -> np.random.Generator:
-        state, inc = self._states[2 * k + phase]
-        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-        return self._generator
-
-
 def evaluate_mean(op: OperatorSpec, x) -> Array:
     """Closed-form F(x) at one point, or at each row of a stack ``(..., dim)``.
     Raises MissingMeanField for sample-only operators."""
@@ -193,12 +97,13 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
     """Mean of ``n`` fresh operator draws at ``x`` from ``stream``.
 
     ``stream`` is a key (see :func:`stream_key`), seeded as
-    ``np.random.default_rng(key)``, or a generator already positioned at its
-    stream, such as :meth:`SampleStreams.generator` returns, which is used
-    as given. ``batch_mean`` must not keep the generator after the call.
-    Deterministic in (x, n, stream): replaying the same triple reproduces
-    the batch bit for bit. Noise-free operators short-circuit to the mean
-    field.
+    ``np.random.default_rng(key)``, or a ``np.random.Generator``, which is
+    used as given and advanced by the draw: a sampled run passes each call
+    the generator of its phase, so consecutive calls draw consecutive
+    batches. ``batch_mean`` must not keep the generator after the call.
+    Deterministic in (x, n, stream): replaying the same triple, a generator
+    at the same state included, reproduces the batch bit for bit.
+    Noise-free operators short-circuit to the mean field.
     """
     x = _vec(x, op.dim, "point")
     if n < 1:

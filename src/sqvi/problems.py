@@ -122,6 +122,8 @@ def make_translated_box_qvi(
     step map, computed to 1e-13 and verified against the fixed-point
     optimality condition.
     """
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ConstructionFailed(f"n must be an integer >= 1, got {n!r}")
     rng = np.random.default_rng((seed, 101))
     if matrix is not None:
         a_mat = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -322,6 +324,8 @@ def _game_arrays(source: GameSource):
     game reads design and targets from its file.
     """
     players = source.players
+    if not (isinstance(players, (int, np.integer)) and players >= 1):
+        raise ConstructionFailed(f"players must be an integer >= 1, got {players!r}")
     if isinstance(source, SyntheticGame):
         tag, origin = f"synthetic(seed={source.seed})", {"seed": source.seed}
         feats = source.features
@@ -396,6 +400,8 @@ def make_regression_game(
     M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
     slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
     """
+    if not sigma > 0:
+        raise ConstructionFailed(f"sigma must be positive, got {sigma!r}")
     tag, origin, players, feats, a_tr, b_tr, validation = _game_arrays(source)
     dim = players * feats
     # player i's training columns, transposed: (players, feats, rows)
@@ -508,6 +514,37 @@ class LinearCoupling:
         object.__setattr__(self, "a_w", np.atleast_1d(np.asarray(self.a_w, float)))
 
 
+def _box_ends(name: str, ends) -> Tuple[float, float]:
+    try:
+        lo, hi = map(float, ends)
+    except (TypeError, ValueError):
+        raise ConstructionFailed(f"{name} must be two numbers lo <= hi, got {ends!r}") from None
+    if not lo <= hi:
+        raise ConstructionFailed(f"{name} must be two numbers lo <= hi, got {ends!r}")
+    return lo, hi
+
+
+def _check_coupled_sets(box: Box, jac: Array, c: float, x0: Array) -> None:
+    """Raise ConstructionFailed where the shared set {y in box : a_u.u + a_w.w
+    <= c} or K(x0) is empty. Over the box, a linear form a.y is smallest at
+    the sum of min(a_i lo_i, a_i hi_i); row 0 of ``jac`` is a_u on the
+    u-block, row 1 a_w on the w-block."""
+    lowest = np.minimum(jac * box.lo, jac * box.hi).sum(axis=1)
+    shared = float(lowest.sum())
+    if shared > c:
+        raise ConstructionFailed(
+            f"the shared set {{y in box : a_u.u + a_w.w <= c}} is empty: its smallest a_u.u + a_w.w is "
+            f"{shared:.17g} > c = {c:.17g}"
+        )
+    # row 0 holds y's u-block against x0's w-block, row 1 the reverse
+    needs = lowest + jac[::-1] @ x0
+    for block, need in zip("uw", needs):
+        if need > c:
+            raise ConstructionFailed(
+                f"K(x0) is empty: its {block}-block row needs at least {need:.17g} > c = {c:.17g} at x0"
+            )
+
+
 def make_coupled_sp(
     payoff: QuadraticPayoff,
     coupling: Optional[LinearCoupling] = None,
@@ -531,6 +568,9 @@ def make_coupled_sp(
     """
     nu = payoff.P.shape[0]
     nw = payoff.Q.shape[0]
+    for name, square in (("P", payoff.P), ("Q", payoff.Q)):
+        if square.shape[0] != square.shape[1]:
+            raise ConstructionFailed(f"{name} has shape {square.shape}, expected a square matrix")
     if payoff.R.shape != (nu, nw):
         raise ConstructionFailed(f"R has shape {payoff.R.shape}, expected ({nu},{nw})")
     if payoff.p.shape != (nu,) or payoff.q.shape != (nw,):
@@ -549,7 +589,7 @@ def make_coupled_sp(
     lip = float(np.linalg.norm(mat, 2))
     mu = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
     # the lower bounds, then the upper: each the u-block's, then the w-block's
-    lo, hi = np.repeat(np.array([u_box, w_box], dtype=float).T, (nu, nw), axis=1)
+    lo, hi = np.repeat(np.array([_box_ends("u_box", u_box), _box_ends("w_box", w_box)]).T, (nu, nw), axis=1)
     box = Box(lo, hi)
     operator = OperatorSpec(dim=dim, lipschitz=lip, qg_mu=max(mu, 1e-12), mean_eval=mean_eval)
 
@@ -572,6 +612,7 @@ def make_coupled_sp(
         def jacobian(x, y):
             return jac
 
+        _check_coupled_sets(box, jac, cc, box.anchor())
         # min_nz of an all-zero vector is inf: that block's projection stays fixed
         nz_u, nz_w = (np.min(np.abs(a), where=a != 0.0, initial=np.inf) for a in (a_u, a_w))
         gamma = float(max(np.linalg.norm(a_w) / nz_u, np.linalg.norm(a_u) / nz_w))
@@ -698,7 +739,7 @@ def build_problem(kind: str, params: Optional[dict] = None) -> ProblemInstance:
         return make_coupled_sp(
             payoff,
             coupling,
-            u_box=tuple(params.get("u_box", (-1.0, 1.0))),
-            w_box=tuple(params.get("w_box", (-1.0, 1.0))),
+            u_box=params.get("u_box", (-1.0, 1.0)),
+            w_box=params.get("w_box", (-1.0, 1.0)),
         )
     raise ConstructionFailed(f"unknown problem kind {kind!r}")

@@ -26,7 +26,7 @@ from .errors import (
     NonfiniteIterate,
     NotReached,
 )
-from .operators import SampleStreams, evaluate_mean, sample_batch, stream_key
+from .operators import evaluate_mean, sample_batch, stream_key
 from .projection import inexact_project
 
 
@@ -49,7 +49,10 @@ def derive_beta(lipschitz: float, mu: float, gamma: float, eta: float) -> float:
     nonnegative whenever mu <= L.
     """
     _check_constants(lipschitz, mu, gamma)
-    radicand = 1.0 + (lipschitz * eta) ** 2 - 2.0 * eta * mu
+    try:
+        radicand = 1.0 + (lipschitz * eta) ** 2 - 2.0 * eta * mu
+    except OverflowError:
+        raise InvalidParameters(f"eta={eta!r} overflows beta: (L eta)^2 exceeds the floats") from None
     return gamma + math.sqrt(max(radicand, 0.0))
 
 
@@ -376,10 +379,10 @@ _RESIDUAL_BUDGET_SCALE = 10
 _INNER_REL_TOL = 1e-2
 
 
-def _projected_step(problem, config, streams, x, n_k, t_k, k, phase):
+def _projected_step(problem, config, streams, x, n_k, t_k, phase):
     """Project the batch-operator step at x onto K(x) with budget at most t_k;
-    a batch is drawn from ``streams.generator(k, phase)``, the stream
-    ``seed + (k, phase)``.
+    a batch is the next draw from ``streams[phase]``, the generator
+    ``np.random.default_rng(seed + (phase,))``.
 
     Returns the projected point, the inner iterations run and the operator
     draws spent (an exact mean evaluation counts as one draw).
@@ -387,7 +390,7 @@ def _projected_step(problem, config, streams, x, n_k, t_k, k, phase):
     if config.schedule.exact_mean:
         fhat, drawn = evaluate_mean(problem.operator, x), 1
     else:
-        fhat, drawn = sample_batch(problem.operator, x, n_k, streams.generator(k, phase)), n_k
+        fhat, drawn = sample_batch(problem.operator, x, n_k, streams[phase]), n_k
     res = inexact_project(
         problem.map, x, x - config.eta * fhat, t_k, ambient=problem.ambient, rel_tol=_INNER_REL_TOL
     )
@@ -464,8 +467,11 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     if floor is not None and floor[0] not in metrics:
         raise InvalidParameters(f"metric floor references {floor[0]!r}, which is not recorded")
     solver = "ieg" if extra_gradient else "ig"
+    # one generator per phase, drawn in iteration order: phase 0 for the
+    # step at x, phase 1 for the lookahead, so IG at a seed draws IEG's phase 0
     seed_key = stream_key(config.seed)
-    streams = None if config.schedule.exact_mean else SampleStreams(seed_key, config.max_outer)
+    phases = range(2 if extra_gradient else 1)
+    streams = None if config.schedule.exact_mean else [np.random.default_rng(seed_key + (p,)) for p in phases]
     x = np.asarray(problem.x0, dtype=float).copy()
     # x0's metrics by lone calls, so a metric the problem lacks fails here;
     # ``lone`` are lone calls at each new iterate too, the others one call on
@@ -482,12 +488,12 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     for k in range(config.max_outer):
         tic = time.perf_counter()
         n_k, t_k = schedule_values(config.schedule, params.q, k)
-        point, inner, drawn = _projected_step(problem, config, streams, x, n_k, t_k, k, 0)
+        point, inner, drawn = _projected_step(problem, config, streams, x, n_k, t_k, 0)
         cum_inner += inner
         cum_samples += drawn
         if extra_gradient:
             u = (1.0 - config.b) * x + config.b * point
-            point, inner, drawn = _projected_step(problem, config, streams, u, n_k, t_k, k, 1)
+            point, inner, drawn = _projected_step(problem, config, streams, u, n_k, t_k, 1)
             cum_inner += inner
             cum_samples += drawn
         x_new = (1.0 - config.alpha) * x + config.alpha * point

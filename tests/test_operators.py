@@ -1,11 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sqvi.errors import DimensionMismatch, EmptySample, InvalidConstants, InvalidParameters, MissingMeanField
-from sqvi import operators
 from sqvi.operators import (
     OperatorSpec,
-    SampleStreams,
     check_monotone,
     estimate_lipschitz,
     estimate_qg,
@@ -15,6 +15,8 @@ from sqvi.operators import (
     sample_batch,
     stream_key,
 )
+from sqvi.problems import make_translated_box_qvi
+from sqvi.solvers import IncreasingSample, SolverConfig, run_ieg_sqvi, run_ig_sqvi
 
 identity_op = OperatorSpec(dim=2, lipschitz=1.0, qg_mu=1.0, mean_eval=lambda x: x)
 rotation_op = OperatorSpec(
@@ -174,38 +176,63 @@ def test_sample_batch_negative_stream_part_raises():
         sample_batch(op, np.zeros(2), 3, stream=(-1, 4))
 
 
+def _recording_box(draws):
+    # the noisy box with a batch mean that keeps each batch's standard normals
+    problem = make_translated_box_qvi(n=3, seed=2, noise_level=0.5)
+    op = problem.operator
+
+    def batch_mean(x, rng, count):
+        draws.append(rng.standard_normal(op.dim))
+        return op.mean_eval(x) + draws[-1] / count
+
+    spec = OperatorSpec(op.dim, op.lipschitz, op.qg_mu, mean_eval=op.mean_eval, batch_mean=batch_mean, noise=op.noise)
+    return replace(problem, operator=spec)
+
+
+def _sampled_config(problem, seed):
+    return SolverConfig(eta=problem.suggested_eta, alpha=0.9, b=1.5, schedule=IncreasingSample(0.9),
+                        max_outer=6, seed=seed)
+
+
 @pytest.mark.parametrize(
     "prefix",
     [(), (0,), (11,), (11, 0), (11, 299), (0, 0), (2**32 - 1, 5), (5, 6, 7), (1, 2, 3, 4),
      (7, 8, 9, 10, 11), (2**32, 3), (2**70,)],
 )
 def test_sample_streams_match_default_rng(prefix):
-    # 18 bytes leave half of a PCG64 output buffered; the next stream must not see it
-    streams = SampleStreams(prefix, 60)
-    for k in range(60):
-        for phase in (0, 1):
-            expected = np.random.default_rng(prefix + (k, phase))
-            got = streams.generator(k, phase)
-            assert got.bytes(18) == expected.bytes(18), (k, phase)
-            assert got.standard_normal(3).tobytes() == expected.standard_normal(3).tobytes(), (k, phase)
+    # a sampled IEG run draws each phase's batches in iteration order from
+    # one generator, np.random.default_rng(seed + (phase,))
+    draws = []
+    problem = _recording_box(draws)
+    run_ieg_sqvi(problem, _sampled_config(problem, prefix))
+    assert len(draws) == 12
+    for phase in (0, 1):
+        expected = np.random.default_rng(prefix + (phase,))
+        for k, got in enumerate(draws[phase::2]):
+            assert got.tobytes() == expected.standard_normal(3).tobytes(), (k, phase)
+
+
+@pytest.mark.parametrize("seed", [11, (3, 4)])
+def test_ig_draws_the_phase_zero_batches_of_ieg(seed):
+    ieg, ig = [], []
+    for draws, runner in ((ieg, run_ieg_sqvi), (ig, run_ig_sqvi)):
+        problem = _recording_box(draws)
+        runner(problem, _sampled_config(problem, seed))
+    assert len(ig) == 6 and [d.tobytes() for d in ig] == [d.tobytes() for d in ieg[0::2]]
 
 
 def test_sample_batch_uses_a_positioned_generator():
     op = gaussian_operator(lambda x: x, dim=3, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
-    got = sample_batch(op, np.ones(3), 8, SampleStreams((11, 4), 10).generator(7, 1))
+    got = sample_batch(op, np.ones(3), 8, np.random.default_rng((11, 4, 7, 1)))
     assert got.tobytes() == sample_batch(op, np.ones(3), 8, (11, 4, 7, 1)).tobytes()
 
 
 @pytest.mark.parametrize("prefix", [(-1,), (3, -2)])
 def test_sample_streams_negative_part_raises(prefix):
+    # numpy seeds no generator from a negative part, so a sampled run raises
+    problem = make_translated_box_qvi(n=3, seed=2, noise_level=0.5)
     with pytest.raises(ValueError):
-        SampleStreams(prefix, 3)
-
-
-def test_sample_streams_check_their_first_state(monkeypatch):
-    monkeypatch.setattr(operators, "_INIT_B", operators._INIT_B ^ 1)
-    with pytest.raises(RuntimeError, match="differently from numpy"):
-        SampleStreams((11,), 3)
+        run_ieg_sqvi(problem, _sampled_config(problem, prefix))
 
 
 @pytest.mark.parametrize("bad", ["12", 1.5, True, None, (3, "4"), (np.bool_(True),)])

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -552,6 +553,13 @@ def test_cli_derive_rejects_invalid_constants(capsys, L, mu, gamma):
     assert captured.err.startswith("runtime error:") and captured.err.count("\n") == 1
 
 
+def test_cli_derive_reports_an_eta_whose_beta_overflows(capsys):
+    # (L eta)^2 overflows the floats; this used to end in an OverflowError traceback
+    assert cli_main(["derive", "--L", "1", "--mu", "1", "--gamma", "0.1", "--eta", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: eta=1e+300 overflows beta") and "Traceback" not in err
+
+
 def test_fitted_rate_ignores_rounding_noise(tmp_path):
     # dist falls 10x per iteration to 1.5e-12 at k=11, then sits at the
     # rounding level 2.8e-14; the fit must see the rate, not the plateau
@@ -613,3 +621,41 @@ def test_fitted_rate_reads_the_mean_csv_column(tmp_path, monkeypatch):
     column = np.genfromtxt(art.mean_path, delimiter=",", names=True)["dist"]
     (series,) = seen
     assert series.tobytes() == column.tobytes()
+
+
+_COUPLING = {"P": [[1.0]], "Q": [[1.0]], "R": [[1.0]], "coupling": {"a_u": [1.0], "a_w": [1.0], "c": -0.5}}
+_GAME_PRESET = {"preset": "table1-synthetic", "solver": "ieg", "T": 3}
+
+
+def _coupling_c(c):
+    return dict(_COUPLING, coupling=dict(_COUPLING["coupling"], c=c))
+
+
+@pytest.mark.parametrize(
+    "cfg, cause",
+    [
+        (dict(MINIMAL, T=3, problem_params={"n": 0}), "n must be an integer >= 1"),
+        (dict(_GAME_PRESET, problem_params={"players": 0}), "players must be an integer >= 1"),
+        (dict(_GAME_PRESET, problem_params={"sigma": 0}), "sigma must be positive"),
+        (dict(_COUPLED, problem_params={"P": [[1.0, 0.0]]}), r"P has shape \(1, 2\), expected a square matrix"),
+        (dict(_COUPLED, problem_params={"u_box": [-1.0, 0.0, 1.0]}), "u_box must be two numbers lo <= hi"),
+        (dict(_COUPLED, problem_params={"w_box": [1.0, -1.0]}), "w_box must be two numbers lo <= hi"),
+        (dict(MINIMAL, T=3, eta=1e300, allow_out_of_range=True), "eta=1e[+]300 overflows beta"),
+        # the shared set is the one point (-1, -1), which x0 = 0 cannot reach
+        (dict(_COUPLED, problem_params=_coupling_c(-2.0)), "K[(]x0[)] is empty: its u-block row"),
+        (dict(_COUPLED, problem_params=_coupling_c(-10.0)), "the shared set .* is empty"),
+        (dict(_COUPLED, problem_params={"coupling": {"a_u": [0.0], "a_w": [0.0], "c": -1.0}}),
+         "the shared set .* is empty"),
+    ],
+    ids=["box-n-0", "game-players-0", "game-sigma-0", "coupled-P-1x2", "u-box-3", "w-box-reversed",
+         "eta-1e300", "coupled-K-x0-empty", "coupled-shared-empty", "coupled-zero-coupling"],
+)
+def test_construction_errors_name_their_cause(tmp_path, capsys, cfg, cause):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error:") for line in lines), lines
+    assert all(re.search(cause, line) for line in lines), lines
+    assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -96,3 +97,25 @@ def test_replay_box_script(monkeypatch, capsys):
     pattern = (r"(run|CSV) time this/other per replicate: [\d.]+ median over rounds "
                r"\([\d.]+-[\d.]+\), this faster in [012] of 2 rounds")
     assert [re.fullmatch(pattern, line).group(1) for line in lines[2:4]] == ["run", "CSV"]
+
+
+def test_replay_box_reports_each_checkouts_final_dist(monkeypatch, capsys):
+    # the other checkout samples at other seeds, so its traces differ
+    spec = importlib.util.spec_from_file_location("replay_box", SCRIPTS / "replay_box.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    original = module.Tree.outputs
+
+    def outputs(self):
+        if self.name != "this":
+            self.configs = [replace(config, seed=(99, rep)) for rep, config in enumerate(self.configs)]
+        return original(self)
+
+    monkeypatch.setattr(module.Tree, "outputs", outputs)
+    root = str(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "argv", ["replay_box", "--replicates", "2", "--T", "3", "--rounds", "1", "--against", root])
+    assert module.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7 and lines[4] == "traces bit-identical: no"
+    dists = [re.fullmatch(r".+: mean final dist ([\d.e+-]+) over 2 replicates", line).group(1) for line in lines[5:]]
+    assert lines[5].startswith("this: ") and lines[6].startswith(f"{root}: ") and dists[0] != dists[1]

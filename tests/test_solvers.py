@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -508,3 +509,15 @@ def test_non_integer_seed_raises_before_any_work(noisy_box_problem, monkeypatch,
     )
     with pytest.raises(InvalidParameters, match="seeds must be integers"):
         runner(noisy_box_problem, cfg)
+
+
+@pytest.mark.parametrize("schedule", [Deterministic(0.9), DampedInner()])
+@pytest.mark.parametrize("runner", [run_ieg_sqvi, run_ig_sqvi])
+def test_exact_mean_schedules_need_a_mean_field(noisy_box_problem, schedule, runner):
+    op = noisy_box_problem.operator
+    sample_only = OperatorSpec(op.dim, op.lipschitz, op.qg_mu, batch_mean=op.batch_mean, noise=op.noise)
+    problem = replace(noisy_box_problem, operator=sample_only)
+    cfg = SolverConfig(eta=problem.suggested_eta, alpha=0.8, b=1.0, schedule=schedule, max_outer=3,
+                       allow_out_of_range=True)
+    with pytest.raises(InvalidParameters, match="deterministic schedules need a closed-form mean field"):
+        runner(problem, cfg)
