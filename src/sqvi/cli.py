@@ -6,8 +6,8 @@ import json
 import sys
 
 from .errors import ConfigError, SqviError
-from .runner import parse_config, run_experiment
-from .solvers import admissible_eta_interval, contraction_factor, derive_beta
+from .runner import default_metrics, parse_config, run_experiment
+from .solvers import _RESIDUAL_BUDGET_SCALE, admissible_eta_interval, contraction_factor, derive_beta
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,6 +32,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_der.add_argument("--alpha", type=float, default=0.5, help="retraction weight")
     p_der.add_argument("--b", type=float, default=0.5, help="extra-gradient retraction weight")
     return parser
+
+
+def _print_scheduled_work(cfg) -> None:
+    """The work the schedule allots over the run's T iterations, reported
+    whatever its size: validation does not bound it, and neither does the run."""
+    problem, _, _, (draws, inner) = cfg.validated
+    projections = 2 if cfg.solver == "ieg" else 1
+    ran = " (closed form: none run)" if problem.map.exact else ""
+    print(f"scheduled work per replicate over T = {cfg.T} iterations (reported, not bounded):")
+    print(f"  inner iterations: {projections} x sum t_k = {projections * inner}{ran}")
+    if "residual" in (cfg.metrics or default_metrics(problem)) and not problem.map.exact:
+        print(f"  residual metric's inner iterations: {_RESIDUAL_BUDGET_SCALE} x sum t_k = "
+              f"{_RESIDUAL_BUDGET_SCALE * inner}, one solve per iterate")
+    print(f"  operator draws: sum N_k = {draws} per phase, {projections} phase(s)")
 
 
 def main(argv=None) -> int:
@@ -65,6 +79,7 @@ def main(argv=None) -> int:
             print(json.dumps({"problem": cfg.problem, "solver": cfg.solver, "schedule": cfg.schedule}, indent=2))
             for msg in cfg.validated.params.violations:
                 print(f"validation bypassed (allow_out_of_range): {msg}")
+            _print_scheduled_work(cfg)
             return 0
         artifacts = run_experiment(cfg, out_dir=args.out)
         print(f"wrote {len(artifacts.trace_paths)} trace file(s) to {artifacts.out_dir}")

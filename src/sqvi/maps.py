@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonfiniteValue, UnsupportedSet
+from .errors import DimensionMismatch, InvalidConstants, InvalidParameters, NonfiniteValue, UnsupportedSet
 from .projection import BlockQuadratic, ProjectionResult, apd_solve, feasibility_witness, fista_solve
 from .sets import Array, Ball, BlockBalls, SimpleSet
 
@@ -75,7 +75,7 @@ class TranslatedSet:
 
     def __post_init__(self):
         if self.shift_lipschitz < 0:
-            raise DimensionMismatch("shift Lipschitz constant must be nonnegative")
+            raise InvalidConstants("shift Lipschitz constant must be nonnegative")
 
     @property
     def gamma(self) -> float:
@@ -180,7 +180,7 @@ class ArgminSet:
 
     def __post_init__(self):
         if not (self.regularization > 0):
-            raise DimensionMismatch("regularization weight must be positive")
+            raise InvalidParameters("regularization weight must be positive")
         h = np.asarray(self.hessian, dtype=float)
         h = h[None] if h.ndim == 2 else h
         if h.ndim != 3 or h.shape[1] != h.shape[2] or h.shape[0] * h.shape[1] != self.feasible.dim:

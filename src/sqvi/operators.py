@@ -103,11 +103,13 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
     batches. ``batch_mean`` must not keep the generator after the call.
     Deterministic in (x, n, stream): replaying the same triple, a generator
     at the same state included, reproduces the batch bit for bit.
-    Noise-free operators short-circuit to the mean field.
+    Noise-free operators short-circuit to the mean field. ``n`` must be an
+    integer >= 1 (a Python or numpy int), or InvalidParameters is raised.
     """
     x = _vec(x, op.dim, "point")
-    if n < 1:
-        raise DimensionMismatch("batch size must be >= 1")
+    if type(n) is not int or n < 1:  # one test on the common case
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidParameters(f"batch size must be an integer >= 1, got {n!r}")
     if op.batch_mean is None:
         return evaluate_mean(op, x)
     if isinstance(stream, np.random.Generator):

@@ -399,6 +399,10 @@ def make_regression_game(
     its diagonal blocks zeroed. That projection is nonexpansive in the
     M-norm and M >= I, so gamma = ||M^-1/2 D|| / sigma bounds the map's
     slope in x (a dataset game's block-diagonal A gives D = 0 and gamma 0).
+
+    D and A'b are formed once per built game, so linear(x) is one
+    matrix-vector product per point and gamma reads the same D. D is a dense
+    (dim, dim) array: 500 kB at the table1-synthetic preset's dim 250.
     """
     if not sigma > 0:
         raise ConstructionFailed(f"sigma must be positive, got {sigma!r}")
@@ -433,22 +437,29 @@ def make_regression_game(
 
     min_value = float(train_value(x_interp))
 
+    # D = A'A with its diagonal blocks zeroed, and A'b, held once. Block
+    # (i, j) of D is A_i'A_j, one small product per pair i < j, mirrored:
+    # OpenBLAS runs each on one thread at the presets' sizes, while one A'A
+    # product splits over threads and moves D's last bits with their count
+    coupling = np.zeros((dim, dim))
+    grid = coupling.reshape(players, feats, players, feats)
+    for i in range(players):
+        for j in range(i + 1, players):
+            grid[i, :, j] = cols[i] @ cols[j].T
+            grid[j, :, i] = grid[i, :, j].T
+    rhs_tr = a_tr.T @ b_tr
+
     def _block_residual_grads(x):
         # the training loss's gradient in y at y = 0 with player i's block of x
-        # replaced by y_i: A_i^T (base - A_i x_i) per player, for one point or
-        # each row of a stack (..., dim); every product is one matrix-vector
-        # product per row, so each row is bit for bit a lone call's
-        base = np.matmul(a_tr, x[..., None])[..., 0] - b_tr
-        xm = x.reshape(x.shape[:-1] + (players, feats, 1))
-        return np.matmul(a_tr.T, base[..., None])[..., 0] - np.matmul(grams_tr, xm).reshape(x.shape)
+        # replaced by y_i: D x - A'b, for one point or each row of a stack
+        # (..., dim); one matrix-vector product per row, so each row is bit
+        # for bit a lone call's
+        return np.matmul(coupling, x[..., None])[..., 0] - rhs_tr
 
-    # ||M^-1/2 D|| is ||L^-1 D|| with M = LL' (L^-1 M^1/2 is orthogonal); one
-    # block row per player, and L^-1 is block diagonal, so zeroing the
-    # diagonal blocks of L^-1 A'A zeroes those of A'A
+    # ||M^-1/2 D|| is ||L^-1 D|| with M = LL' (L^-1 M^1/2 is orthogonal); L^-1
+    # is block diagonal, so it acts on D one block row per player
     chol_inv = np.linalg.inv(np.linalg.cholesky(np.eye(feats) + grams_tr / sigma))
-    s = (chol_inv @ cols).reshape(dim, -1) @ a_tr
-    for i in range(players):
-        s[i * feats : (i + 1) * feats, i * feats : (i + 1) * feats] = 0.0
+    s = (chol_inv @ coupling.reshape(players, feats, dim)).reshape(dim, dim)
     gamma = math.sqrt(max(float(np.linalg.eigvalsh(s @ s.T)[-1]), 0.0)) / sigma
     mapping = ArgminSet(
         feasible=feasible,

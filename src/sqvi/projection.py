@@ -320,8 +320,8 @@ def fista_solve(
     fl(B^2) <= fl(radius^2), and fl(stop2 B^2) is at least the loop's stop
     threshold.
     """
-    if t < 1:
-        raise InvalidParameters("inner budget t must be >= 1")
+    if type(t) is not int or t < 1:  # one test on the common case
+        _check_budget(t)
     if rel_tol > 0 and anchor is None:
         raise InvalidParameters("a positive rel_tol needs an anchor to measure the stop against")
     q, view = quadratic, _eigenbasis_view(feasible, quadratic)
@@ -422,8 +422,8 @@ def apd_solve(
     Jacobian norm and the domain size, ``inner_iterations`` is t, and
     ``feasibility_violation`` is max(g(point), 0).
     """
-    if t < 1:
-        raise InvalidParameters("inner budget t must be >= 1")
+    if type(t) is not int or t < 1:  # one test on the common case
+        _check_budget(t)
     u = np.asarray(u, dtype=float)
     y = ambient.project(u) if ambient is not None else u.copy()
     g0 = np.atleast_1d(np.asarray(constraint(y), dtype=float))

@@ -40,6 +40,7 @@ class Validated(NamedTuple):
     problem: ProblemInstance
     params: DerivedParams
     build_s: float  # seconds spent building and validating
+    scheduled: tuple  # (sum N_k, sum t_k) over the run's k < T
 
 
 def _is_number(value) -> bool:
@@ -157,12 +158,14 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         # the run evaluates the schedule at every k < T; any failure there is a
         # config error, reported before the run starts
+        draws = inner = 0
         try:
             for k in range(self.T):
-                schedule_values(sc.schedule, params.q, k)
+                n_k, t_k = schedule_values(sc.schedule, params.q, k)
+                draws, inner = draws + n_k, inner + t_k
         except (InvalidSchedule, ArithmeticError) as exc:
             raise ConfigError(f"schedule {self.schedule!r} fails at iteration {k}: {exc}") from exc
-        return Validated(problem, params, time.perf_counter() - tic)
+        return Validated(problem, params, time.perf_counter() - tic, (draws, inner))
 
 
 _KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {"preset"}
@@ -312,7 +315,7 @@ def run_experiment(cfg: RunConfig, out_dir: Optional[str] = None) -> RunArtifact
     that reproduces the run when fed back to ``parse_config``, and a summary
     with final metrics and fitted rates.
     """
-    problem, params, build_s = cfg.validated
+    problem, params, build_s, _ = cfg.validated
     if params.violations:
         log.warning("parameter validation bypassed: %s", "; ".join(params.violations))
     out_dir = out_dir or cfg.out or os.path.join("runs", cfg.label or cfg.problem)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from sqvi.errors import InfeasibleSubproblem, InvalidParameters, NonfiniteValue
+from sqvi.errors import InfeasibleSubproblem, InvalidConstants, InvalidParameters, NonfiniteValue
 from sqvi.maps import ArgminSet, FixedSet, NonlinearConvex, TranslatedSet
-from sqvi.operators import evaluate_mean
+from sqvi.operators import evaluate_mean, gaussian_operator, sample_batch
 from sqvi.projection import (
     CHUNK,
     FRESH,
@@ -485,6 +485,33 @@ def test_certified_skip_changes_no_bit_where_anchor_minus_step_cancels(monkeypat
         assert screened == []
 
 
+def test_certified_skip_changes_no_bit_where_the_squared_norms_underflow(monkeypatch):
+    # The screen-tight problems scaled by 2^-504 .. 2^-521: the squared block
+    # norms fall from the normal range into the subnormal one, where each
+    # rounded square errs by up to 2^-1075 absolute, which no relative margin
+    # covers; the norm bound then falls below the norm the screen computes by
+    # up to 1e-10 relative. Over radii just below step 51's norm as the screen
+    # computes it, the screen moves a step while the bound, without its
+    # absolute floor sqrt(n tiny), would certify the chunk
+    screened, regimes = _count_screens(monkeypatch), set()
+    for k in range(504, 522):
+        for quadratic, c, target, y0 in _tight_problems(16.0):
+            c, target, y0 = (math.ldexp(1.0, -k) * v for v in (c, target, y0))
+            gains = quadratic.fresh[0][2:]
+            d = (target + gains * (y0 - target)).reshape(FRESH, 3, 4)
+            peak = math.sqrt(np.einsum("ijk,ijk->ij", d, d)[CHUNK : 2 * CHUNK].max())
+            for side in [1.0 - math.ldexp(1.0, -m) for m in range(33, 51)] + [2.0]:
+                feasible = BlockBalls(3, 4, side * peak)
+                _skip_changes_no_bit(monkeypatch, screened, quadratic, c, feasible, y0, 0.0, None)
+                regimes.add((k, side == 2.0, tuple(screened[:3])))
+    # just below the norm the step moves at every scale; at twice the norm
+    # the floor leaves the skip live down to 2^-507 and off from 2^-510 on
+    moved = {k for k, wide, first in regimes if not wide and first == (CHUNK, CHUNK, 1)}
+    assert moved == set(range(504, 522))
+    skipped = {k for k, wide, first in regimes if wide and first == ()}
+    assert set(range(504, 508)) <= skipped and not skipped & set(range(510, 522))
+
+
 @pytest.mark.parametrize("kind", ["block-balls", "ball"])
 @pytest.mark.parametrize("rel_tol", [0.0, 1e-2])
 def test_certified_skip_matches_step_loop_with_the_anchor_at_the_target(kind, rel_tol):
@@ -688,6 +715,53 @@ def test_inner_budgets_must_be_integers_on_every_map(budget, exact):
     for t in (np.int64(5), np.uint8(5)):
         assert inexact_project(m, x, u, t=t).point.tobytes() == inexact_project(m, x, u, t=5).point.tobytes()
         assert reference_project(m, x, u, budget=t).tobytes() == reference_project(m, x, u, budget=5).tobytes()
+
+
+def _noisy_operator():
+    return gaussian_operator(lambda x: x, dim=2, lipschitz=1.0, qg_mu=1.0, noise_level=0.5)
+
+
+_ONE_INPUT_RULE = [
+    *(
+        (f"fista t={t!r}", InvalidParameters, "inner budget must be >= 1 and an integer",
+         lambda t=t: fista_solve(unit_quadratic(), np.ones(1), Box(-np.ones(1), np.ones(1)), np.ones(1), t))
+        for t in (1.5, True, 0, "3")
+    ),
+    *(
+        (f"apd t={t!r}", InvalidParameters, "inner budget must be >= 1 and an integer",
+         lambda t=t: apd_solve(np.ones(2), lambda y: np.array([y @ y - 1.0]), lambda y: 2.0 * y[None], t))
+        for t in (1.5, True, 0)
+    ),
+    *(
+        (f"sample_batch n={n!r}", InvalidParameters, "batch size must be an integer >= 1",
+         lambda n=n: sample_batch(_noisy_operator(), np.zeros(2), n, 7))
+        for n in (0, -3, 2.5, True, "4")
+    ),
+    ("translated shift constant -0.5", InvalidConstants, "shift Lipschitz constant must be nonnegative",
+     lambda: TranslatedSet(Box(-np.ones(2), np.ones(2)), lambda x: x, -0.5)),
+    *(
+        (f"argmin regularization {w!r}", InvalidParameters, "regularization weight must be positive",
+         lambda w=w: ArgminSet(Ball(np.zeros(2), 1.0), np.eye(2), lambda x: x, w))
+        for w in (0.0, -1.0, np.nan)
+    ),
+]
+
+
+@pytest.mark.parametrize("case, error, match, call", _ONE_INPUT_RULE, ids=[c[0] for c in _ONE_INPUT_RULE])
+def test_inner_solvers_and_sampling_share_one_input_rule(case, error, match, call):
+    # a budget or batch size is an integer >= 1, not a bool or float; a bad
+    # constant is a constant or parameter error, not a shape error
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_inner_solvers_and_sampling_take_numpy_integers():
+    fista = lambda t: fista_solve(unit_quadratic(), np.ones(1), Box(-np.ones(1), np.ones(1)), np.ones(1), t)
+    assert fista(np.int64(3)).point.tobytes() == fista(3).point.tobytes()
+    apd = lambda t: apd_solve(np.ones(2), lambda y: np.array([y @ y - 1.0]), lambda y: 2.0 * y[None], t)
+    assert apd(np.uint8(4)).point.tobytes() == apd(4).point.tobytes()
+    op = _noisy_operator()
+    assert sample_batch(op, np.zeros(2), np.int64(4), 7).tobytes() == sample_batch(op, np.zeros(2), 4, 7).tobytes()
 
 
 def test_inexact_project_translated_exact():

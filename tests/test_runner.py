@@ -11,7 +11,7 @@ from sqvi.cli import main as cli_main
 from sqvi.errors import ConfigError, UnknownKey
 from sqvi.problems import build_problem
 from sqvi.runner import parse_config, run_experiment
-from sqvi.solvers import _METRICS, IterationTrace, TraceRow
+from sqvi.solvers import _METRICS, IterationTrace, TraceRow, schedule_values
 
 MINIMAL = {
     "problem": "translated_box",
@@ -558,6 +558,82 @@ def test_cli_derive_reports_an_eta_whose_beta_overflows(capsys):
     assert cli_main(["derive", "--L", "1", "--mu", "1", "--gamma", "0.1", "--eta", "1e300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: eta=1e+300 overflows beta") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (json.dumps(dict(MINIMAL, T=3, solver="sgd")), "solver must be 'ieg' or 'ig', got 'sgd'"),
+        (json.dumps({"preset": "table9", "T": 3}), "unknown preset 'table9'"),
+        ("[1, 2]", "config must be a JSON object"),
+        (json.dumps(dict(MINIMAL, T=3, problem_params=[20])), "problem_params must be an object"),
+        (json.dumps(dict(MINIMAL, T=3, schedule="cyclic")), "unknown schedule name 'cyclic'"),
+    ],
+    ids=["solver", "preset", "not-an-object", "problem-params", "schedule-name"],
+)
+def test_config_errors_name_their_cause(tmp_path, capsys, text, cause):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli_main(["validate", str(cfg_path)]) == 1
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith(f"config error: {cause}") for line in lines), lines
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "eta, b, last",
+    [
+        # beta = 0.1 + sqrt(1 + eta^2 - 2 eta) = 0.6 at eta 0.5, so 1/(1 - beta) = 2.5
+        ("0.5", "2.5", "b = 2.5 is not below 1/(1-beta) = 2.5"),
+        # beta = 0.1 + sqrt(4) at eta 3
+        ("3", "0.5", "beta is not below 1; no contraction at this eta"),
+    ],
+    ids=["b-at-bound", "beta-above-1"],
+)
+def test_cli_derive_reports_no_contraction(capsys, eta, b, last):
+    argv = ["derive", "--L", "1", "--mu", "1", "--gamma", "0.1", "--eta", eta, "--b", b]
+    assert cli_main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == last
+    if "b =" in last:
+        assert lines[-2].startswith("q (gradient, alpha=0.5) = ")
+    assert not any(line.startswith("q (extra-gradient") for line in lines)
+
+
+def test_validate_reports_the_scheduled_work(tmp_path, capsys):
+    # the coupled-apd workload at T 400: t_k is 2.6e22 at k = 399, which no
+    # run finishes; validate reports what the schedule allots and never runs it
+    cfg = dict(_COUPLED, problem_params=_COUPLING, rho=0.9, T=400, metrics=["residual"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    parsed = parse_config(json.dumps(cfg))
+    q = parsed.validated.params.q
+    values = [schedule_values(parsed.solver_config().schedule, q, k) for k in range(400)]
+    assert values[399][1] > 2.5e22
+    inner, draws = sum(t for _, t in values), sum(n for n, _ in values)
+    assert out[-4:] == [
+        "scheduled work per replicate over T = 400 iterations (reported, not bounded):",
+        f"  inner iterations: 2 x sum t_k = {2 * inner}",
+        f"  residual metric's inner iterations: 10 x sum t_k = {10 * inner}, one solve per iterate",
+        f"  operator draws: sum N_k = {draws} per phase, 2 phase(s)",
+    ]
+
+
+def test_validate_reports_closed_form_projections_run_no_inner_iterations(tmp_path, capsys):
+    # the translated box has the residual metric, but in closed form
+    cfg = dict(MINIMAL, T=3, solver="ig")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    parsed = parse_config(json.dumps(cfg))
+    inner = sum(schedule_values(parsed.solver_config().schedule, parsed.validated.params.q, k)[1] for k in range(3))
+    assert out[-3:] == ["scheduled work per replicate over T = 3 iterations (reported, not bounded):",
+                        f"  inner iterations: 1 x sum t_k = {inner} (closed form: none run)",
+                        "  operator draws: sum N_k = 3 per phase, 1 phase(s)"]
 
 
 def test_fitted_rate_ignores_rounding_noise(tmp_path):

@@ -119,3 +119,35 @@ def test_replay_box_reports_each_checkouts_final_dist(monkeypatch, capsys):
     assert len(lines) == 7 and lines[4] == "traces bit-identical: no"
     dists = [re.fullmatch(r".+: mean final dist ([\d.e+-]+) over 2 replicates", line).group(1) for line in lines[5:]]
     assert lines[5].startswith("this: ") and lines[6].startswith(f"{root}: ") and dists[0] != dists[1]
+
+
+def test_compare_outputs_against_its_own_checkout(monkeypatch, capsys):
+    # each checkout runs in its own subprocess: once as this one, once as the
+    # other; coupled-apd, which takes seconds, is left out
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPTS / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "WORKLOADS", {k: v for k, v in module.WORKLOADS.items() if k != "coupled-apd"})
+    root = str(SCRIPTS.parent)
+    monkeypatch.setattr(sys, "argv", ["compare_outputs", "--against", root, "--seeds", "11", "--replicates", "2"])
+    assert module.main() == 0
+    # game-fista: two runs of a trace, a mean, a manifest and a summary;
+    # box-sampled: one run of two traces and those three
+    assert capsys.readouterr().out.splitlines() == [f"this: 13 files, {root}: 13 files, 13 equal"]
+
+
+def test_compare_outputs_names_the_file_and_column_that_moved(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPTS / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    this, other = tmp_path / "this", tmp_path / "other"
+    for tree, cell in ((this, "0.5"), (other, "0.25")):
+        (tree / "run").mkdir(parents=True)
+        (tree / "run" / "trace_rep00.csv").write_text(f"k,N_k,dist\n0,1,{cell}\n")
+        (tree / "run" / "manifest.json").write_text('{"a": 1}\n')
+    (other / "run" / "summary.json").write_text("{}\n")
+    assert module.compare(str(this), str(other), "other") == [
+        "this: 2 files, other: 3 files, 1 equal",
+        "run/trace_rep00.csv: dist: largest relative change 1",
+        "run/summary.json: only in other",
+    ]
