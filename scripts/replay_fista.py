@@ -12,9 +12,9 @@ two interleaved and alternating which goes first. For each checkout the
 script prints the number of solves, the steps run, the chunks screened
 (calls of the feasible set's eigenbasis screen) and the median seconds per
 round with every round's time, and then whether the checkouts' results are
-bit-identical (each point's bytes, error bound and steps run). The other
-checkout may return either ProjectionResult (error_bound,
-inner_iterations) or the older FistaResult (dist_bound, iterations).
+bit-identical (each point's bytes, error bound and steps run). Both
+checkouts' FISTA must return ProjectionResult (error_bound,
+inner_iterations).
 
 Run as a script it sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS to 1 before numpy is imported, as perfbench's worker does.
@@ -131,14 +131,8 @@ def load_checkout(root: str):
     return module
 
 
-def steps(r) -> int:
-    """The steps a FISTA result ran, from either record."""
-    return int(r.inner_iterations if hasattr(r, "inner_iterations") else r.iterations)
-
-
 def same(a: list, b: list) -> bool:
-    bound = lambda r: float(r.error_bound if hasattr(r, "error_bound") else r.dist_bound)
-    key = lambda r: (r.point.tobytes(), bound(r), steps(r))
+    key = lambda r: (r.point.tobytes(), float(r.error_bound), r.inner_iterations)
     return [key(r) for r in a] == [key(r) for r in b]
 
 
@@ -163,7 +157,7 @@ def main() -> int:
             times[tree.name].append(time.perf_counter() - start)
     for tree, res in zip(trees, results):
         seconds = times[tree.name]
-        print(f"{tree.name}: {len(res)} solves, {sum(map(steps, res))} steps, "
+        print(f"{tree.name}: {len(res)} solves, {sum(r.inner_iterations for r in res)} steps, "
               f"{tree.screens()} chunks screened, {statistics.median(seconds) if seconds else float('nan'):.4f} s "
               f"median per round ({' '.join(f'{s:.4f}' for s in seconds)})")
     if len(trees) == 2:

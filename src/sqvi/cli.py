@@ -7,7 +7,7 @@ import sys
 
 from .errors import ConfigError, SqviError
 from .runner import default_metrics, parse_config, run_experiment
-from .solvers import _RESIDUAL_BUDGET_SCALE, admissible_eta_interval, contraction_factor, derive_beta
+from .solvers import _RESIDUAL_BUDGET_SCALE, admissible_eta_interval, contraction_factor, derive_beta, schedule_values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -18,11 +18,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON run configuration (or manifest)")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--summary", action="store_true", help="print fitted rates")
-    p_run.add_argument("--strict", action="store_true", help="reject unknown config keys")
 
     p_val = sub.add_parser("validate", help="validate a run configuration")
     p_val.add_argument("config")
-    p_val.add_argument("--strict", action="store_true")
 
     p_der = sub.add_parser("derive", help="print derived step-size parameters")
     p_der.add_argument("--L", type=float, required=True, help="Lipschitz constant")
@@ -37,14 +35,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _print_scheduled_work(cfg) -> None:
     """The work the schedule allots over the run's T iterations, reported
     whatever its size: validation does not bound it, and neither does the run."""
-    problem, _, _, (draws, inner) = cfg.validated
+    problem, params, _, (draws, inner) = cfg.validated
     projections = 2 if cfg.solver == "ieg" else 1
     ran = " (closed form: none run)" if problem.map.exact else ""
     print(f"scheduled work per replicate over T = {cfg.T} iterations (reported, not bounded):")
     print(f"  inner iterations: {projections} x sum t_k = {projections * inner}{ran}")
     if "residual" in (cfg.metrics or default_metrics(problem)) and not problem.map.exact:
-        print(f"  residual metric's inner iterations: {_RESIDUAL_BUDGET_SCALE} x sum t_k = "
-              f"{_RESIDUAL_BUDGET_SCALE * inner}, one solve per iterate")
+        # x0's solve has the budget of iteration 0, x_{k+1}'s that of k
+        _, t_0 = schedule_values(cfg.solver_config().schedule, params.q, 0)
+        print(f"  residual metric's inner iterations: {_RESIDUAL_BUDGET_SCALE} x (t_0 + sum t_k) = "
+              f"{_RESIDUAL_BUDGET_SCALE * (t_0 + inner)}, one solve per iterate")
     print(f"  operator draws: sum N_k = {draws} per phase, {projections} phase(s)")
 
 
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8 text: {exc}") from None
-        cfg = parse_config(text, strict=args.strict)
+        cfg = parse_config(text)
         if args.command == "validate":
             print("config OK")
             print(json.dumps({"problem": cfg.problem, "solver": cfg.solver, "schedule": cfg.schedule}, indent=2))

@@ -86,7 +86,3 @@ class ConstructionFailed(SqviError):
 
 class ConfigError(SqviError):
     pass
-
-
-class UnknownKey(ConfigError):
-    pass

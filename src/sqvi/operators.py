@@ -93,18 +93,16 @@ def evaluate_mean(op: OperatorSpec, x) -> Array:
     return out
 
 
-def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
-    """Mean of ``n`` fresh operator draws at ``x`` from ``stream``.
+def sample_batch(op: OperatorSpec, x, n: int, stream: np.random.Generator) -> Array:
+    """Mean of ``n`` fresh operator draws at ``x`` from the generator ``stream``.
 
-    ``stream`` is a key (see :func:`stream_key`), seeded as
-    ``np.random.default_rng(key)``, or a ``np.random.Generator``, which is
-    used as given and advanced by the draw: a sampled run passes each call
-    the generator of its phase, so consecutive calls draw consecutive
-    batches. ``batch_mean`` must not keep the generator after the call.
-    Deterministic in (x, n, stream): replaying the same triple, a generator
-    at the same state included, reproduces the batch bit for bit.
-    Noise-free operators short-circuit to the mean field. ``n`` must be an
-    integer >= 1 (a Python or numpy int), or InvalidParameters is raised.
+    The draw advances ``stream``: a sampled run passes each call the
+    generator of its phase, so consecutive calls draw consecutive batches.
+    ``batch_mean`` must not keep the generator after the call. Deterministic
+    in (x, n, stream): replaying the same triple, the generator at the same
+    state, reproduces the batch bit for bit. Noise-free operators
+    short-circuit to the mean field. ``n`` must be an integer >= 1 (a
+    Python or numpy int), or InvalidParameters is raised.
     """
     x = _vec(x, op.dim, "point")
     if type(n) is not int or n < 1:  # one test on the common case
@@ -112,11 +110,7 @@ def sample_batch(op: OperatorSpec, x, n: int, stream) -> Array:
             raise InvalidParameters(f"batch size must be an integer >= 1, got {n!r}")
     if op.batch_mean is None:
         return evaluate_mean(op, x)
-    if isinstance(stream, np.random.Generator):
-        rng = stream
-    else:
-        rng = np.random.default_rng(stream_key(stream))
-    est = np.asarray(op.batch_mean(x, rng, n), dtype=float)
+    est = np.asarray(op.batch_mean(x, stream, n), dtype=float)
     if est.shape != (op.dim,):
         raise DimensionMismatch(f"batch mean has shape {est.shape}")
     return est

@@ -523,6 +523,7 @@ class LinearCoupling:
     def __post_init__(self):
         object.__setattr__(self, "a_u", np.atleast_1d(np.asarray(self.a_u, float)))
         object.__setattr__(self, "a_w", np.atleast_1d(np.asarray(self.a_w, float)))
+        object.__setattr__(self, "c", float(self.c))
 
 
 def _box_ends(name: str, ends) -> Tuple[float, float]:
@@ -719,38 +720,38 @@ PRESETS = {
 }
 
 
+def regression_game(
+    source: str = "synthetic", sigma: float = 1e-2, lam: Optional[float] = None, **fields
+) -> ProblemInstance:
+    """A regression game from a config: ``source`` names the game source
+    (``synthetic``: :class:`SyntheticGame`, ``dataset``: :class:`DatasetGame`),
+    which takes the other fields."""
+    try:
+        source_type = {"synthetic": SyntheticGame, "dataset": DatasetGame}[source]
+    except (KeyError, TypeError):  # a JSON list or object names no source either
+        raise ConstructionFailed(f"unknown game source {source!r}") from None
+    return make_regression_game(source_type(**fields), lam=lam, sigma=sigma)
+
+
+def coupled_sp(
+    P=((1.0,),), Q=((1.0,),), R=((1.0,),), p=(0.0,), q=(0.0,), coupling=None, u_box=(-1.0, 1.0), w_box=(-1.0, 1.0)
+) -> ProblemInstance:
+    """A coupled saddle point from a config: the payoff's arrays (see
+    :class:`QuadraticPayoff`), the fields of a :class:`LinearCoupling` or
+    None, and the two boxes."""
+    payoff = QuadraticPayoff(P=P, Q=Q, R=R, p=p, q=q)
+    return make_coupled_sp(payoff, None if coupling is None else LinearCoupling(**coupling), u_box, w_box)
+
+
+_BUILDERS = {"translated_box": make_translated_box_qvi, "regression_game": regression_game, "coupled_sp": coupled_sp}
+
+
 def build_problem(kind: str, params: Optional[dict] = None) -> ProblemInstance:
-    """Problem factory used by the run configuration layer."""
-    params = dict(params or {})
-    if kind == "translated_box":
-        return make_translated_box_qvi(**params)
-    if kind == "regression_game":
-        src_kind = params.pop("source", "synthetic")
-        sigma = params.pop("sigma", 1e-2)
-        lam = params.pop("lam", None)
-        if src_kind == "synthetic":
-            source: GameSource = SyntheticGame(**params)
-        elif src_kind == "dataset":
-            source = DatasetGame(**params)
-        else:
-            raise ConstructionFailed(f"unknown game source {src_kind!r}")
-        return make_regression_game(source, lam=lam, sigma=sigma)
-    if kind == "coupled_sp":
-        payoff = QuadraticPayoff(
-            P=params.get("P", [[1.0]]),
-            Q=params.get("Q", [[1.0]]),
-            R=params.get("R", [[1.0]]),
-            p=params.get("p", [0.0]),
-            q=params.get("q", [0.0]),
-        )
-        coupling = None
-        if "coupling" in params and params["coupling"] is not None:
-            cp = params["coupling"]
-            coupling = LinearCoupling(a_u=cp["a_u"], a_w=cp["a_w"], c=float(cp["c"]))
-        return make_coupled_sp(
-            payoff,
-            coupling,
-            u_box=params.get("u_box", (-1.0, 1.0)),
-            w_box=params.get("w_box", (-1.0, 1.0)),
-        )
-    raise ConstructionFailed(f"unknown problem kind {kind!r}")
+    """The problem of a run configuration: ``params`` are the keyword
+    arguments of the kind's builder, so a key it does not take raises
+    TypeError naming that key."""
+    try:
+        builder = _BUILDERS[kind]
+    except (KeyError, TypeError):
+        raise ConstructionFailed(f"unknown problem kind {kind!r}") from None
+    return builder(**(params or {}))

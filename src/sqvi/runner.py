@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import fit_linear_rate, mean_metric_series
-from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached, UnknownKey
+from .errors import ConfigError, InsufficientData, InvalidSchedule, NotReached
 from .problems import PRESETS, ProblemInstance, build_problem
 from .solvers import (
     _METRICS,
@@ -189,12 +189,15 @@ def _finite(literal: str) -> float:
     return value
 
 
-def parse_config(text: str, strict: bool = False) -> RunConfig:
+def parse_config(text: str) -> RunConfig:
     """Validated run configuration from JSON text.
 
     Accepts either a bare configuration object or a manifest produced by
     :func:`run_experiment` (whose ``config`` entry is reused verbatim, which
-    makes manifests rerunnable). Every number in the text must be finite.
+    makes manifests rerunnable). Every number in the text must be finite,
+    and every key known: an unknown key at the top level raises ConfigError
+    here, and one in ``problem_params`` (or its ``coupling``) when the
+    problem is built.
     """
     try:
         data = json.loads(text, parse_float=_finite, parse_constant=_finite)
@@ -210,12 +213,7 @@ def parse_config(text: str, strict: bool = False) -> RunConfig:
         data = _apply_preset(data)
     unknown = set(data) - _KNOWN_KEYS
     if unknown:
-        msg = f"unknown config key(s): {', '.join(sorted(unknown))}"
-        if strict:
-            raise UnknownKey(msg)
-        log.warning("%s (ignored)", msg)
-        for key in unknown:
-            data.pop(key)
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     for req in ("problem", "solver", "eta", "alpha"):
         if req not in data:
             raise ConfigError(f"missing required config key {req!r}")

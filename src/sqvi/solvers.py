@@ -475,8 +475,10 @@ def _run(problem, config: SolverConfig, metrics, extra_gradient: bool) -> Iterat
     x = np.asarray(problem.x0, dtype=float).copy()
     # x0's metrics by lone calls, so a metric the problem lacks fails here;
     # ``lone`` are lone calls at each new iterate too, the others one call on
-    # the stack of iterates after the loop (or before NonfiniteIterate)
-    known = {name: [_metric(problem, name, x, config)] for name in metrics}
+    # the stack of iterates after the loop (or before NonfiniteIterate). The
+    # residual's budget at x0 is that of iteration 0, as at x_{k+1} that of k
+    t_0 = schedule_values(config.schedule, params.q, 0)[1]
+    known = {name: [_metric(problem, name, x, config, _RESIDUAL_BUDGET_SCALE * t_0)] for name in metrics}
     # the floor's metric, and the residual on a map with no closed form
     lone = [n for n in metrics if (floor is not None and n == floor[0])
             or (n == "residual" and not problem.map.exact)]

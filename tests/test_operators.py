@@ -62,16 +62,16 @@ def test_operator_constants_validated():
 
 
 def test_sample_batch_zero_noise_is_exact():
-    res = sample_batch(identity_op, [0.3, -0.7], 17, stream=5)
+    res = sample_batch(identity_op, [0.3, -0.7], 17, np.random.default_rng(5))
     np.testing.assert_allclose(res, [0.3, -0.7])
 
 
 def test_sample_batch_deterministic_replay():
     op = gaussian_operator(lambda x: x, dim=4, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
-    a = sample_batch(op, np.ones(4), 64, stream=(3, 2))
-    b = sample_batch(op, np.ones(4), 64, stream=(3, 2))
+    a = sample_batch(op, np.ones(4), 64, np.random.default_rng((3, 2)))
+    b = sample_batch(op, np.ones(4), 64, np.random.default_rng((3, 2)))
     assert np.array_equal(a, b)
-    c = sample_batch(op, np.ones(4), 64, stream=(3, 3))
+    c = sample_batch(op, np.ones(4), 64, np.random.default_rng((3, 3)))
     assert not np.array_equal(a, c)
 
 
@@ -82,7 +82,7 @@ def test_sample_batch_monte_carlo_accuracy():
     x = np.full(n, 0.5)
     hits = 0
     for rep in range(100):
-        est = sample_batch(op, x, 10000, stream=(77, rep))
+        est = sample_batch(op, x, 10000, np.random.default_rng((77, rep)))
         if np.linalg.norm(est - x) <= 0.05 * np.sqrt(n):
             hits += 1
     assert hits >= 95
@@ -94,7 +94,7 @@ def test_batch_mean_concentration_bound():
     op = gaussian_operator(lambda x: x, dim=n, lipschitz=1.0, qg_mu=1.0, noise_level=nu)
     x = np.zeros(n)
     hits = sum(
-        np.linalg.norm(sample_batch(op, x, m_draws, stream=(5, rep)) - x)
+        np.linalg.norm(sample_batch(op, x, m_draws, np.random.default_rng((5, rep))) - x)
         <= 4 * nu / np.sqrt(m_draws)
         for rep in range(100)
     )
@@ -166,14 +166,8 @@ def test_sample_batch_stream_matches_default_rng(key):
         dim=3, lipschitz=1.0, qg_mu=1.0, batch_mean=lambda x, rng, n: x + rng.standard_normal(3)
     )
     expected = np.random.default_rng(key).standard_normal(3)
-    got = sample_batch(op, np.zeros(3), 5, stream=key)
+    got = sample_batch(op, np.zeros(3), 5, np.random.default_rng(key))
     assert got.tobytes() == expected.tobytes()
-
-
-def test_sample_batch_negative_stream_part_raises():
-    op = gaussian_operator(lambda x: x, dim=2, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
-    with pytest.raises(ValueError):
-        sample_batch(op, np.zeros(2), 3, stream=(-1, 4))
 
 
 def _recording_box(draws):
@@ -222,9 +216,11 @@ def test_ig_draws_the_phase_zero_batches_of_ieg(seed):
 
 
 def test_sample_batch_uses_a_positioned_generator():
-    op = gaussian_operator(lambda x: x, dim=3, lipschitz=1.0, qg_mu=1.0, noise_level=1.0)
-    got = sample_batch(op, np.ones(3), 8, np.random.default_rng((11, 4, 7, 1)))
-    assert got.tobytes() == sample_batch(op, np.ones(3), 8, (11, 4, 7, 1)).tobytes()
+    # each call draws from the generator where the last one left it
+    op = OperatorSpec(dim=3, lipschitz=1.0, qg_mu=1.0, batch_mean=lambda x, rng, n: x + rng.standard_normal(3))
+    rng, replay = np.random.default_rng((11, 4, 7, 1)), np.random.default_rng((11, 4, 7, 1))
+    for _ in range(3):
+        assert sample_batch(op, np.zeros(3), 8, rng).tobytes() == replay.standard_normal(3).tobytes()
 
 
 @pytest.mark.parametrize("prefix", [(-1,), (3, -2)])

@@ -734,7 +734,7 @@ _ONE_INPUT_RULE = [
     ),
     *(
         (f"sample_batch n={n!r}", InvalidParameters, "batch size must be an integer >= 1",
-         lambda n=n: sample_batch(_noisy_operator(), np.zeros(2), n, 7))
+         lambda n=n: sample_batch(_noisy_operator(), np.zeros(2), n, np.random.default_rng(7)))
         for n in (0, -3, 2.5, True, "4")
     ),
     ("translated shift constant -0.5", InvalidConstants, "shift Lipschitz constant must be nonnegative",
@@ -761,7 +761,8 @@ def test_inner_solvers_and_sampling_take_numpy_integers():
     apd = lambda t: apd_solve(np.ones(2), lambda y: np.array([y @ y - 1.0]), lambda y: 2.0 * y[None], t)
     assert apd(np.uint8(4)).point.tobytes() == apd(4).point.tobytes()
     op = _noisy_operator()
-    assert sample_batch(op, np.zeros(2), np.int64(4), 7).tobytes() == sample_batch(op, np.zeros(2), 4, 7).tobytes()
+    draws = [sample_batch(op, np.zeros(2), n, np.random.default_rng(7)) for n in (np.int64(4), 4)]
+    assert draws[0].tobytes() == draws[1].tobytes()
 
 
 def test_inexact_project_translated_exact():

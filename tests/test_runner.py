@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqvi import runner
+from sqvi import diagnostics, runner
 from sqvi.cli import main as cli_main
-from sqvi.errors import ConfigError, UnknownKey
+from sqvi.errors import ConfigError
 from sqvi.problems import build_problem
 from sqvi.runner import parse_config, run_experiment
 from sqvi.solvers import _METRICS, IterationTrace, TraceRow, schedule_values
@@ -126,17 +126,12 @@ def test_one_problem_build_per_run(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_unknown_key_strict_vs_lenient():
-    cfg = dict(MINIMAL, tpyo=1)
-    with pytest.raises(UnknownKey):
-        parse_config(json.dumps(cfg), strict=True)
-    parsed = parse_config(json.dumps(cfg), strict=False)
-    assert parsed.problem == "translated_box"
-    # "strict" is a command-line option, not a config key
-    cfg = dict(MINIMAL, strict=True)
-    with pytest.raises(UnknownKey):
-        parse_config(json.dumps(cfg), strict=True)
-    assert parse_config(json.dumps(cfg), strict=False).problem == "translated_box"
+def test_unknown_key_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown config key[(]s[)]: tpyo$"):
+        parse_config(json.dumps(dict(MINIMAL, tpyo=1)))
+    # "strict" is no key either, and each unknown key is named
+    with pytest.raises(ConfigError, match="unknown config key[(]s[)]: schedul, strict$"):
+        parse_config(json.dumps(dict(MINIMAL, strict=True, schedul="damped")))
 
 
 def test_missing_key_diagnostic():
@@ -617,9 +612,32 @@ def test_validate_reports_the_scheduled_work(tmp_path, capsys):
     assert out[-4:] == [
         "scheduled work per replicate over T = 400 iterations (reported, not bounded):",
         f"  inner iterations: 2 x sum t_k = {2 * inner}",
-        f"  residual metric's inner iterations: 10 x sum t_k = {10 * inner}, one solve per iterate",
+        f"  residual metric's inner iterations: 10 x (t_0 + sum t_k) = {10 * (values[0][1] + inner)}, "
+        "one solve per iterate",
         f"  operator draws: sum N_k = {draws} per phase, 2 phase(s)",
     ]
+
+
+def test_validate_counts_the_residual_solves_the_run_makes(tmp_path, capsys, monkeypatch):
+    # x0's residual solve gets 10 t_0 and x_{k+1}'s 10 t_k, and each runs
+    # its whole budget on this map
+    consumed = []
+
+    def counting_project(*args, **kwargs):
+        res = project(*args, **kwargs)
+        consumed.append(res.inner_iterations)
+        return res
+
+    project = diagnostics.inexact_project
+    monkeypatch.setattr(diagnostics, "inexact_project", counting_project)
+    cfg = dict(_COUPLED, problem_params=_COUPLING, rho=0.9, T=6, metrics=["residual"])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "residual metric" in line)
+    assert cli_main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(consumed) == 7
+    assert int(re.search(r"= (\d+),", line).group(1)) == sum(consumed)
 
 
 def test_validate_reports_closed_form_projections_run_no_inner_iterations(tmp_path, capsys):
@@ -722,9 +740,32 @@ def _coupling_c(c):
         (dict(_COUPLED, problem_params=_coupling_c(-10.0)), "the shared set .* is empty"),
         (dict(_COUPLED, problem_params={"coupling": {"a_u": [0.0], "a_w": [0.0], "c": -1.0}}),
          "the shared set .* is empty"),
+        (dict(MINIMAL, T=3, problem_params={"n": 2, "matrix": [[1.0]]}), r"matrix has shape \(1, 1\), expected"),
+        (dict(MINIMAL, T=3, problem_params={"n": 2, "matrix": [[0.0, 1.0], [-1.0, 0.0]]}), "not strongly monotone"),
+        (dict(MINIMAL, T=3, problem_params={"box": [1.0, 1.0]}), "box must have lo < hi"),
+        (dict(_COUPLED, problem_params={"R": [[1.0, 2.0]]}), r"R has shape \(1, 2\), expected \(1,1\)"),
+        (dict(_COUPLED, problem_params={"Q": [[-1.0]]}), "payoff is not concave in w"),
+        (dict(_COUPLED, problem_params={"coupling": {"a_u": [1.0, 1.0], "a_w": [1.0], "c": 1.0}}),
+         "coupling vectors do not match block dimensions"),
+        (dict(_GAME_PRESET, problem_params={"source": "svm"}), "unknown game source 'svm'"),
+        # a key sqvi does not know, at each level of the config
+        (dict(MINIMAL, T=3, schedul="damped"), r"unknown config key\(s\): schedul$"),
+        (dict(MINIMAL, T=3, problem_params={"slope": 0.1}),
+         r"make_translated_box_qvi\(\) got an unexpected keyword argument 'slope'"),
+        (dict(_GAME_PRESET, problem_params={"player": 2}), "unexpected keyword argument 'player'"),
+        (dict(_COUPLED, problem_params={"couplng": _COUPLING["coupling"]}),
+         r"coupled_sp\(\) got an unexpected keyword argument 'couplng'"),
+        (dict(_COUPLED, problem_params=dict(_COUPLING, coupling=dict(_COUPLING["coupling"], d=1.0))),
+         "unexpected keyword argument 'd'"),
+        (dict(_COUPLED, problem_params={"coupling": {"a_u": [1.0], "a_w": [1.0]}}),
+         "missing 1 required positional argument: 'c'"),
     ],
     ids=["box-n-0", "game-players-0", "game-sigma-0", "coupled-P-1x2", "u-box-3", "w-box-reversed",
-         "eta-1e300", "coupled-K-x0-empty", "coupled-shared-empty", "coupled-zero-coupling"],
+         "eta-1e300", "coupled-K-x0-empty", "coupled-shared-empty", "coupled-zero-coupling",
+         "box-matrix-shape", "box-not-strongly-monotone", "box-lo-not-below-hi", "coupled-R-shape",
+         "coupled-Q-not-concave", "coupling-vector-shape", "game-unknown-source", "unknown-top-level-key",
+         "box-unknown-param", "game-unknown-param", "coupled-unknown-param", "coupling-unknown-key",
+         "coupling-without-c"],
 )
 def test_construction_errors_name_their_cause(tmp_path, capsys, cfg, cause):
     cfg_path = tmp_path / "cfg.json"
